@@ -24,13 +24,11 @@ from .term import (
     beta_reduce, free_vars, translate,
 )
 from .world import RewriteRule, HintFn, World, WorldError
-from .rewrite import (
-    ExpandError, ResourceError, StepBudget, negate_term, normalize_definition,
-)
+from .rewrite import ExpandError, ResourceError, StepBudget, normalize_definition
 from .hints import (
-    ComputedHint, ExplicitPending, HintError,
+    ComputedHint, HintError,
     _parse_in_theory, clause_sexpr, clausify, eval_hint_expr, parse_hint,
-    prove_clause, translate_hint_expr,
+    peel_implies, prove_clause, translate_hint_expr,
 )
 from .termhint import ProcessError, clause_labels, install_prelude, use_termhint
 
@@ -38,6 +36,7 @@ DEFAULT_MAX_STEPS = 10000
 
 _PROOF_ERRORS = (
     HintError, ProcessError, ExpandError, EvalError, TranslateError, ParseError,
+    ResourceError,
 )
 
 
@@ -96,21 +95,6 @@ def _formal_names(form) -> list:
     return names
 
 
-class _DefunView:
-    """Arity view letting a definition body call the function being defined."""
-
-    def __init__(self, world, name, arity):
-        self.world = world
-        self.name = name
-        self._arity = arity
-        self.macro_env = world.macro_env
-
-    def arity(self, name):
-        if name == self.name:
-            return self._arity
-        return self.world.arity(name)
-
-
 def _parse_declare(decl) -> bool:
     """Only (DECLARE (XARGS :NORMALIZE <flag>)) is recognized; returns the flag."""
     spec = to_list(decl) if isinstance(decl, Pair) else None
@@ -133,7 +117,11 @@ def _do_defun(world: World, items, enabled: bool):
 
     name = _want_symbol(items[1], "function name")
     formals = _formal_names(items[2])
-    body = beta_reduce(translate(body_form, _DefunView(world, name, len(formals))))
+
+    def arity(f):  # the body may call the function being defined
+        return len(formals) if f == name else world.arity(f)
+
+    body = beta_reduce(translate(body_form, world, arity))
     stray = [v for v in free_vars(body) if v not in formals]
     if stray:
         raise EventError(f"free variables in body of {name}: {', '.join(stray)}")
@@ -175,27 +163,21 @@ def _do_register_hint_fn(world: World, items):
     world.add_hint_fn(HintFn(name, 0, run))
 
 
+# Every event but DEFTHM, which also needs the step budget and yields an outcome.
+EVENT_HANDLERS = {
+    "DEFSTUB": _do_defstub,
+    "DEFUN": lambda world, items: _do_defun(world, items, enabled=True),
+    "DEFUND": lambda world, items: _do_defun(world, items, enabled=False),
+    "IN-THEORY": _do_in_theory,
+    "REGISTER-HINT-FN": _do_register_hint_fn,
+}
+
+
 # ---------------------------------------------------------------------------
 # Rewrite rule conversion (surface level)
 
-def _flatten_and_forms(form):
-    if isinstance(form, Pair) and form.car == Symbol("AND"):
-        out = []
-        for f in to_list(form.cdr):
-            out.extend(_flatten_and_forms(f))
-        return out
-    return [form]
-
-
 def convert_rule(name: str, body, world: World) -> RewriteRule:
-    hyp_forms = []
-    concl = body
-    while isinstance(concl, Pair) and concl.car == Symbol("IMPLIES"):
-        args = to_list(concl.cdr)
-        if len(args) != 2:
-            raise EventError(f"bad IMPLIES in {name}")
-        hyp_forms.extend(_flatten_and_forms(args[0]))
-        concl = args[1]
+    hyp_forms, concl = peel_implies(body)
 
     def tr(f):
         return beta_reduce(translate(f, world))
@@ -241,7 +223,7 @@ def _parse_hint_entry(entry, world: World):
     if isinstance(entry, Pair):
         if isinstance(entry.car, Keyword):
             try:
-                return ExplicitPending(parse_hint(entry, world))
+                return parse_hint(entry, world)
             except HintError as e:
                 raise EventError(str(e))
         if entry.car == Symbol("USE-TERMHINT"):
@@ -249,7 +231,7 @@ def _parse_hint_entry(entry, world: World):
             if len(args) != 1:
                 raise EventError("use-termhint expects one form")
             try:
-                return ExplicitPending(use_termhint(args[0], world))
+                return use_termhint(args[0], world)
             except TranslateError as e:
                 raise EventError(str(e))
     raise EventError(f"unrecognized hint entry: {print_sexpr(entry)}")
@@ -285,7 +267,7 @@ def _do_defthm(world: World, items, max_steps: int) -> TheoremOutcome:
         rule = convert_rule(name, body, world) if rule_classes == "REWRITE" else None
         body_term = beta_reduce(translate(body, world))
         clause = clausify(body, world)
-    except TranslateError as e:
+    except (TranslateError, HintError) as e:
         raise EventError(f"in {name}: {e}")
 
     budget = StepBudget(max_steps)
@@ -295,8 +277,6 @@ def _do_defthm(world: World, items, max_steps: int) -> TheoremOutcome:
         outcome.proved = result.proved
         outcome.events = result.events
         outcome.checkpoints = result.checkpoints
-    except ResourceError as e:
-        outcome.error = str(e)
     except _PROOF_ERRORS as e:
         outcome.error = str(e)
     outcome.steps = budget.used
@@ -316,10 +296,7 @@ def process_file(path: str, max_steps: int, stop_on_failure: bool) -> FileOutcom
     try:
         with open(path) as f:
             forms = parse(f.read())
-    except OSError as e:
-        out.error = str(e)
-        return out
-    except ParseError as e:
+    except (OSError, ParseError) as e:
         out.error = str(e)
         return out
 
@@ -331,16 +308,8 @@ def process_file(path: str, max_steps: int, stop_on_failure: bool) -> FileOutcom
                 raise EventError(f"not an event: {print_sexpr(form)}")
             items = to_list(form)
             head = form.car.name
-            if head == "DEFSTUB":
-                _do_defstub(world, items)
-            elif head == "DEFUN":
-                _do_defun(world, items, enabled=True)
-            elif head == "DEFUND":
-                _do_defun(world, items, enabled=False)
-            elif head == "IN-THEORY":
-                _do_in_theory(world, items)
-            elif head == "REGISTER-HINT-FN":
-                _do_register_hint_fn(world, items)
+            if head in EVENT_HANDLERS:
+                EVENT_HANDLERS[head](world, items)
             elif head == "DEFTHM":
                 outcome = _do_defthm(world, items, max_steps)
                 out.theorems.append(outcome)

@@ -1,11 +1,11 @@
 """Hints and the goal waterfall.
 
 A proof attempt carries a pending list of hint entries.  An entry is
-either an explicit keyword hint, which fires the first time it is
-reached, or a computed hint, whose expression is evaluated against the
-goal and fires when it yields a hint.  A fired entry is spliced out of
-the pending list and replaced by its declared replacement entries, so
-unfired entries survive for sibling goals.
+either a keyword Hint, which fires the first time it is reached, or a
+ComputedHint, whose expression is evaluated against the goal and fires
+when it yields a hint.  A fired entry is spliced out of the pending
+list and replaced by its declared replacement entries, so unfired
+entries survive for sibling goals.
 
 Goals are named "Goal", "Subgoal 1", "Subgoal 1.2", ... in creation
 order.  Each goal tries hints on arrival, then simplifies; a goal that
@@ -23,8 +23,8 @@ from .sexpr import (
     from_list, is_nil, is_proper_list, print_sexpr, to_list,
 )
 from .term import (
-    BUILTIN_ARITY, App, Const, LamApp, Var,
-    apply_builtin, beta_reduce, free_vars, substitute, translate, truthy, unparse,
+    BUILTIN_ARITY, EvalError,
+    apply_builtin, beta_reduce, evaluate, free_vars, substitute, translate, unparse,
 )
 from .rewrite import expand_calls, negate_term, simplify_clause
 
@@ -54,12 +54,6 @@ class ComputedHint:
     expr: object = None    # Term over CLAUSE / ID / STABLE-UNDER-SIMPLIFICATIONP
     run: object = None     # native escape: callable(ctx) -> value
     display: object = None  # SExpr shown when rendered as a replacement
-    fires_once: bool = True
-
-
-@dataclass
-class ExplicitPending:
-    hint: Hint
 
 
 @dataclass
@@ -189,7 +183,7 @@ def render_hint(hint: Hint):
     if hint.enable:
         out += [Keyword("IN-THEORY"),
                 from_list([_ENABLE] + [Symbol(n) for n in hint.enable])]
-    elif hint.disable:
+    if hint.disable:
         out += [Keyword("IN-THEORY"),
                 from_list([_DISABLE] + [Symbol(n) for n in hint.disable])]
     if hint.clause_processor is not None:
@@ -206,22 +200,14 @@ def render_hint(hint: Hint):
 HINT_EXPR_BUILTINS = ("IF", "CONS", "MEMBER-EQUAL", "EQUAL", "NOT")
 
 
-class _HintExprView:
-    """World view for hint expressions: a few builtins plus registered hint functions."""
-
-    def __init__(self, world):
-        self.world = world
-        self.macro_env = world.macro_env
-
-    def arity(self, name):
+def translate_hint_expr(form, world):
+    def arity(name):
         if name in HINT_EXPR_BUILTINS:
             return BUILTIN_ARITY[name]
-        fn = self.world.hint_fns.get(name)
+        fn = world.hint_fns.get(name)
         return fn.arity if fn is not None else None
 
-
-def translate_hint_expr(form, world):
-    return translate(form, _HintExprView(world))
+    return translate(form, world, arity)
 
 
 def eval_hint_expr(t, ctx: GoalCtx):
@@ -232,31 +218,18 @@ def eval_hint_expr(t, ctx: GoalCtx):
         "STABLE-UNDER-SIMPLIFICATIONP": T if ctx.stable else NIL,
     }
 
-    def ev(u, env):
-        if isinstance(u, Var):
-            if u.name in env:
-                return env[u.name]
-            raise HintError(f"unbound variable in hint expression: {u.name}")
-        if isinstance(u, Const):
-            return u.value
-        if isinstance(u, LamApp):
-            vals = [ev(a, env) for a in u.actuals]
-            return ev(u.body, dict(zip(u.formals, vals)))
-        if isinstance(u, App):
-            if u.fn == "IF":
-                test = ev(u.args[0], env)
-                picked = u.args[1] if truthy(test) else u.args[2]
-                return ev(picked, env)
-            args = [ev(a, env) for a in u.args]
-            fn = ctx.world.hint_fns.get(u.fn)
-            if fn is not None:
-                return fn.run(args, ctx)
-            if u.fn in BUILTIN_ARITY:
-                return apply_builtin(u.fn, args)
-            raise HintError(f"unknown function in hint expression: {u.fn}")
-        raise HintError(f"cannot evaluate hint expression: {u!r}")
+    def call(fn, args):
+        hint_fn = ctx.world.hint_fns.get(fn)
+        if hint_fn is not None:
+            return hint_fn.run(args, ctx)
+        if fn in BUILTIN_ARITY:
+            return apply_builtin(fn, args)
+        raise HintError(f"unknown function in hint expression: {fn}")
 
-    return ev(t, env)
+    try:
+        return evaluate(t, env, call)
+    except EvalError as e:
+        raise HintError(f"in hint expression: {e}")
 
 
 def _interpret_hint_value(v, world):
@@ -342,22 +315,27 @@ def _flatten_and(form):
     return [form]
 
 
+def peel_implies(form):
+    """Split a statement into its hypothesis forms and its conclusion form.
+
+    Nested IMPLIES are peeled from the outside in, and an AND hypothesis
+    contributes each conjunct.
+    """
+    hyps = []
+    while isinstance(form, Pair) and form.car == Symbol("IMPLIES"):
+        args = to_list(form.cdr)
+        if len(args) != 2:
+            raise HintError("IMPLIES expects two arguments")
+        hyps.extend(_flatten_and(args[0]))
+        form = args[1]
+    return hyps, form
+
+
 def clausify(form, world):
     """Turn a statement into one clause: negated hypotheses plus conclusion."""
-    lits = []
-
-    def peel(f):
-        if isinstance(f, Pair) and f.car == Symbol("IMPLIES"):
-            args = to_list(f.cdr)
-            if len(args) != 2:
-                raise HintError("IMPLIES expects two arguments")
-            for h in _flatten_and(args[0]):
-                lits.append(negate_term(beta_reduce(translate(h, world))))
-            peel(args[1])
-        else:
-            lits.append(beta_reduce(translate(f, world)))
-
-    peel(form)
+    hyp_forms, concl = peel_implies(form)
+    lits = [negate_term(beta_reduce(translate(h, world))) for h in hyp_forms]
+    lits.append(beta_reduce(translate(concl, world)))
     return tuple(lits)
 
 
@@ -383,22 +361,14 @@ def _child_name(parent: str, i: int) -> str:
 
 def _first_firing(pending, ctx: GoalCtx):
     for i, entry in enumerate(pending):
-        if isinstance(entry, ExplicitPending):
-            return i, entry, entry.hint
-        hint = eval_computed_hint(entry, ctx)
+        hint = entry if isinstance(entry, Hint) else eval_computed_hint(entry, ctx)
         if hint is not None:
-            return i, entry, hint
+            return i, hint
     return None
 
 
-def _splice(pending, i, entry, hint: Hint):
-    if hint.replacement is not None:
-        middle = list(hint.replacement)
-    elif isinstance(entry, ComputedHint) and not entry.fires_once:
-        middle = [entry]
-    else:
-        middle = []
-    return pending[:i] + middle + pending[i + 1:]
+def _splice(pending, i, hint: Hint):
+    return pending[:i] + list(hint.replacement or ()) + pending[i + 1:]
 
 
 def prove_clause(clause, pending, world, budget, warn=_warn_stderr) -> ProofResult:
@@ -409,10 +379,10 @@ def prove_clause(clause, pending, world, budget, warn=_warn_stderr) -> ProofResu
         result.events.append((name, kind, payload))
 
     def fire(name, clause, pending, theory, found):
-        i, entry, hint = found
+        i, hint = found
         emit(name, "HINT", render_hint(hint))
         new_clause, new_theory = apply_hint(hint, clause, theory, world, warn)
-        child_pending = _splice(pending, i, entry, hint)
+        child_pending = _splice(pending, i, hint)
         return prove(_child_name(name, 1), new_clause, child_pending, new_theory)
 
     def prove(name, clause, pending, theory) -> bool:

@@ -94,13 +94,6 @@ def is_proper_list(e) -> bool:
     return is_nil(e)
 
 
-def list_head(e):
-    """The head symbol of a Pair form, or None."""
-    if isinstance(e, Pair) and isinstance(e.car, Symbol):
-        return e.car
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Reader
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .sexpr import (
-    NIL, Keyword, Nil, Pair, Symbol, T,
-    from_list, is_nil, is_proper_list, print_sexpr, to_list,
+    NIL, Keyword, Pair, Symbol, T,
+    from_list, is_nil, print_sexpr, to_list,
     QUASIQUOTE, QUOTE, UNQUOTE, UNQUOTE_SPLICING,
 )
 
@@ -319,13 +319,16 @@ def make_lamapp(formals, body, actuals):
     )
 
 
-def translate(form, world, macros=None):
+def translate(form, world, arity=None):
     """Translate a surface form into a Term.
 
-    `world` supplies function arities via world.arity(name); `macros`
-    defaults to world.macro_env.
+    `world` supplies the macros (world.macro_env).  `arity(name)` gives
+    the argument count of a function, or None for an unknown one; it
+    defaults to world.arity and lets a caller overlay its own vocabulary,
+    such as a definition that calls itself.
     """
-    env = world.macro_env if macros is None else macros
+    env = world.macro_env
+    arity_of = world.arity if arity is None else arity
 
     def tr(f):
         if is_nil(f):
@@ -358,11 +361,11 @@ def translate(form, world, macros=None):
         args = [tr(a) for a in to_list(args_form)]
         if name == "APPEND":
             name = "BINARY-APPEND"
-        arity = world.arity(name)
-        if arity is None:
+        n = arity_of(name)
+        if n is None:
             raise TranslateError(f"unknown function: {name}")
-        if arity != len(args):
-            raise TranslateError(f"{name} expects {arity} arguments, got {len(args)}")
+        if n != len(args):
+            raise TranslateError(f"{name} expects {n} arguments, got {len(args)}")
         return App(name, tuple(args))
 
     def tr_lambda(head, args_form):
@@ -437,7 +440,31 @@ def beta_reduce(t):
 
 
 # ---------------------------------------------------------------------------
-# Ground evaluation (test oracle and constant folding backend)
+# Evaluation
+
+def evaluate(t, env, call):
+    """Evaluate a term to an SExpr value, with variables bound by env.
+
+    Variables, constants, lambda applications and IF (lazily) are
+    handled here; every other application goes to call(fn, args) with
+    its arguments already evaluated.
+    """
+    if isinstance(t, Var):
+        if t.name in env:
+            return env[t.name]
+        raise EvalError(f"unbound variable: {t.name}")
+    if isinstance(t, Const):
+        return t.value
+    if isinstance(t, LamApp):
+        vals = [evaluate(a, env, call) for a in t.actuals]
+        return evaluate(t.body, dict(zip(t.formals, vals)), call)
+    if isinstance(t, App):
+        if t.fn == "IF":
+            test = evaluate(t.args[0], env, call)
+            return evaluate(t.args[1] if truthy(test) else t.args[2], env, call)
+        return call(t.fn, [evaluate(a, env, call) for a in t.args])
+    raise TypeError(f"not a term: {t!r}")
+
 
 def ground_eval(t, world, fuel: int = 1000):
     """Evaluate a closed term to an SExpr value.
@@ -447,30 +474,15 @@ def ground_eval(t, world, fuel: int = 1000):
     """
     state = [fuel]
 
-    def ev(u, env):
-        if isinstance(u, Var):
-            if u.name in env:
-                return env[u.name]
-            raise EvalError(f"unbound variable: {u.name}")
-        if isinstance(u, Const):
-            return u.value
-        if isinstance(u, LamApp):
-            vals = [ev(a, env) for a in u.actuals]
-            return ev(u.body, dict(zip(u.formals, vals)))
-        if isinstance(u, App):
-            if u.fn == "IF":
-                test = ev(u.args[0], env)
-                return ev(u.args[1] if truthy(test) else u.args[2], env)
-            args = [ev(a, env) for a in u.args]
-            if u.fn in BUILTIN_ARITY:
-                return apply_builtin(u.fn, args)
-            defn = world.definitions.get(u.fn)
-            if defn is None:
-                raise EvalError(f"no evaluator for function: {u.fn}")
-            if state[0] <= 0:
-                raise EvalError("evaluation fuel exhausted")
-            state[0] -= 1
-            return ev(defn.body, dict(zip(defn.formals, args)))
-        raise TypeError(f"not a term: {u!r}")
+    def call(fn, args):
+        if fn in BUILTIN_ARITY:
+            return apply_builtin(fn, args)
+        defn = world.definitions.get(fn)
+        if defn is None:
+            raise EvalError(f"no evaluator for function: {fn}")
+        if state[0] <= 0:
+            raise EvalError("evaluation fuel exhausted")
+        state[0] -= 1
+        return evaluate(defn.body, dict(zip(defn.formals, args)), call)
 
-    return ev(t, {})
+    return evaluate(t, {}, call)

@@ -18,10 +18,7 @@ from hintprover.termhint import (
     DROP_PROCESSOR, HYP_FN, clause_labels, find_hint, install_prelude,
     keyword_fixup, process_termhint,
 )
-from hintprover.cli import (
-    _do_defun, _do_defstub, _do_defthm, _do_in_theory, _do_register_hint_fn,
-    format_report, run,
-)
+from hintprover.cli import EVENT_HANDLERS, _do_defun, _do_defthm, format_report, run
 
 from test_term import (
     _interpolate, _random_template, _random_value as _random_qq_value,
@@ -257,19 +254,11 @@ def _corpus_clauses():
         for form in parse(Path(path).read_text()):
             items = to_list(form)
             head = form.car.name
-            if head == "DEFSTUB":
-                _do_defstub(world, items)
-            elif head == "DEFUN":
-                _do_defun(world, items, enabled=True)
-            elif head == "DEFUND":
-                _do_defun(world, items, enabled=False)
-            elif head == "IN-THEORY":
-                _do_in_theory(world, items)
-            elif head == "REGISTER-HINT-FN":
-                _do_register_hint_fn(world, items)
-            elif head == "DEFTHM":
+            if head == "DEFTHM":
                 yield clausify(items[2], world), world
                 _do_defthm(world, items, 10000)
+            else:
+                EVENT_HANDLERS[head](world, items)
 
 
 @criterion(7, "simplifier-properties")

@@ -103,6 +103,17 @@ def test_bad_events_are_file_errors(tmp_path):
         assert report.files[0].error
 
 
+@pytest.mark.parametrize("rule_classes", ["", ":rule-classes nil"])
+def test_malformed_implies_is_a_file_error(tmp_path, capsys, rule_classes):
+    path = evfile(tmp_path, f"""
+      (defstub f 1)
+      (defthm bad (implies (f x)) {rule_classes})
+    """)
+    assert main([path]) == 2  # returned, not raised: no traceback
+    err = capsys.readouterr().err
+    assert f"ERROR {path}: in BAD: IMPLIES expects two arguments" in err
+
+
 def test_file_error_aborts_rest_of_file(tmp_path):
     path = evfile(tmp_path, """
       (defthm ok (equal (cons x y) (cons x y)) :rule-classes nil)

@@ -5,7 +5,7 @@ from hintprover.term import App, CONST_T, Const, TranslateError, Var, translate
 from hintprover.world import HintFn, RewriteRule, World
 from hintprover.rewrite import StepBudget
 from hintprover.hints import (
-    ComputedHint, ExplicitPending, GoalCtx, Hint, HintError, UseInstance,
+    ComputedHint, GoalCtx, Hint, HintError, UseInstance,
     apply_hint, clause_sexpr, clausify, eval_computed_hint, eval_hint_expr,
     parse_hint, prove_clause, render_hint, translate_hint_expr,
 )
@@ -106,6 +106,7 @@ def test_parse_render_round_trip():
         "(:use ((:instance my-eq (x (cons a b)))))",
         "(:expand ((d a) (d b)) :in-theory (disable d))",
         "(:clause-processor p)",
+        "(:in-theory (enable w) :in-theory (disable v))",
     ]:
         h = ph(text, w)
         assert parse_hint(render_hint(h), w) == h
@@ -331,7 +332,7 @@ def test_waterfall_checkpoint_on_stuck_goal():
 
 def test_waterfall_explicit_hint_fires_on_arrival():
     w = _use_world()
-    pending = [ExplicitPending(ph("(:in-theory (enable d))", w))]
+    pending = [ph("(:in-theory (enable d))", w)]
     r = prove_clause((tr("(equal (d a) (cons a a))", w),), pending, w, StepBudget(10))
     assert r.proved
     assert [(n, k) for n, k, _ in r.events] == [
@@ -375,7 +376,7 @@ def test_waterfall_replacement_splices():
     w = _use_world()
     first = Hint(replacement=(_enable_d_when_stable(w),))
     r = prove_clause((tr("(equal (d a) (cons a a))", w),),
-                     [ExplicitPending(first)], w, StepBudget(10))
+                     [first], w, StepBudget(10))
     assert r.proved
     names = [(n, k) for n, k, _ in r.events]
     assert names == [
@@ -389,8 +390,8 @@ def test_waterfall_replacement_splices():
 
 def test_waterfall_retired_hint_does_not_refire():
     w = _use_world()
-    # an explicit hint with no replacement fires once; the child sees no pending
-    pending = [ExplicitPending(Hint(enable=("D",)))]
+    # a keyword hint with no replacement fires once; the child sees no pending
+    pending = [Hint(enable=("D",))]
     clause = (tr("(if (f q) (equal (d a) (cons a a)) (equal (d b) (cons b b)))", w),)
     r = prove_clause(clause, pending, w, StepBudget(100))
     assert r.proved
@@ -403,7 +404,7 @@ def test_waterfall_parsed_replacement_chain():
     h = ph("(:computed-hint-replacement ('(:in-theory (enable d))) "
            ":in-theory (disable d))", w)
     r = prove_clause((tr("(equal (d a) (cons a a))", w),),
-                     [ExplicitPending(h)], w, StepBudget(10))
+                     [h], w, StepBudget(10))
     assert r.proved
     names = [(n, k) for n, k, _ in r.events]
     # replacement hint fires on arrival at Subgoal 1, then the goal proves

@@ -1,0 +1,35 @@
+"""Source hygiene: every name a module imports from the package is used."""
+
+import ast
+from pathlib import Path
+
+import hintprover
+
+PACKAGE = Path(hintprover.__file__).resolve().parent
+
+
+def _unused_relative_imports(source: str):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_relative_imports():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = [
+        f"{p.name}:{line}: {name}"
+        for p in modules
+        for line, name in _unused_relative_imports(p.read_text())
+    ]
+    assert unused == []
+
+
+def test_unused_import_is_reported():
+    src = "from .sexpr import NIL, T\n\nx = T\n"
+    assert _unused_relative_imports(src) == [(1, "NIL")]

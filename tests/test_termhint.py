@@ -350,8 +350,7 @@ def test_prelude_waterfall_round_trip():
     w = _dworld()
     goal = tr("(equal (d p q) (cons p q))", w)
     hint = use_termhint(parse_one("`'(:expand ((d ,(hq p) ,(hq q))))"), w)
-    from hintprover.hints import ExplicitPending
-    r = prove_clause((goal,), [ExplicitPending(hint)], w, StepBudget(100))
+    r = prove_clause((goal,), [hint], w, StepBudget(100))
     assert r.proved
     fired = [(n, print_sexpr(p)) for n, k, p in r.events if k == "HINT"]
     assert fired[0][0] == "Goal"
