@@ -36,7 +36,7 @@ DEFAULT_MAX_STEPS = 10000
 
 _PROOF_ERRORS = (
     HintError, ProcessError, ExpandError, EvalError, TranslateError, ParseError,
-    ResourceError,
+    ResourceError, RecursionError,
 )
 
 
@@ -293,16 +293,11 @@ def _do_defthm(world: World, items, max_steps: int) -> TheoremOutcome:
 
 def process_file(path: str, max_steps: int, stop_on_failure: bool) -> FileOutcome:
     out = FileOutcome(path)
-    try:
-        with open(path) as f:
-            forms = parse(f.read())
-    except (OSError, ParseError) as e:
-        out.error = str(e)
-        return out
-
     world = World()
     install_prelude(world)
     try:
+        with open(path) as f:
+            forms = parse(f.read())
         for form in forms:
             if not (isinstance(form, Pair) and isinstance(form.car, Symbol)):
                 raise EventError(f"not an event: {print_sexpr(form)}")
@@ -319,7 +314,7 @@ def process_file(path: str, max_steps: int, stop_on_failure: bool) -> FileOutcom
                     break
             else:
                 raise EventError(f"unknown event: {head}")
-    except (EventError, WorldError, TranslateError, ParseError) as e:
+    except (OSError, ParseError, RecursionError, EventError, WorldError, TranslateError) as e:
         out.error = str(e)
         print(f"ERROR {path}: {e}", file=sys.stderr)
     return out
@@ -370,7 +365,8 @@ def main(argv=None) -> int:
     ap.add_argument("--checkpoints", action="store_true",
                     help="print failed-goal checkpoints")
     ap.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
-                    help="rewrite step budget per theorem")
+                    help="per-theorem bound on rewrite steps and, separately, "
+                         "on the subgoals that splits and hints create")
     ap.add_argument("--stop-on-failure", action="store_true",
                     help="stop at the first failed theorem")
     args = ap.parse_args(argv)

@@ -5,7 +5,8 @@ either a keyword Hint, which fires the first time it is reached, or a
 ComputedHint, whose expression is evaluated against the goal and fires
 when it yields a hint.  A fired entry is spliced out of the pending
 list and replaced by its declared replacement entries, so unfired
-entries survive for sibling goals.
+entries survive for sibling goals.  Entries are plain data; native code
+runs only inside named hint functions.
 
 Goals are named "Goal", "Subgoal 1", "Subgoal 1.2", ... in creation
 order.  Each goal tries hints on arrival, then simplifies; a goal that
@@ -46,13 +47,13 @@ class Hint:
     enable: tuple = ()
     disable: tuple = ()
     clause_processor: str = None
-    replacement: tuple = None  # ComputedHints to splice in, None = just retire
+    replacement: tuple = None  # entries to splice in, None = just retire
+    display: object = None     # SExpr shown when rendered as a replacement
 
 
 @dataclass
 class ComputedHint:
-    expr: object = None    # Term over CLAUSE / ID / STABLE-UNDER-SIMPLIFICATIONP
-    run: object = None     # native escape: callable(ctx) -> value
+    expr: object = None     # Term over CLAUSE / ID / STABLE-UNDER-SIMPLIFICATIONP
     display: object = None  # SExpr shown when rendered as a replacement
 
 
@@ -256,11 +257,7 @@ def _interpret_hint_value(v, world):
 
 def eval_computed_hint(ch: ComputedHint, ctx: GoalCtx):
     """Run one computed hint; None means it declined to fire."""
-    if ch.run is not None:
-        v = ch.run(ctx)
-    else:
-        v = eval_hint_expr(ch.expr, ctx)
-    return _interpret_hint_value(v, ctx.world)
+    return _interpret_hint_value(eval_hint_expr(ch.expr, ctx), ctx.world)
 
 
 # ---------------------------------------------------------------------------
@@ -371,46 +368,49 @@ def _splice(pending, i, hint: Hint):
     return pending[:i] + list(hint.replacement or ()) + pending[i + 1:]
 
 
+def _push_subgoals(todo, parent, clauses, pending, theory, budget):
+    """Stack subgoals so that the first is popped next; each costs one goal."""
+    for i in range(len(clauses), 0, -1):
+        budget.take_goal()
+        todo.append((_child_name(parent, i), clauses[i - 1], pending, theory))
+
+
 def prove_clause(clause, pending, world, budget, warn=_warn_stderr) -> ProofResult:
-    """Run the waterfall on one root clause named Goal."""
+    """Run the waterfall on one root clause named Goal.
+
+    Goals wait on an explicit stack of (name, clause, pending, theory)
+    entries and are visited depth first, in creation order.  A goal
+    proves, becomes a checkpoint, or yields subgoals: one per branch of
+    a split or one for a fired hint, each charged to budget.take_goal().
+    """
     result = ProofResult(proved=False)
-
-    def emit(name, kind, payload):
-        result.events.append((name, kind, payload))
-
-    def fire(name, clause, pending, theory, found):
-        i, hint = found
-        emit(name, "HINT", render_hint(hint))
-        new_clause, new_theory = apply_hint(hint, clause, theory, world, warn)
-        child_pending = _splice(pending, i, hint)
-        return prove(_child_name(name, 1), new_clause, child_pending, new_theory)
-
-    def prove(name, clause, pending, theory) -> bool:
+    events = result.events
+    todo = [("Goal", tuple(clause), list(pending), world.theory())]
+    while todo:
+        name, clause, pending, theory = todo.pop()
         found = _first_firing(pending, GoalCtx(clause, name, False, world))
-        if found is not None:
-            return fire(name, clause, pending, theory, found)
+        if found is None:
+            out = simplify_clause(clause, theory, world, budget)
+            if out.proved:
+                events.append((name, "PROVED", T))
+                continue
+            if out.changed:
+                events.append((name, "SIMPLIFY",
+                               from_list([Symbol("CHANGED"), clause_sexpr(out.rewritten)])))
+                if out.split_test is not None:
+                    events.append((name, "SPLIT", unparse(out.split_test)))
+                _push_subgoals(todo, name, out.clauses, pending, theory, budget)
+                continue
+            events.append((name, "SIMPLIFY", from_list([Symbol("STABLE"), clause_sexpr(clause)])))
+            found = _first_firing(pending, GoalCtx(clause, name, True, world))
+            if found is None:
+                events.append((name, "CHECKPOINT", clause_sexpr(clause)))
+                result.checkpoints.append(Checkpoint(name, clause))
+                continue
+        i, hint = found
+        events.append((name, "HINT", render_hint(hint)))
+        clause, theory = apply_hint(hint, clause, theory, world, warn)
+        _push_subgoals(todo, name, [clause], _splice(pending, i, hint), theory, budget)
 
-        out = simplify_clause(clause, theory, world, budget)
-        if out.proved:
-            emit(name, "PROVED", T)
-            return True
-        if out.changed:
-            emit(name, "SIMPLIFY", from_list([Symbol("CHANGED"), clause_sexpr(out.rewritten)]))
-            if out.split_test is not None:
-                emit(name, "SPLIT", unparse(out.split_test))
-            ok = True
-            for i, child in enumerate(out.clauses, 1):
-                ok = prove(_child_name(name, i), child, list(pending), theory) and ok
-            return ok
-
-        emit(name, "SIMPLIFY", from_list([Symbol("STABLE"), clause_sexpr(clause)]))
-        found = _first_firing(pending, GoalCtx(clause, name, True, world))
-        if found is not None:
-            return fire(name, clause, pending, theory, found)
-
-        emit(name, "CHECKPOINT", clause_sexpr(clause))
-        result.checkpoints.append(Checkpoint(name, clause))
-        return False
-
-    result.proved = prove("Goal", tuple(clause), list(pending), world.theory())
+    result.proved = not result.checkpoints
     return result

@@ -30,16 +30,22 @@ class ExpandError(Exception):
 
 
 class StepBudget:
-    """Counts rule and definition applications; raises when spent."""
+    """Rewrite steps (`used`, reported as steps=) and subgoals (`goals`), one limit."""
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
+        self.goals = 0
 
     def take(self):
         if self.used >= self.limit:
             raise ResourceError(f"step budget of {self.limit} exhausted")
         self.used += 1
+
+    def take_goal(self):
+        if self.goals >= self.limit:
+            raise ResourceError(f"goal budget of {self.limit} exhausted")
+        self.goals += 1
 
 
 def negate_term(t):

@@ -18,9 +18,9 @@ from dataclasses import replace
 
 from .sexpr import (
     NIL, Keyword, Pair, Symbol, QUOTE,
-    from_list, is_nil, is_proper_list, print_sexpr, to_list,
+    from_list, is_nil, is_proper_list, parse_one, print_sexpr, to_list,
 )
-from .term import App, Const, CONST_NIL, TranslateError, Var, translate, unparse
+from .term import App, Const, TranslateError, Var, translate, unparse
 from .world import HintFn, World
 from .hints import (
     ComputedHint, GoalCtx, Hint, UseInstance,
@@ -85,31 +85,17 @@ def keyword_fixup(v):
     return v
 
 
-def _find_hint_ch() -> ComputedHint:
-    return ComputedHint(
-        expr=App("IF", (
-            Var("STABLE-UNDER-SIMPLIFICATIONP"),
-            App(FIND_FN, (Var("CLAUSE"),)),
-            CONST_NIL,
-        )),
-        display=from_list([
-            Symbol("AND"),
-            Symbol("STABLE-UNDER-SIMPLIFICATIONP"),
-            from_list([Symbol(FIND_FN), Symbol("CLAUSE")]),
-        ]),
-    )
+_FIND_DISPLAY = parse_one(f"(and stable-under-simplificationp ({FIND_FN} clause))")
 
 
-def _hyp_hint(term) -> Hint:
+def _hyp_hint(term, world: World) -> Hint:
     """Install term as a dummy hypothesis and arm the extractor."""
-    return Hint(
-        use=(UseInstance(HYP_THEOREM, (("X", term),)),),
-        replacement=(_find_hint_ch(),),
-    )
+    finder = ComputedHint(expr=translate_hint_expr(_FIND_DISPLAY, world), display=_FIND_DISPLAY)
+    return Hint(use=(UseInstance(HYP_THEOREM, (("X", term),)),), replacement=(finder,))
 
 
 def use_termhint(form, world: World) -> Hint:
-    return _hyp_hint(translate(form, world))
+    return _hyp_hint(translate(form, world), world)
 
 
 def _with_drop(hint: Hint) -> Hint:
@@ -146,10 +132,8 @@ def find_hint(clause, world: World, goal_name: str = "Goal", stable: bool = True
         if isinstance(rest, App) and rest.fn == "HIDE":
             rest = rest.args[0]
         base = _interpret_extracted(keyword_fixup(process_termhint(first)), ctx)
-        stage2 = ComputedHint(
-            run=lambda c, term=rest: _hyp_hint(term),
-            display=from_list([Symbol("USE-TERMHINT"), unparse(rest)]),
-        )
+        stage2 = replace(_hyp_hint(rest, world),
+                         display=from_list([Symbol("USE-TERMHINT"), unparse(rest)]))
         hint = _with_drop(base)
         return replace(hint, replacement=(hint.replacement or ()) + (stage2,))
 

@@ -125,11 +125,30 @@ def test_file_error_aborts_rest_of_file(tmp_path):
     assert [t.name for t in report.files[0].theorems] == ["OK"]
 
 
-def test_parse_error_is_file_error(tmp_path):
+def test_parse_error_is_file_error(tmp_path, capsys):
     report = run([evfile(tmp_path, "(defstub f 1")])
     assert report.exit_code == 2
     report = run([str(tmp_path / "missing.lisp")])
     assert report.exit_code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == [
+        f"ERROR {tmp_path / 'events.lisp'}", f"ERROR {tmp_path / 'missing.lisp'}"]
+
+
+def test_deep_term_in_file_is_file_error(tmp_path, capsys):
+    deep = "(car " * 600 + "x" + ")" * 600
+    path = evfile(tmp_path, f"(defthm deep (equal {deep} y) :rule-classes nil)")
+    assert main([path]) == 2  # returned, not raised: no traceback
+    assert f"ERROR {path}: " in capsys.readouterr().err
+
+
+def test_deep_goal_fails_with_error(tmp_path, capsys):
+    deep = "(cons " * 300 + "x" + " y)" * 300
+    path = evfile(tmp_path, f"(defthm deep (equal {deep} {deep}) :rule-classes nil)")
+    assert main([path]) == 1
+    out, err = capsys.readouterr()
+    assert "THEOREM DEEP FAILED" in out
+    assert f"ERROR {path} DEEP: " in err
 
 
 def test_register_hint_fn_runs_per_goal(tmp_path):
@@ -219,6 +238,29 @@ def test_max_steps_exhaustion(tmp_path, capsys):
     t = report.files[0].theorems[0]
     assert not t.proved and t.error is not None
     assert "ERROR" in capsys.readouterr().err
+
+
+def _goal_budget_failure(path, capsys):
+    assert main([path, "--max-steps", "10"]) == 1  # returned: no traceback
+    out, err = capsys.readouterr()
+    assert "FAILED steps=0" in out
+    assert "goal budget of 10 exhausted" in err
+
+
+def test_rearming_hint_runs_out_of_goals(tmp_path, capsys):
+    path = evfile(tmp_path, """
+      (register-hint-fn again '(:computed-hint-replacement ((again))))
+      (defthm loops (equal x x) :rule-classes nil :hints (again))
+    """)
+    _goal_budget_failure(path, capsys)
+
+
+def test_case_splits_run_out_of_goals(tmp_path, capsys):
+    body = "x"
+    for i in range(6):  # 2^6 leaves, no rewrite steps
+        body = f"(cons (if (f a{i}) x y) {body})"
+    path = evfile(tmp_path, f"(defstub f 1) (defthm splits (f {body}) :rule-classes nil)")
+    _goal_budget_failure(path, capsys)
 
 
 def test_stop_on_failure_within_and_across_files(tmp_path):

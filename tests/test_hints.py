@@ -6,7 +6,7 @@ from hintprover.world import HintFn, RewriteRule, World
 from hintprover.rewrite import StepBudget
 from hintprover.hints import (
     ComputedHint, GoalCtx, Hint, HintError, UseInstance,
-    apply_hint, clause_sexpr, clausify, eval_computed_hint, eval_hint_expr,
+    _interpret_hint_value, apply_hint, clause_sexpr, clausify, eval_hint_expr,
     parse_hint, prove_clause, render_hint, translate_hint_expr,
 )
 
@@ -195,7 +195,7 @@ def test_interpret_hint_values():
     w = _use_world()
 
     def outcome(value):
-        return eval_computed_hint(ComputedHint(run=lambda ctx: value), _ctx(w))
+        return _interpret_hint_value(value, w)
 
     assert outcome(None) is None
     assert outcome(NIL) is None
@@ -362,6 +362,26 @@ def test_waterfall_split_copies_pending_to_both_children():
     assert proved_goals == ["Subgoal 1.1", "Subgoal 2.1"]
     split = [(n, print_sexpr(p)) for n, k, p in r.events if k == "SPLIT"]
     assert split == [("Goal", "(F Q)")]
+
+
+def test_waterfall_visits_goals_depth_first_in_creation_order():
+    w = _use_world()
+    clause = (tr("(if (f p) (if (f q) (equal (d a) (cons a a)) (equal x x)) (equal y y))", w),)
+    budget = StepBudget(100)
+    r = prove_clause(clause, [_enable_d_when_stable(w)], w, budget)
+    assert r.proved
+    assert [(n, k) for n, k, _ in r.events] == [
+        ("Goal", "SIMPLIFY"), ("Goal", "SPLIT"),
+        ("Subgoal 1", "SIMPLIFY"), ("Subgoal 1", "SPLIT"),
+        ("Subgoal 1.1", "SIMPLIFY"), ("Subgoal 1.1", "HINT"),
+        ("Subgoal 1.1.1", "PROVED"),
+        ("Subgoal 1.2", "PROVED"),
+        ("Subgoal 2", "SIMPLIFY"), ("Subgoal 2", "SPLIT"),
+        ("Subgoal 2.1", "PROVED"),
+        ("Subgoal 2.2", "PROVED"),
+    ]
+    # every goal but the root was created by a split or a fired hint
+    assert budget.goals == 7
 
 
 def test_waterfall_nonfiring_entry_survives():
