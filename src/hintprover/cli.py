@@ -16,31 +16,26 @@ import sys
 from dataclasses import dataclass, field
 
 from .sexpr import (
-    Keyword, Pair, ParseError, Symbol,
+    Keyword, Pair, ProverError, Symbol,
     is_nil, is_proper_list, parse, print_sexpr, to_list,
 )
 from .term import (
-    App, CONST_NIL, CONST_T, EvalError, TranslateError,
+    App, CONST_NIL, CONST_T, TranslateError,
     beta_reduce, free_vars, translate,
 )
-from .world import RewriteRule, HintFn, World, WorldError
-from .rewrite import ExpandError, ResourceError, StepBudget, normalize_definition
+from .world import RewriteRule, HintFn, World
+from .rewrite import StepBudget, normalize_definition
 from .hints import (
     ComputedHint, HintError,
     _parse_in_theory, clause_sexpr, clausify, eval_hint_expr, parse_hint,
     peel_implies, prove_clause, translate_hint_expr,
 )
-from .termhint import ProcessError, clause_labels, install_prelude, use_termhint
+from .termhint import clause_labels, install_prelude, use_termhint
 
 DEFAULT_MAX_STEPS = 10000
 
-_PROOF_ERRORS = (
-    HintError, ProcessError, ExpandError, EvalError, TranslateError, ParseError,
-    ResourceError, RecursionError,
-)
 
-
-class EventError(Exception):
+class EventError(ProverError):
     pass
 
 
@@ -139,16 +134,12 @@ def _do_defstub(world: World, items):
 def _do_in_theory(world: World, items):
     if len(items) != 2:
         raise EventError("in-theory expects one ENABLE or DISABLE form")
-    try:
-        enable, disable = _parse_in_theory(items[1])
-    except HintError as e:
-        raise EventError(str(e))
+    enable, disable = _parse_in_theory(items[1])
     known = set(world.rules) | set(world.definitions)
     for n in enable + disable:
         if n not in known:
             raise EventError(f"in-theory names unknown rule: {n}")
-    world.enable(enable)
-    world.disable(disable)
+    world.enabled = (world.enabled | set(enable)) - set(disable)
 
 
 def _do_register_hint_fn(world: World, items):
@@ -222,18 +213,12 @@ def _parse_hint_entry(entry, world: World):
         return ComputedHint(expr=App(entry.name, ()), display=entry)
     if isinstance(entry, Pair):
         if isinstance(entry.car, Keyword):
-            try:
-                return parse_hint(entry, world)
-            except HintError as e:
-                raise EventError(str(e))
+            return parse_hint(entry, world)
         if entry.car == Symbol("USE-TERMHINT"):
             args = to_list(entry.cdr)
             if len(args) != 1:
                 raise EventError("use-termhint expects one form")
-            try:
-                return use_termhint(args[0], world)
-            except TranslateError as e:
-                raise EventError(str(e))
+            return use_termhint(args[0], world)
     raise EventError(f"unrecognized hint entry: {print_sexpr(entry)}")
 
 
@@ -277,7 +262,7 @@ def _do_defthm(world: World, items, max_steps: int) -> TheoremOutcome:
         outcome.proved = result.proved
         outcome.events = result.events
         outcome.checkpoints = result.checkpoints
-    except _PROOF_ERRORS as e:
+    except (ProverError, RecursionError) as e:
         outcome.error = str(e)
     outcome.steps = budget.used
 
@@ -314,7 +299,7 @@ def process_file(path: str, max_steps: int, stop_on_failure: bool) -> FileOutcom
                     break
             else:
                 raise EventError(f"unknown event: {head}")
-    except (OSError, ParseError, RecursionError, EventError, WorldError, TranslateError) as e:
+    except (OSError, ProverError, RecursionError) as e:
         out.error = str(e)
         print(f"ERROR {path}: {e}", file=sys.stderr)
     return out

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .sexpr import (
-    NIL, Keyword, Pair, Symbol, T, QUOTE,
+    NIL, Keyword, Pair, ProverError, Symbol, T, QUOTE,
     from_list, is_nil, is_proper_list, print_sexpr, to_list,
 )
 from .term import (
@@ -30,7 +30,7 @@ from .term import (
 from .rewrite import expand_calls, negate_term, simplify_clause
 
 
-class HintError(Exception):
+class HintError(ProverError):
     pass
 
 
@@ -375,7 +375,7 @@ def _push_subgoals(todo, parent, clauses, pending, theory, budget):
         todo.append((_child_name(parent, i), clauses[i - 1], pending, theory))
 
 
-def prove_clause(clause, pending, world, budget, warn=_warn_stderr) -> ProofResult:
+def prove_clause(clause, pending, world, budget) -> ProofResult:
     """Run the waterfall on one root clause named Goal.
 
     Goals wait on an explicit stack of (name, clause, pending, theory)
@@ -409,7 +409,7 @@ def prove_clause(clause, pending, world, budget, warn=_warn_stderr) -> ProofResu
                 continue
         i, hint = found
         events.append((name, "HINT", render_hint(hint)))
-        clause, theory = apply_hint(hint, clause, theory, world, warn)
+        clause, theory = apply_hint(hint, clause, theory, world)
         _push_subgoals(todo, name, [clause], _splice(pending, i, hint), theory, budget)
 
     result.proved = not result.checkpoints

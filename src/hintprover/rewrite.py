@@ -14,18 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sexpr import is_nil
+from .sexpr import ProverError, is_nil
 from .term import (
     App, Const, LamApp, Var, CONST_NIL, CONST_T, FOLDABLE,
     apply_builtin, beta_reduce, sexpr_equal, substitute, truthy,
 )
 
 
-class ResourceError(Exception):
+class ResourceError(ProverError):
     pass
 
 
-class ExpandError(Exception):
+class ExpandError(ProverError):
     pass
 
 
@@ -164,7 +164,8 @@ def _arg_contexts(fn, n):
 
 
 def _finish(u, theory, assumptions, world, budget, iff):
-    """Post-child steps at one node: fold, settle, then try rules."""
+    """Post-child steps at one node: fold, settle, then fire the first
+    enabled rule in install order (opened definitions included)."""
     if u.fn in FOLDABLE and all(isinstance(a, Const) for a in u.args):
         return Const(apply_builtin(u.fn, [a.value for a in u.args]))
     if u.fn in ("EQUAL", "IFF") and u.args[0] == u.args[1]:
@@ -176,18 +177,8 @@ def _finish(u, theory, assumptions, world, budget, iff):
         if d is False:
             return CONST_NIL
 
-    for kind, name in world.rule_order:
-        if name not in theory:
-            continue
-        if kind == "defn":
-            d = world.definitions[name]
-            if d.recursive or u.fn != name:
-                continue
-            budget.take()
-            body = substitute(d.body, dict(zip(d.formals, u.args)))
-            return rewrite_term(body, theory, assumptions, world, budget, iff)
-        rule = world.rules[name]
-        if rule.equiv == "IFF" and not iff:
+    for rule in world.rule_order:
+        if rule.name not in theory or (rule.equiv == "IFF" and not iff):
             continue
         subst = match(rule.lhs, u)
         if subst is None:

@@ -10,7 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class ParseError(Exception):
+class ProverError(Exception):
+    """Base of every error the package raises on bad input or a failed step."""
+
+
+class ParseError(ProverError):
     pass
 
 
@@ -61,8 +65,6 @@ QUASIQUOTE = Symbol("QUASIQUOTE")
 UNQUOTE = Symbol("UNQUOTE")
 UNQUOTE_SPLICING = Symbol("UNQUOTE-SPLICING")
 T = Symbol("T")
-
-_SUGAR = {QUOTE: "'", QUASIQUOTE: "`", UNQUOTE: ",", UNQUOTE_SPLICING: ",@"}
 
 
 def is_nil(e) -> bool:
@@ -252,12 +254,8 @@ def _escape_string(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def print_sexpr(e, sugar: bool = False) -> str:
-    """Canonical printer: uppercase names, single spaces, no line breaks.
-
-    With sugar=True the quote family prints as 'X `X ,X ,@X instead of
-    the fully parenthesized forms.
-    """
+def print_sexpr(e) -> str:
+    """Canonical printer: uppercase names, single spaces, no line breaks."""
     if is_nil(e):
         return "NIL"
     if isinstance(e, Symbol):
@@ -269,14 +267,12 @@ def print_sexpr(e, sugar: bool = False) -> str:
     if isinstance(e, str):
         return '"' + _escape_string(e) + '"'
     if isinstance(e, Pair):
-        if sugar and e.car in _SUGAR and isinstance(e.cdr, Pair) and is_nil(e.cdr.cdr):
-            return _SUGAR[e.car] + print_sexpr(e.cdr.car, sugar)
         parts = []
         cur = e
         while isinstance(cur, Pair):
-            parts.append(print_sexpr(cur.car, sugar))
+            parts.append(print_sexpr(cur.car))
             cur = cur.cdr
         if is_nil(cur):
             return "(" + " ".join(parts) + ")"
-        return "(" + " ".join(parts) + " . " + print_sexpr(cur, sugar) + ")"
+        return "(" + " ".join(parts) + " . " + print_sexpr(cur) + ")"
     raise TypeError(f"not an s-expression: {e!r}")

@@ -11,17 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .sexpr import (
-    NIL, Keyword, Pair, Symbol, T,
+    NIL, Keyword, Pair, ProverError, Symbol, T,
     from_list, is_nil, print_sexpr, to_list,
     QUASIQUOTE, QUOTE, UNQUOTE, UNQUOTE_SPLICING,
 )
 
 
-class TranslateError(Exception):
+class TranslateError(ProverError):
     pass
 
 
-class EvalError(Exception):
+class EvalError(ProverError):
     pass
 
 
@@ -469,8 +469,8 @@ def evaluate(t, env, call):
 def ground_eval(t, world, fuel: int = 1000):
     """Evaluate a closed term to an SExpr value.
 
-    Definition unfolding is fuel-bounded; stubs and free variables are
-    evaluation errors.
+    Definition unfolding is fuel-bounded; stubs, free variables and
+    nesting deeper than the Python stack are evaluation errors.
     """
     state = [fuel]
 
@@ -485,4 +485,7 @@ def ground_eval(t, world, fuel: int = 1000):
         state[0] -= 1
         return evaluate(defn.body, dict(zip(defn.formals, args)), call)
 
-    return evaluate(t, {}, call)
+    try:
+        return evaluate(t, {}, call)
+    except RecursionError:
+        raise EvalError("evaluation nested too deeply") from None

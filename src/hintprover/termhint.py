@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .sexpr import (
-    NIL, Keyword, Pair, Symbol, QUOTE,
+    NIL, Keyword, Pair, ProverError, Symbol, QUOTE,
     from_list, is_nil, is_proper_list, parse_one, print_sexpr, to_list,
 )
 from .term import App, Const, TranslateError, Var, translate, unparse
@@ -36,7 +36,7 @@ FIND_FN = "USE-TERMHINT-FIND-HINT"
 SEQ_FN = "TERMHINT-SEQ"
 
 
-class ProcessError(Exception):
+class ProcessError(ProverError):
     pass
 
 

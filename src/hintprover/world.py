@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .term import BUILTIN_ARITY, App, LamApp, builtin_macro_env
+from .sexpr import ProverError
+from .term import BUILTIN_ARITY, App, LamApp, Var, builtin_macro_env
 
 
-class WorldError(Exception):
+class WorldError(ProverError):
     pass
 
 
@@ -21,7 +22,6 @@ class Definition:
     name: str
     formals: tuple
     body: object
-    recursive: bool
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,10 @@ def _calls(t, name: str) -> bool:
 
 @dataclass
 class World:
+    """rule_order lists every RewriteRule in install order, which is rule
+    priority.  A non-recursive definition installs as the EQUAL rule
+    (name formals...) = body; a recursive one opens only by :EXPAND."""
+
     functions: dict = field(default_factory=dict)
     definitions: dict = field(default_factory=dict)
     rules: dict = field(default_factory=dict)
@@ -79,20 +83,19 @@ class World:
     def add_definition(self, name: str, formals, body, enabled: bool = True):
         self._claim_name(name)
         self.functions[name] = len(formals)
-        self.definitions[name] = Definition(
-            name, tuple(formals), body, recursive=_calls(body, name)
-        )
-        self.rule_order.append(("defn", name))
+        self.definitions[name] = Definition(name, tuple(formals), body)
+        if not _calls(body, name):
+            lhs = App(name, tuple(Var(f) for f in formals))
+            self.rule_order.append(RewriteRule(name, lhs, body, (), "EQUAL"))
         if enabled:
             self.enabled.add(name)
 
-    def add_rule(self, name: str, rule: RewriteRule, enabled: bool = True):
+    def add_rule(self, name: str, rule: RewriteRule):
         if name in self.rules:
             raise WorldError(f"duplicate rule: {name}")
         self.rules[name] = rule
-        self.rule_order.append(("rule", name))
-        if enabled:
-            self.enabled.add(name)
+        self.rule_order.append(rule)
+        self.enabled.add(name)
 
     def add_theorem(self, name: str, body):
         if name in self.theorems or name in self.functions:
@@ -106,14 +109,6 @@ class World:
 
     def add_clause_processor(self, name: str, fn):
         self.clause_processors[name] = fn
-
-    def enable(self, names):
-        for n in names:
-            self.enabled.add(n)
-
-    def disable(self, names):
-        for n in names:
-            self.enabled.discard(n)
 
     def theory(self) -> frozenset:
         return frozenset(self.enabled)

@@ -1,6 +1,9 @@
-"""Source hygiene: every name a module imports from the package is used."""
+"""Source hygiene: every name a module imports from the package is used,
+and every exception class the package defines derives from ProverError."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import hintprover
@@ -19,15 +22,31 @@ def _unused_relative_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
 def test_no_unused_relative_imports():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
+    assert MODULES
     unused = [
         f"{p.name}:{line}: {name}"
-        for p in modules
+        for p in MODULES
         for line, name in _unused_relative_imports(p.read_text())
     ]
     assert unused == []
+
+
+def test_package_exceptions_derive_from_prover_error():
+    from hintprover.sexpr import ProverError
+
+    defined = [
+        cls
+        for p in MODULES
+        for _, cls in inspect.getmembers(importlib.import_module(f"hintprover.{p.stem}"),
+                                         inspect.isclass)
+        if cls.__module__ == f"hintprover.{p.stem}" and issubclass(cls, BaseException)
+    ]
+    assert len(defined) >= 9
+    assert [c.__qualname__ for c in defined if not issubclass(c, ProverError)] == []
 
 
 def test_unused_import_is_reported():

@@ -152,6 +152,18 @@ def test_iff_rule_needs_iff_context():
     assert rw("(not (f y))", w, iff=False) == CONST_NIL
 
 
+def test_definitions_and_rules_fire_in_install_order():
+    d_rule = RewriteRule("D-IS-RULE", App("D", (Var("X"),)), Const(Symbol("RULE")), (), "EQUAL")
+    w = World()
+    w.add_definition("D", ("X",), tr("(cons x x)"))
+    w.add_rule("D-IS-RULE", d_rule)
+    assert rw("(d y)", w) == tr("(cons y y)")
+    w = World()
+    w.add_rule("D-IS-RULE", d_rule)
+    w.add_definition("D", ("X",), tr("(cons x x)"))
+    assert rw(App("D", (Var("Y"),)), w) == Const(Symbol("RULE"))
+
+
 def test_rule_application_consumes_budget():
     w = World()
     w.add_definition("D", ("X",), tr("(cons x x)"))

@@ -190,6 +190,8 @@ def test_ground_eval_and_fuel():
     with pytest.raises(EvalError):
         ground_eval(App("LOOP", (Const(1),)), w2, fuel=50)
     with pytest.raises(EvalError):
+        ground_eval(App("LOOP", (Const(1),)), w2)
+    with pytest.raises(EvalError):
         ground_eval(Var("X"), World())
     with pytest.raises(EvalError):
         ground_eval(tr("(stub-fn '1)", _stub_world()), _stub_world())
