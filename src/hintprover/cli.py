@@ -24,7 +24,7 @@ from .term import (
     beta_reduce, free_vars, translate,
 )
 from .world import RewriteRule, HintFn, World
-from .rewrite import StepBudget, normalize_definition
+from .rewrite import ResourceError, StepBudget, normalize_definition
 from .hints import (
     ComputedHint, HintError,
     _parse_in_theory, clause_sexpr, clausify, eval_hint_expr, parse_hint,
@@ -100,7 +100,7 @@ def _parse_declare(decl) -> bool:
     raise EventError(f"unsupported declare form: {print_sexpr(decl)}")
 
 
-def _do_defun(world: World, items, enabled: bool):
+def _do_defun(world: World, items, enabled: bool, max_steps: int):
     if len(items) == 5:
         normalize = _parse_declare(items[3])
         body_form = items[4]
@@ -121,7 +121,10 @@ def _do_defun(world: World, items, enabled: bool):
     if stray:
         raise EventError(f"free variables in body of {name}: {', '.join(stray)}")
     if normalize:
-        body = normalize_definition(body)
+        try:
+            body = normalize_definition(body, StepBudget(max_steps))
+        except ResourceError as e:
+            raise EventError(f"in {name}: normalization: {e}")
     world.add_definition(name, formals, body, enabled=enabled)
 
 
@@ -154,13 +157,14 @@ def _do_register_hint_fn(world: World, items):
     world.add_hint_fn(HintFn(name, 0, run))
 
 
-# Every event but DEFTHM, which also needs the step budget and yields an outcome.
+# Every event but DEFTHM, which also yields an outcome.  Each handler takes
+# (world, items, max_steps); DEFUN and DEFUND bound normalization by max_steps.
 EVENT_HANDLERS = {
-    "DEFSTUB": _do_defstub,
-    "DEFUN": lambda world, items: _do_defun(world, items, enabled=True),
-    "DEFUND": lambda world, items: _do_defun(world, items, enabled=False),
-    "IN-THEORY": _do_in_theory,
-    "REGISTER-HINT-FN": _do_register_hint_fn,
+    "DEFSTUB": lambda world, items, max_steps: _do_defstub(world, items),
+    "DEFUN": lambda world, items, max_steps: _do_defun(world, items, True, max_steps),
+    "DEFUND": lambda world, items, max_steps: _do_defun(world, items, False, max_steps),
+    "IN-THEORY": lambda world, items, max_steps: _do_in_theory(world, items),
+    "REGISTER-HINT-FN": lambda world, items, max_steps: _do_register_hint_fn(world, items),
 }
 
 
@@ -289,7 +293,7 @@ def process_file(path: str, max_steps: int, stop_on_failure: bool) -> FileOutcom
             items = to_list(form)
             head = form.car.name
             if head in EVENT_HANDLERS:
-                EVENT_HANDLERS[head](world, items)
+                EVENT_HANDLERS[head](world, items, max_steps)
             elif head == "DEFTHM":
                 outcome = _do_defthm(world, items, max_steps)
                 out.theorems.append(outcome)
@@ -335,7 +339,8 @@ def format_report(report: RunReport, trace: bool = False, checkpoints: bool = Fa
                     if labels:
                         head += " [" + " ".join(labels) + "]"
                     lines.append(head)
-                    lines.append("  " + print_sexpr(clause_sexpr(cp.clause)))
+                    shown = cp.sexpr if cp.sexpr is not None else clause_sexpr(cp.clause)
+                    lines.append("  " + print_sexpr(shown))
     lines.append(f"PROVED {proved}/{total}")
     return "\n".join(lines) + "\n"
 
@@ -351,10 +356,13 @@ def main(argv=None) -> int:
                     help="print failed-goal checkpoints")
     ap.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
                     help="per-theorem bound on rewrite steps and, separately, "
-                         "on the subgoals that splits and hints create")
+                         "on the subgoals that splits and hints create; also "
+                         "the per-definition bound on IF lifts when normalizing")
     ap.add_argument("--stop-on-failure", action="store_true",
                     help="stop at the first failed theorem")
     args = ap.parse_args(argv)
+    if args.max_steps < 0:
+        ap.error(f"--max-steps must not be negative: {args.max_steps}")
 
     report = run(args.files, max_steps=args.max_steps,
                  stop_on_failure=args.stop_on_failure)

@@ -59,10 +59,23 @@ class ComputedHint:
 
 @dataclass
 class GoalCtx:
+    """One goal as computed hints see it.
+
+    The clause's s-expression is rendered on the first read of `sexpr`
+    and kept, so a goal renders its clause at most once however many
+    hints, trace events and checkpoints use it.
+    """
     clause: tuple
     goal_name: str
     stable: bool
     world: object
+    _sexpr: object = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def sexpr(self):
+        if self._sexpr is None:
+            self._sexpr = clause_sexpr(self.clause)
+        return self._sexpr
 
 
 def clause_sexpr(clause):
@@ -211,13 +224,36 @@ def translate_hint_expr(form, world):
     return translate(form, world, arity)
 
 
+class _GoalEnv:
+    """The variables of a hint expression, read from the goal on demand."""
+
+    __slots__ = ("ctx",)
+    NAMES = frozenset(("CLAUSE", "ID", "STABLE-UNDER-SIMPLIFICATIONP"))
+
+    def __init__(self, ctx: GoalCtx):
+        self.ctx = ctx
+
+    def __contains__(self, name):
+        return name in self.NAMES
+
+    def __getitem__(self, name):
+        if name == "CLAUSE":
+            return self.ctx.sexpr
+        if name == "ID":
+            return self.ctx.goal_name
+        if name == "STABLE-UNDER-SIMPLIFICATIONP":
+            return T if self.ctx.stable else NIL
+        raise KeyError(name)
+
+
 def eval_hint_expr(t, ctx: GoalCtx):
-    """Evaluate a hint expression; values are s-expressions or Hints."""
-    env = {
-        "CLAUSE": clause_sexpr(ctx.clause),
-        "ID": ctx.goal_name,
-        "STABLE-UNDER-SIMPLIFICATIONP": T if ctx.stable else NIL,
-    }
+    """Evaluate a hint expression; values are s-expressions or Hints.
+
+    CLAUSE, ID and STABLE-UNDER-SIMPLIFICATIONP are bound to the goal;
+    CLAUSE is rendered only if the expression reads it, and then once
+    per goal (GoalCtx.sexpr).
+    """
+    env = _GoalEnv(ctx)
 
     def call(fn, args):
         hint_fn = ctx.world.hint_fns.get(fn)
@@ -343,6 +379,7 @@ def clausify(form, world):
 class Checkpoint:
     goal: str
     clause: tuple
+    sexpr: object = None  # the clause as rendered for its CHECKPOINT event
 
 
 @dataclass
@@ -382,13 +419,16 @@ def prove_clause(clause, pending, world, budget) -> ProofResult:
     entries and are visited depth first, in creation order.  A goal
     proves, becomes a checkpoint, or yields subgoals: one per branch of
     a split or one for a fired hint, each charged to budget.take_goal().
+    A goal's clause is rendered at most once (its GoalCtx), shared by
+    the hints that read CLAUSE and the STABLE and CHECKPOINT payloads.
     """
     result = ProofResult(proved=False)
     events = result.events
     todo = [("Goal", tuple(clause), list(pending), world.theory())]
     while todo:
         name, clause, pending, theory = todo.pop()
-        found = _first_firing(pending, GoalCtx(clause, name, False, world))
+        ctx = GoalCtx(clause, name, False, world)
+        found = _first_firing(pending, ctx)
         if found is None:
             out = simplify_clause(clause, theory, world, budget)
             if out.proved:
@@ -401,11 +441,12 @@ def prove_clause(clause, pending, world, budget) -> ProofResult:
                     events.append((name, "SPLIT", unparse(out.split_test)))
                 _push_subgoals(todo, name, out.clauses, pending, theory, budget)
                 continue
-            events.append((name, "SIMPLIFY", from_list([Symbol("STABLE"), clause_sexpr(clause)])))
-            found = _first_firing(pending, GoalCtx(clause, name, True, world))
+            ctx.stable = True
+            events.append((name, "SIMPLIFY", from_list([Symbol("STABLE"), ctx.sexpr])))
+            found = _first_firing(pending, ctx)
             if found is None:
-                events.append((name, "CHECKPOINT", clause_sexpr(clause)))
-                result.checkpoints.append(Checkpoint(name, clause))
+                events.append((name, "CHECKPOINT", ctx.sexpr))
+                result.checkpoints.append(Checkpoint(name, clause, ctx.sexpr))
                 continue
         i, hint = found
         events.append((name, "HINT", render_hint(hint)))

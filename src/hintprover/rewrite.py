@@ -334,31 +334,42 @@ def expand_calls(clause, targets, world):
 # ---------------------------------------------------------------------------
 # Definition-time IF normalization
 
-def normalize_definition(body):
+def normalize_definition(body, budget: StepBudget):
     """Lift IFs out of argument positions until none remain buried.
 
     Applies to every function including HIDE; opacity matters when
-    rewriting, not when a definition is installed.
+    rewriting, not when a definition is installed.  Each lift takes one
+    step from budget, since k IF-valued arguments need 2^k - 1 lifts.
     """
     if not isinstance(body, App):
         return body
-    args = [normalize_definition(a) for a in body.args]
-    if body.fn == "IF":
+    return _lift_ifs(body.fn, [normalize_definition(a, budget) for a in body.args], budget)
+
+
+def _lift_ifs(fn, args, budget):
+    """Normalize (fn args...) whose args are already normalized.
+
+    Every subterm of a normalized term is normalized, so the pieces of a
+    lifted IF are never walked again.
+    """
+    if fn == "IF":
         test = args[0]
         if isinstance(test, App) and test.fn == "IF":
+            budget.take()
             a, b, c = test.args
-            return normalize_definition(App("IF", (
+            return _lift_ifs("IF", [
                 a,
-                App("IF", (b, args[1], args[2])),
-                App("IF", (c, args[1], args[2])),
-            )))
+                _lift_ifs("IF", [b, args[1], args[2]], budget),
+                _lift_ifs("IF", [c, args[1], args[2]], budget),
+            ], budget)
         return App("IF", tuple(args))
     for i, a in enumerate(args):
         if isinstance(a, App) and a.fn == "IF":
+            budget.take()
             test, yes, no = a.args
-            return normalize_definition(App("IF", (
+            return _lift_ifs("IF", [
                 test,
-                App(body.fn, tuple(args[:i] + [yes] + args[i + 1:])),
-                App(body.fn, tuple(args[:i] + [no] + args[i + 1:])),
-            )))
-    return App(body.fn, tuple(args))
+                _lift_ifs(fn, args[:i] + [yes] + args[i + 1:], budget),
+                _lift_ifs(fn, args[:i] + [no] + args[i + 1:], budget),
+            ], budget)
+    return App(fn, tuple(args))

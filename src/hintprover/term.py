@@ -43,8 +43,21 @@ class Const:
 
 @dataclass(frozen=True)
 class App:
+    """A call (fn args...).  Equality is structural.
+
+    The hash is computed on first use and stored on the node, so hashing
+    a term costs one visit per node however often it is rehashed.
+    """
     fn: str
     args: tuple
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.fn, self.args))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         return print_sexpr(unparse(self))

@@ -115,8 +115,14 @@ def _interpret_extracted(v, ctx: GoalCtx) -> Hint:
     return hint if hint is not None else Hint()
 
 
-def find_hint(clause, world: World, goal_name: str = "Goal", stable: bool = True):
-    """Extract the hint carried by the clause's termhint hypothesis, if any."""
+def find_hint(clause, world: World, goal_name: str = "Goal", stable: bool = True,
+              ctx: GoalCtx = None):
+    """Extract the hint carried by the clause's termhint hypothesis, if any.
+
+    ctx, when given, is the goal being searched (the caller's GoalCtx
+    for this clause); the extracted hint is evaluated against it, so a
+    clause rendering it already holds is reused.
+    """
     carried = None
     for lit in clause:
         if _is_hyp_literal(lit):
@@ -125,7 +131,8 @@ def find_hint(clause, world: World, goal_name: str = "Goal", stable: bool = True
     if carried is None:
         return None
 
-    ctx = GoalCtx(tuple(clause), goal_name, stable, world)
+    if ctx is None:
+        ctx = GoalCtx(tuple(clause), goal_name, stable, world)
 
     if isinstance(carried, App) and carried.fn == SEQ_FN:
         first, rest = carried.args
@@ -184,7 +191,7 @@ def install_prelude(world: World):
     world.add_clause_processor(DROP_PROCESSOR, drop_termhint_hyp)
 
     def run_find(args, ctx):
-        found = find_hint(ctx.clause, ctx.world, ctx.goal_name, ctx.stable)
+        found = find_hint(ctx.clause, ctx.world, ctx.goal_name, ctx.stable, ctx)
         return NIL if found is None else found
 
     world.add_hint_fn(HintFn(FIND_FN, 1, run_find))

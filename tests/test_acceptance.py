@@ -82,7 +82,7 @@ def test_criterion_1_pipeline_hint():
     install_prelude(w)
     for name in ["FOO", "BAR", "BAZ", "FA"]:
         _do_defun(w, to_list(parse_one(f"(defund {name} (a b) (cons a b))")),
-                  enabled=False)
+                  enabled=False, max_steps=10000)
     t = beta_reduce(translate(parse_one(_PIPELINE_HINT_FORM), w))
     assert t.fn == "IF"
     test, use_branch, expand_branch = t.args
@@ -258,7 +258,7 @@ def _corpus_clauses():
                 yield clausify(items[2], world), world
                 _do_defthm(world, items, 10000)
             else:
-                EVENT_HANDLERS[head](world, items)
+                EVENT_HANDLERS[head](world, items, 10000)
 
 
 @criterion(7, "simplifier-properties")

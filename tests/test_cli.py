@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from hintprover.sexpr import parse_one, print_sexpr, to_list
@@ -52,7 +54,7 @@ def test_defun_and_defund_visibility(tmp_path):
 def test_defun_normalization_flag():
     w = World()
     _do_defun(w, to_list(parse_one("(defun n1 (p q) (cons (if p 'a 'b) q))")),
-              enabled=True)
+              enabled=True, max_steps=10000)
     assert w.definitions["N1"].body == tr("(if p (cons 'a q) (cons 'b q))")
 
 
@@ -60,11 +62,11 @@ def test_defun_normalize_nil_keeps_shape():
     w = World()
     _do_defun(w, to_list(parse_one(
         "(defun n2 (p q) (declare (xargs :normalize nil)) (cons (if p 'a 'b) q))")),
-        enabled=True)
+        enabled=True, max_steps=10000)
     assert w.definitions["N2"].body == tr("(cons (if p 'a 'b) q)")
     with pytest.raises(EventError):
         _do_defun(w, to_list(parse_one(
-            "(defun n3 (p) (declare (ignore p)) 'nil)")), enabled=True)
+            "(defun n3 (p) (declare (ignore p)) 'nil)")), enabled=True, max_steps=10000)
 
 
 def test_defun_rejects_stray_variables(tmp_path):
@@ -380,3 +382,76 @@ def test_main_smoke(tmp_path, capsys):
     code = main([path, "--trace", "--checkpoints", "--max-steps", "50"])
     assert code == 0
     assert "EVENT Goal PROVED T" in capsys.readouterr().out
+
+
+def test_max_steps_must_not_be_negative(tmp_path, capsys):
+    path = evfile(tmp_path,
+                  "(defthm ok (equal (cons a b) (cons a b)) :rule-classes nil)")
+    with pytest.raises(SystemExit) as exc:
+        main([path, "--max-steps", "-1"])
+    assert exc.value.code == 2
+    assert "--max-steps" in capsys.readouterr().err
+    assert main([path, "--max-steps", "0"]) == 0
+
+
+def test_definition_normalization_is_bounded(tmp_path, capsys):
+    k = 20  # 2^20 - 1 lifts unbounded
+    stubs = " ".join(f"(defstub {f}{i} 1)" for f in "pgh" for i in range(k))
+    args = " ".join(f"(if (p{i} x) (g{i} x) (h{i} x))" for i in range(k))
+    path = evfile(tmp_path, f"""
+      {stubs}
+      (defstub big {k})
+      (defun wide (x) (big {args}))
+      (defthm after (equal x x) :rule-classes nil)
+    """)
+    t0 = time.perf_counter()
+    assert main([path]) == 2
+    assert time.perf_counter() - t0 < 1.0  # about 0.06 s; unbounded it ran for minutes
+    out, err = capsys.readouterr()
+    assert "THEOREM" not in out
+    assert "ERROR" in err and "WIDE" in err and "step budget of 10000 exhausted" in err
+    assert "Traceback" not in err
+
+
+# A 2x2 case split whose branches each extract a use-termhint; one branch
+# plants a label instead and ends as a checkpoint.
+_SPLIT_TERMHINT = """
+  (defstub p0 1) (defstub p1 1)
+  (defstub g0 1) (defstub h0 1) (defstub g1 1) (defstub h1 1)
+  (defund fw (a0 a1) (cons a0 a1))
+  (defthm split2
+    (equal (fw (if (p0 x) (g0 x) (h0 x)) (if (p1 x) (g1 x) (h1 x)))
+           (cons (if (p0 x) (g0 x) (h0 x)) (if (p1 x) (g1 x) (h1 x))))
+    :rule-classes nil
+    :hints ((use-termhint
+             (let* ((t0 (if (p0 x) (g0 x) (h0 x))) (t1 (if (p1 x) (g1 x) (h1 x))))
+               (if (and (p0 x) (p1 x))
+                   ''(:use ((:instance mark-clause-is-true (x 'bad))))
+                 `'(:expand ((fw ,(hq t0) ,(hq t1)))))))))
+"""
+
+
+def test_goal_clauses_render_once_and_only_when_read(tmp_path, monkeypatch):
+    import hintprover.cli as cli_mod
+    import hintprover.hints as hints_mod
+
+    calls = []
+    real = hints_mod.clause_sexpr
+
+    def counted(clause):
+        calls.append(clause)
+        return real(clause)
+
+    monkeypatch.setattr(hints_mod, "clause_sexpr", counted)
+    monkeypatch.setattr(cli_mod, "clause_sexpr", counted)
+    report = run([evfile(tmp_path, _SPLIT_TERMHINT)])
+    text = format_report(report, trace=True, checkpoints=True)
+
+    (t,) = report.files[0].theorems
+    assert not t.proved and len(t.checkpoints) == 1
+    assert "CHECKPOINT Subgoal 1.1.1.1.1 [BAD]" in text
+    kinds = [kind for _, kind, _ in t.events]
+    # one rendering per SIMPLIFY payload (CHANGED or STABLE); the computed
+    # hints, the CHECKPOINT payload and the report reuse the STABLE one
+    assert kinds.count("SIMPLIFY") == 12
+    assert len(calls) == 12

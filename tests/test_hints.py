@@ -6,9 +6,10 @@ from hintprover.world import HintFn, RewriteRule, World
 from hintprover.rewrite import StepBudget
 from hintprover.hints import (
     ComputedHint, GoalCtx, Hint, HintError, UseInstance,
-    _interpret_hint_value, apply_hint, clause_sexpr, clausify, eval_hint_expr,
-    parse_hint, prove_clause, render_hint, translate_hint_expr,
+    _interpret_hint_value, apply_hint, clause_sexpr, clausify, eval_computed_hint,
+    eval_hint_expr, parse_hint, prove_clause, render_hint, translate_hint_expr,
 )
+from hintprover.termhint import install_prelude
 
 
 def tr(text, world=None):
@@ -436,3 +437,54 @@ def test_clause_sexpr_golden():
     w = _stub_f()
     got = clause_sexpr((tr("(not (f x))", w), Var("Y")))
     assert print_sexpr(got) == "((NOT (F X)) Y)"
+
+
+# ---------------------------------------------------------------------------
+# CLAUSE is rendered on first read, once per goal
+
+@pytest.fixture
+def renders(monkeypatch):
+    """Count hints.clause_sexpr calls; the list holds each rendered value."""
+    import hintprover.hints as hints_mod
+
+    seen = []
+    real = hints_mod.clause_sexpr
+
+    def counted(clause):
+        seen.append(real(clause))
+        return seen[-1]
+
+    monkeypatch.setattr(hints_mod, "clause_sexpr", counted)
+    return seen
+
+
+def test_hint_not_reading_clause_renders_nothing(renders):
+    w = _stub_f()
+    clause = (tr("(not (f x))", w), Var("Y"))
+    ch = ComputedHint(expr=translate_hint_expr(
+        parse_one("(if (equal id '\"Goal\") '(:in-theory (enable f)) 'nil)"), w))
+    assert eval_computed_hint(ch, _ctx(w, clause, goal="Subgoal 1")) is None
+    assert renders == []
+
+
+def test_stable_guard_on_unstable_goal_renders_nothing(renders):
+    w = World()
+    install_prelude(w)
+    display = parse_one("(and stable-under-simplificationp (use-termhint-find-hint clause))")
+    ch = ComputedHint(expr=translate_hint_expr(display, w), display=display)
+    assert eval_computed_hint(ch, _ctx(w, (Var("G"),), stable=False)) is None
+    assert renders == []
+    assert eval_computed_hint(ch, _ctx(w, (Var("G"),), stable=True)) is None
+    assert len(renders) == 1  # the stable goal reads CLAUSE
+
+
+def test_clause_read_twice_in_one_goal_renders_once(renders):
+    w = _stub_f()
+    clause = (tr("(not (f x))", w), Var("Y"))
+    ctx = _ctx(w, clause)
+    t = translate_hint_expr(parse_one("(cons clause clause)"), w)
+    v = eval_hint_expr(t, ctx)
+    assert v.car is v.cdr
+    assert eval_hint_expr(translate_hint_expr(parse_one("clause"), w), ctx) is v.car
+    assert len(renders) == 1
+    assert print_sexpr(v.car) == "((NOT (F X)) Y)"

@@ -442,22 +442,22 @@ def test_expand_errors():
 # normalize_definition
 
 def test_normalize_lifts_if_from_test():
-    got = normalize_definition(tr("(if (if p 'a 'nil) x y)"))
+    got = normalize_definition(tr("(if (if p 'a 'nil) x y)"), StepBudget(10000))
     assert got == tr("(if p (if 'a x y) (if 'nil x y))")
 
 
 def test_normalize_lifts_if_from_args():
-    got = normalize_definition(tr("(cons (if p 'a 'b) q)"))
+    got = normalize_definition(tr("(cons (if p 'a 'b) q)"), StepBudget(10000))
     assert got == tr("(if p (cons 'a q) (cons 'b q))")
     # leftmost argument first
-    got2 = normalize_definition(tr("(cons (if p 'a 'b) (if q 'c 'd))"))
+    got2 = normalize_definition(tr("(cons (if p 'a 'b) (if q 'c 'd))"), StepBudget(10000))
     assert got2 == tr(
         "(if p (if q (cons 'a 'c) (cons 'a 'd)) (if q (cons 'b 'c) (cons 'b 'd)))"
     )
 
 
 def test_normalize_goes_through_hide():
-    got = normalize_definition(tr("(hide (if p 'a 'b))"))
+    got = normalize_definition(tr("(hide (if p 'a 'b))"), StepBudget(10000))
     assert got == tr("(if p (hide 'a) (hide 'b))")
 
 
@@ -465,5 +465,5 @@ def test_normalize_idempotent():
     rng = random.Random(314)
     for _ in range(200):
         t = _random_rw_term(rng, 4)
-        once = normalize_definition(t)
-        assert normalize_definition(once) == once
+        once = normalize_definition(t, StepBudget(10000))
+        assert normalize_definition(once, StepBudget(0)) == once  # and lifts nothing

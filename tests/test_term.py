@@ -324,3 +324,22 @@ def test_quasiquote_matches_interpolation_oracle():
         ])
         got = ground_eval(translate(form, w), w)
         assert print_sexpr(got) == print_sexpr(want), print_sexpr(tpl)
+
+
+def test_equal_apps_hash_equal_before_and_after_hashing():
+    def build():
+        return tr("(cons (car x) (if p (cons x 'nil) y))")
+
+    for warm in (None, 0, 1, 2):
+        a, b = build(), build()
+        assert a is not b
+        for i, t in enumerate((a, b)):
+            if warm in (i, 2):
+                hash(t)  # the cached hash is set on this one only
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        d = {a: "first"}
+        d[b] = "second"
+        assert list(d.values()) == ["second"]
+        assert a.args[1] in {b.args[1]} and a not in {b.args[1]}
