@@ -91,22 +91,25 @@ class Assumptions:
 def match(pattern, target):
     """One-way match; repeated pattern variables must bind equal terms."""
     subst = {}
+    return subst if _match(pattern, target, subst) else None
 
-    def go(p, u):
-        if isinstance(p, Var):
-            if p.name in subst:
-                return subst[p.name] == u
-            subst[p.name] = u
-            return True
-        if isinstance(p, Const):
-            return isinstance(u, Const) and sexpr_equal(p.value, u.value)
-        if isinstance(p, App):
-            if not (isinstance(u, App) and u.fn == p.fn and len(u.args) == len(p.args)):
+
+def _match(p, u, subst):
+    if isinstance(p, Var):
+        if p.name in subst:
+            return subst[p.name] == u
+        subst[p.name] = u
+        return True
+    if isinstance(p, Const):
+        return isinstance(u, Const) and sexpr_equal(p.value, u.value)
+    if isinstance(p, App):
+        if not (isinstance(u, App) and u.fn == p.fn and len(u.args) == len(p.args)):
+            return False
+        for a, b in zip(p.args, u.args):
+            if not _match(a, b, subst):
                 return False
-            return all(go(a, b) for a, b in zip(p.args, u.args))
-        return p == u
-
-    return subst if go(pattern, target) else None
+        return True
+    return p == u
 
 
 def rewrite_term(t, theory, assumptions, world, budget, iff=False):
@@ -165,7 +168,8 @@ def _arg_contexts(fn, n):
 
 def _finish(u, theory, assumptions, world, budget, iff):
     """Post-child steps at one node: fold, settle, then fire the first
-    enabled rule in install order (opened definitions included)."""
+    enabled rule on u's head symbol, in install order (opened definitions
+    included).  A rule whose lhs has another head can never match u."""
     if u.fn in FOLDABLE and all(isinstance(a, Const) for a in u.args):
         return Const(apply_builtin(u.fn, [a.value for a in u.args]))
     if u.fn in ("EQUAL", "IFF") and u.args[0] == u.args[1]:
@@ -177,7 +181,7 @@ def _finish(u, theory, assumptions, world, budget, iff):
         if d is False:
             return CONST_NIL
 
-    for rule in world.rule_order:
+    for rule in world.rules_by_fn.get(u.fn, ()):
         if rule.name not in theory or (rule.equiv == "IFF" and not iff):
             continue
         subst = match(rule.lhs, u)
@@ -311,24 +315,25 @@ def expand_calls(clause, targets, world):
         if pat.fn != "HIDE" and pat.fn not in world.definitions:
             raise ExpandError(f"no definition to expand: {pat.fn}")
 
-    def walk(t):
-        if isinstance(t, App):
-            for pat in targets:
-                subst = match(pat, t)
-                if subst is None:
-                    continue
-                if pat.fn == "HIDE":
-                    return t.args[0]
-                d = world.definitions[pat.fn]
-                return beta_reduce(substitute(d.body, dict(zip(d.formals, t.args))))
-            if t.fn == "HIDE":
-                return t
-            return App(t.fn, tuple(walk(a) for a in t.args))
-        if isinstance(t, LamApp):
-            return LamApp(t.formals, t.body, tuple(walk(a) for a in t.actuals))
-        return t
+    return tuple(_expand(lit, targets, world) for lit in clause)
 
-    return tuple(walk(lit) for lit in clause)
+
+def _expand(t, targets, world):
+    if isinstance(t, App):
+        for pat in targets:
+            subst = match(pat, t)
+            if subst is None:
+                continue
+            if pat.fn == "HIDE":
+                return t.args[0]
+            d = world.definitions[pat.fn]
+            return beta_reduce(substitute(d.body, dict(zip(d.formals, t.args))))
+        if t.fn == "HIDE":
+            return t
+        return App(t.fn, tuple(_expand(a, targets, world) for a in t.args))
+    if isinstance(t, LamApp):
+        return LamApp(t.formals, t.body, tuple(_expand(a, targets, world) for a in t.actuals))
+    return t
 
 
 # ---------------------------------------------------------------------------

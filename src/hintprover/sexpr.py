@@ -49,10 +49,32 @@ class Nil:
 NIL = Nil()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pair:
+    """A cons cell.  Equality and hashing are structural and walk the cdr
+    spine in a loop, so long lists cost no recursion depth."""
+
     car: object
     cdr: object
+
+    def __eq__(self, other):
+        if not isinstance(other, Pair):
+            return NotImplemented
+        a, b = self, other
+        while isinstance(a, Pair) and isinstance(b, Pair):
+            if a is b:
+                return True
+            if a.car is not b.car and not a.car == b.car:
+                return False
+            a, b = a.cdr, b.cdr
+        return a is b or a == b
+
+    def __hash__(self):
+        cars, cur = [], self
+        while isinstance(cur, Pair):
+            cars.append(cur.car)
+            cur = cur.cdr
+        return hash((tuple(cars), cur))
 
     def __repr__(self):
         return print_sexpr(self)

@@ -51,13 +51,17 @@ def _calls(t, name: str) -> bool:
 @dataclass
 class World:
     """rule_order lists every RewriteRule in install order, which is rule
-    priority.  A non-recursive definition installs as the EQUAL rule
+    priority.  rules_by_fn holds the same rules keyed by the function
+    symbol of their lhs, each list in install order; it is what the
+    rewriter reads, since a rule can only match a call of its own head.
+    A non-recursive definition installs as the EQUAL rule
     (name formals...) = body; a recursive one opens only by :EXPAND."""
 
     functions: dict = field(default_factory=dict)
     definitions: dict = field(default_factory=dict)
     rules: dict = field(default_factory=dict)
     rule_order: list = field(default_factory=list)
+    rules_by_fn: dict = field(default_factory=dict)
     theorems: dict = field(default_factory=dict)
     macro_env: dict = field(default_factory=builtin_macro_env)
     hint_fns: dict = field(default_factory=dict)
@@ -86,7 +90,7 @@ class World:
         self.definitions[name] = Definition(name, tuple(formals), body)
         if not _calls(body, name):
             lhs = App(name, tuple(Var(f) for f in formals))
-            self.rule_order.append(RewriteRule(name, lhs, body, (), "EQUAL"))
+            self._install(RewriteRule(name, lhs, body, (), "EQUAL"))
         if enabled:
             self.enabled.add(name)
 
@@ -94,8 +98,12 @@ class World:
         if name in self.rules:
             raise WorldError(f"duplicate rule: {name}")
         self.rules[name] = rule
-        self.rule_order.append(rule)
+        self._install(rule)
         self.enabled.add(name)
+
+    def _install(self, rule: RewriteRule):
+        self.rule_order.append(rule)
+        self.rules_by_fn.setdefault(rule.lhs.fn, []).append(rule)
 
     def add_theorem(self, name: str, body):
         if name in self.theorems or name in self.functions:

@@ -153,6 +153,19 @@ def test_deep_goal_fails_with_error(tmp_path, capsys):
     assert f"ERROR {path} DEEP: " in err
 
 
+
+def test_long_quoted_list_proves(tmp_path, capsys):
+    items = " ".join(str(i) for i in range(10_000))
+    path = evfile(tmp_path, f"""
+      (defthm same (equal '({items}) '({items})) :rule-classes nil)
+      (defthm size (equal (len '({items})) 10000) :rule-classes nil)
+    """)
+    assert main([path]) == 0
+    assert main([path, "--trace", "--checkpoints"]) == 0
+    out, err = capsys.readouterr()
+    assert out.count("THEOREM SAME PROVED") == 2
+    assert "ERROR" not in err
+
 def test_register_hint_fn_runs_per_goal(tmp_path):
     path = evfile(tmp_path, """
       (defund d (x) (cons x x))

@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports from the package is used,
-and every exception class the package defines derives from ProverError."""
+every exception class the package defines derives from ProverError, and
+the rewriter's hot paths build no self-referencing closures."""
 
 import ast
 import importlib
@@ -52,3 +53,37 @@ def test_package_exceptions_derive_from_prover_error():
 def test_unused_import_is_reported():
     src = "from .sexpr import NIL, T\n\nx = T\n"
     assert _unused_relative_imports(src) == [(1, "NIL")]
+
+
+def _self_referencing_nested_functions(source: str):
+    """(line, name) of each function defined inside another function that
+    mentions its own name: such a closure is a reference cycle per call."""
+    found = []
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner)):
+                found.append((inner.lineno, inner.name))
+    return sorted(set(found))
+
+
+def test_rewriter_has_no_self_referencing_closures():
+    assert _self_referencing_nested_functions((PACKAGE / "rewrite.py").read_text()) == []
+
+
+def test_self_referencing_closure_is_reported():
+    src = (
+        "def outer(n):\n"
+        "    def go(k):\n"
+        "        return go(k - 1) if k else 0\n"
+        "    def leaf(k):\n"
+        "        return k\n"
+        "    return go(n) + leaf(n)\n"
+        "\n"
+        "def top(k):\n"
+        "    return top(k - 1) if k else 0\n"
+    )
+    assert _self_referencing_nested_functions(src) == [(2, "go")]

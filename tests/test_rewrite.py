@@ -164,6 +164,65 @@ def test_definitions_and_rules_fire_in_install_order():
     assert rw(App("D", (Var("Y"),)), w) == Const(Symbol("RULE"))
 
 
+def _rule(name, head, rhs, equiv="EQUAL"):
+    return RewriteRule(name, App(head, (Var("X"),)), Const(Symbol(rhs)), (), equiv)
+
+
+def test_rule_lookup_tries_only_rules_on_the_head_symbol(monkeypatch):
+    import hintprover.rewrite as rewrite
+
+    w = World()
+    for i in range(50):
+        w.add_rule(f"G{i}-RULE", _rule(f"G{i}-RULE", f"G{i}", "OTHER"))
+    w.add_rule("F-RULE", _rule("F-RULE", "F", "HIT"))
+    calls = []
+
+    def counting_match(pattern, target):
+        calls.append(pattern)
+        return match(pattern, target)
+
+    monkeypatch.setattr(rewrite, "match", counting_match)
+    assert rw(App("F", (Var("A"),)), w) == Const(Symbol("HIT"))
+    assert calls == [App("F", (Var("X"),))]
+
+
+def test_first_installed_rule_on_a_head_fires():
+    w = World()
+    w.add_rule("F-ONE", _rule("F-ONE", "F", "ONE"))
+    w.add_rule("G-ONE", _rule("G-ONE", "G", "G"))
+    w.add_rule("F-TWO", _rule("F-TWO", "F", "TWO"))
+    assert rw(App("F", (Var("A"),)), w) == Const(Symbol("ONE"))
+
+
+def test_disabled_and_iff_rules_are_skipped_for_the_next_on_the_head():
+    w = World()
+    w.add_rule("F-ONE", _rule("F-ONE", "F", "ONE"))
+    w.add_rule("F-TWO", _rule("F-TWO", "F", "TWO"))
+    fa = App("F", (Var("A"),))
+    assert rw(fa, w, theory=w.theory() - {"F-ONE"}) == Const(Symbol("TWO"))
+    w = World()
+    w.add_rule("F-IFF", _rule("F-IFF", "F", "IFF", equiv="IFF"))
+    w.add_rule("F-EQUAL", _rule("F-EQUAL", "F", "EQUAL"))
+    assert rw(fa, w) == Const(Symbol("EQUAL"))
+    assert rw(fa, w, iff=True) == Const(Symbol("IFF"))
+
+
+def test_rule_index_holds_each_rule_once_in_install_order():
+    w = World()
+    w.add_definition("D", ("X",), tr("(cons x x)"))
+    w.add_rule("F-ONE", _rule("F-ONE", "F", "ONE"))
+    w.add_rule("D-RULE", _rule("D-RULE", "D", "RULE"))
+    w.add_definition("E", ("X", "Y"), tr("(cons y x)"))
+    w.add_rule("F-TWO", _rule("F-TWO", "F", "TWO"))
+    w.add_definition("LOOP", ("X",), App("CONS", (Var("X"), App("LOOP", (Var("X"),)))))
+    assert [r.name for r in w.rule_order] == ["D", "F-ONE", "D-RULE", "E", "F-TWO"]
+    assert sorted(w.rules_by_fn) == ["D", "E", "F"]
+    for rule in w.rule_order:
+        assert [r for r in w.rules_by_fn[rule.lhs.fn] if r is rule] == [rule]
+    for fn, rules in w.rules_by_fn.items():
+        assert rules == [r for r in w.rule_order if r.lhs.fn == fn]
+
+
 def test_rule_application_consumes_budget():
     w = World()
     w.add_definition("D", ("X",), tr("(cons x x)"))

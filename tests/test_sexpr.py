@@ -115,3 +115,33 @@ def test_print_parse_round_trip():
         assert back == e or (is_nil(back) and is_nil(e)), text
         # printing is a canonical form: a second trip changes nothing
         assert print_sexpr(back) == text
+
+
+def test_pair_equality_and_hash_are_structural():
+    cases = [
+        ([1, 2, 3], NIL),
+        ([Symbol("A"), from_list([1, 2]), "s"], NIL),
+        ([1, 2], 3),
+        ([from_list([1], 2)], Symbol("TAIL")),
+    ]
+    for items, tail in cases:
+        a, b = from_list(items, tail), from_list(list(items), tail)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+    assert from_list([1, 2], 3) != from_list([1, 2], 4)
+    assert from_list([1, 2], 3) != from_list([1, 2])
+    assert from_list([1, 2]) != from_list([1, 2, 3])
+    assert from_list([1, 2, 3]) != from_list([1, 2])
+    assert from_list([1, 2]) != from_list([1, 3])
+    assert Pair(1, 2) != 1 and 1 != Pair(1, 2)
+    assert len({from_list([1, 2], 3), from_list([1, 2], 3), from_list([1, 2])}) == 2
+
+
+def test_long_lists_compare_and_hash_without_recursion():
+    n = 10_000
+    a, b = from_list(list(range(n))), from_list(list(range(n)))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a != from_list(list(range(n - 1)) + [-1])
+    assert a != from_list(list(range(n)), 0)
