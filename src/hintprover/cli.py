@@ -17,18 +17,18 @@ from dataclasses import dataclass, field
 
 from .sexpr import (
     Keyword, Pair, ProverError, Symbol,
-    is_nil, is_proper_list, parse, print_sexpr, to_list,
+    from_list, is_nil, is_proper_list, parse, print_sexpr, to_list,
 )
 from .term import (
     App, CONST_NIL, CONST_T, TranslateError,
-    beta_reduce, free_vars, translate,
+    beta_reduce, free_vars, translate, unparse,
 )
 from .world import RewriteRule, HintFn, World
 from .rewrite import ResourceError, StepBudget, normalize_definition
 from .hints import (
-    ComputedHint, HintError,
+    ComputedHint, GoalCtx, HintError,
     _parse_in_theory, clause_sexpr, clausify, eval_hint_expr, parse_hint,
-    peel_implies, prove_clause, translate_hint_expr,
+    peel_implies, prove_clause, render_hint, translate_hint_expr,
 )
 from .termhint import clause_labels, install_prelude, use_termhint
 
@@ -44,8 +44,7 @@ class TheoremOutcome:
     name: str
     proved: bool
     steps: int
-    events: list = field(default_factory=list)
-    checkpoints: list = field(default_factory=list)
+    events: list = field(default_factory=list)  # ProofResult.events
     error: str = None
 
 
@@ -100,7 +99,7 @@ def _parse_declare(decl) -> bool:
     raise EventError(f"unsupported declare form: {print_sexpr(decl)}")
 
 
-def _do_defun(world: World, items, enabled: bool, max_steps: int):
+def _do_defun(world: World, items, max_steps: int):
     if len(items) == 5:
         normalize = _parse_declare(items[3])
         body_form = items[4]
@@ -125,16 +124,16 @@ def _do_defun(world: World, items, enabled: bool, max_steps: int):
             body = normalize_definition(body, StepBudget(max_steps))
         except ResourceError as e:
             raise EventError(f"in {name}: normalization: {e}")
-    world.add_definition(name, formals, body, enabled=enabled)
+    world.add_definition(name, formals, body, enabled=items[0].name == "DEFUN")
 
 
-def _do_defstub(world: World, items):
+def _do_defstub(world: World, items, max_steps: int):
     if len(items) != 3 or not isinstance(items[2], int) or items[2] < 0:
         raise EventError("defstub expects a name and an arity")
     world.add_stub(_want_symbol(items[1], "stub name"), items[2])
 
 
-def _do_in_theory(world: World, items):
+def _do_in_theory(world: World, items, max_steps: int):
     if len(items) != 2:
         raise EventError("in-theory expects one ENABLE or DISABLE form")
     enable, disable = _parse_in_theory(items[1])
@@ -145,27 +144,12 @@ def _do_in_theory(world: World, items):
     world.enabled = (world.enabled | set(enable)) - set(disable)
 
 
-def _do_register_hint_fn(world: World, items):
+def _do_register_hint_fn(world: World, items, max_steps: int):
     if len(items) != 3:
         raise EventError("register-hint-fn expects a name and an expression")
     name = _want_symbol(items[1], "hint function name")
     expr = translate_hint_expr(items[2], world)
-
-    def run(args, ctx, expr=expr):
-        return eval_hint_expr(expr, ctx)
-
-    world.add_hint_fn(HintFn(name, 0, run))
-
-
-# Every event but DEFTHM, which also yields an outcome.  Each handler takes
-# (world, items, max_steps); DEFUN and DEFUND bound normalization by max_steps.
-EVENT_HANDLERS = {
-    "DEFSTUB": lambda world, items, max_steps: _do_defstub(world, items),
-    "DEFUN": lambda world, items, max_steps: _do_defun(world, items, True, max_steps),
-    "DEFUND": lambda world, items, max_steps: _do_defun(world, items, False, max_steps),
-    "IN-THEORY": lambda world, items, max_steps: _do_in_theory(world, items),
-    "REGISTER-HINT-FN": lambda world, items, max_steps: _do_register_hint_fn(world, items),
-}
+    world.add_hint_fn(HintFn(name, 0, lambda args, ctx: eval_hint_expr(expr, ctx)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +249,8 @@ def _do_defthm(world: World, items, max_steps: int) -> TheoremOutcome:
         result = prove_clause(clause, pending, world, budget)
         outcome.proved = result.proved
         outcome.events = result.events
-        outcome.checkpoints = result.checkpoints
     except (ProverError, RecursionError) as e:
-        outcome.error = str(e)
+        outcome.error = _error_text(e)
     outcome.steps = budget.used
 
     if outcome.proved:
@@ -275,6 +258,23 @@ def _do_defthm(world: World, items, max_steps: int) -> TheoremOutcome:
         if rule is not None:
             world.add_rule(name, rule)
     return outcome
+
+
+# Each handler takes (world, items, max_steps); DEFUN and DEFUND bound
+# normalization by max_steps.  DEFTHM returns its outcome, the others None.
+EVENT_HANDLERS = {
+    "DEFSTUB": _do_defstub,
+    "DEFUN": _do_defun,
+    "DEFUND": _do_defun,
+    "DEFTHM": _do_defthm,
+    "IN-THEORY": _do_in_theory,
+    "REGISTER-HINT-FN": _do_register_hint_fn,
+}
+
+
+def _error_text(e: Exception) -> str:
+    """An error's message; Python's own text for a stack overflow is not shown."""
+    return "nesting depth exceeded" if isinstance(e, RecursionError) else str(e)
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +290,19 @@ def process_file(path: str, max_steps: int, stop_on_failure: bool) -> FileOutcom
         for form in forms:
             if not (isinstance(form, Pair) and isinstance(form.car, Symbol)):
                 raise EventError(f"not an event: {print_sexpr(form)}")
-            items = to_list(form)
-            head = form.car.name
-            if head in EVENT_HANDLERS:
-                EVENT_HANDLERS[head](world, items, max_steps)
-            elif head == "DEFTHM":
-                outcome = _do_defthm(world, items, max_steps)
+            handler = EVENT_HANDLERS.get(form.car.name)
+            if handler is None:
+                raise EventError(f"unknown event: {form.car.name}")
+            outcome = handler(world, to_list(form), max_steps)
+            if outcome is not None:
                 out.theorems.append(outcome)
                 if outcome.error is not None:
                     print(f"ERROR {path} {outcome.name}: {outcome.error}", file=sys.stderr)
                 if stop_on_failure and not outcome.proved:
                     break
-            else:
-                raise EventError(f"unknown event: {head}")
     except (OSError, ProverError, RecursionError) as e:
-        out.error = str(e)
-        print(f"ERROR {path}: {e}", file=sys.stderr)
+        out.error = _error_text(e)
+        print(f"ERROR {path}: {out.error}", file=sys.stderr)
     return out
 
 
@@ -319,6 +316,21 @@ def run(paths, max_steps: int = DEFAULT_MAX_STEPS, stop_on_failure: bool = False
     return report
 
 
+def render_event(kind: str, data):
+    """The s-expression a trace line shows for one event's data (see ProofResult)."""
+    if kind == "SIMPLIFY":
+        if isinstance(data, GoalCtx):
+            return from_list([Symbol("STABLE"), data.sexpr])
+        return from_list([Symbol("CHANGED"), clause_sexpr(data)])
+    if kind == "CHECKPOINT":
+        return data.sexpr
+    if kind == "HINT":
+        return render_hint(data)
+    if kind == "SPLIT":
+        return unparse(data)
+    return data
+
+
 def format_report(report: RunReport, trace: bool = False, checkpoints: bool = False) -> str:
     lines = []
     proved = total = 0
@@ -327,20 +339,19 @@ def format_report(report: RunReport, trace: bool = False, checkpoints: bool = Fa
         for t in f.theorems:
             total += 1
             if trace:
-                for goal, kind, payload in t.events:
-                    lines.append(f"EVENT {goal} {kind} {print_sexpr(payload)}")
+                for goal, kind, data in t.events:
+                    lines.append(f"EVENT {goal} {kind} {print_sexpr(render_event(kind, data))}")
             status = "PROVED" if t.proved else "FAILED"
             proved += t.proved
             lines.append(f"THEOREM {t.name} {status} steps={t.steps}")
             if checkpoints:
-                for cp in t.checkpoints:
-                    labels = clause_labels(cp.clause)
-                    head = f"CHECKPOINT {cp.goal}"
+                for ctx in [data for _, kind, data in t.events if kind == "CHECKPOINT"]:
+                    labels = clause_labels(ctx.clause)
+                    head = f"CHECKPOINT {ctx.goal_name}"
                     if labels:
                         head += " [" + " ".join(labels) + "]"
                     lines.append(head)
-                    shown = cp.sexpr if cp.sexpr is not None else clause_sexpr(cp.clause)
-                    lines.append("  " + print_sexpr(shown))
+                    lines.append("  " + print_sexpr(ctx.sexpr))
     lines.append(f"PROVED {proved}/{total}")
     return "\n".join(lines) + "\n"
 

@@ -11,7 +11,8 @@ runs only inside named hint functions.
 Goals are named "Goal", "Subgoal 1", "Subgoal 1.2", ... in creation
 order.  Each goal tries hints on arrival, then simplifies; a goal that
 is stable under simplification offers itself to the pending hints once
-more before it becomes a checkpoint.
+more before it becomes a checkpoint.  Each step is recorded as an event
+that keeps terms; a report renders an event only when it prints it.
 """
 
 from __future__ import annotations
@@ -59,11 +60,12 @@ class ComputedHint:
 
 @dataclass
 class GoalCtx:
-    """One goal as computed hints see it.
+    """One goal as computed hints see it, and their variable environment.
 
+    `in` and `[]` answer for CLAUSE, ID and STABLE-UNDER-SIMPLIFICATIONP.
     The clause's s-expression is rendered on the first read of `sexpr`
-    and kept, so a goal renders its clause at most once however many
-    hints, trace events and checkpoints use it.
+    (or CLAUSE) and kept, so a goal renders its clause at most once
+    however many hints, trace events and checkpoints use it.
     """
     clause: tuple
     goal_name: str
@@ -76,6 +78,18 @@ class GoalCtx:
         if self._sexpr is None:
             self._sexpr = clause_sexpr(self.clause)
         return self._sexpr
+
+    def __contains__(self, name):
+        return name in ("CLAUSE", "ID", "STABLE-UNDER-SIMPLIFICATIONP")
+
+    def __getitem__(self, name):
+        if name == "CLAUSE":
+            return self.sexpr
+        if name == "ID":
+            return self.goal_name
+        if name == "STABLE-UNDER-SIMPLIFICATIONP":
+            return T if self.stable else NIL
+        raise KeyError(name)
 
 
 def clause_sexpr(clause):
@@ -224,28 +238,6 @@ def translate_hint_expr(form, world):
     return translate(form, world, arity)
 
 
-class _GoalEnv:
-    """The variables of a hint expression, read from the goal on demand."""
-
-    __slots__ = ("ctx",)
-    NAMES = frozenset(("CLAUSE", "ID", "STABLE-UNDER-SIMPLIFICATIONP"))
-
-    def __init__(self, ctx: GoalCtx):
-        self.ctx = ctx
-
-    def __contains__(self, name):
-        return name in self.NAMES
-
-    def __getitem__(self, name):
-        if name == "CLAUSE":
-            return self.ctx.sexpr
-        if name == "ID":
-            return self.ctx.goal_name
-        if name == "STABLE-UNDER-SIMPLIFICATIONP":
-            return T if self.ctx.stable else NIL
-        raise KeyError(name)
-
-
 def eval_hint_expr(t, ctx: GoalCtx):
     """Evaluate a hint expression; values are s-expressions or Hints.
 
@@ -253,8 +245,6 @@ def eval_hint_expr(t, ctx: GoalCtx):
     CLAUSE is rendered only if the expression reads it, and then once
     per goal (GoalCtx.sexpr).
     """
-    env = _GoalEnv(ctx)
-
     def call(fn, args):
         hint_fn = ctx.world.hint_fns.get(fn)
         if hint_fn is not None:
@@ -264,7 +254,7 @@ def eval_hint_expr(t, ctx: GoalCtx):
         raise HintError(f"unknown function in hint expression: {fn}")
 
     try:
-        return evaluate(t, env, call)
+        return evaluate(t, ctx, call)
     except EvalError as e:
         raise HintError(f"in hint expression: {e}")
 
@@ -376,17 +366,15 @@ def clausify(form, world):
 # The waterfall
 
 @dataclass
-class Checkpoint:
-    goal: str
-    clause: tuple
-    sexpr: object = None  # the clause as rendered for its CHECKPOINT event
-
-
-@dataclass
 class ProofResult:
+    """The verdict and the waterfall's (goal, kind, data) events.
+
+    `data` is unrendered: T (PROVED), the rewritten clause (SIMPLIFY,
+    CHANGED), the goal's GoalCtx (SIMPLIFY when STABLE, and CHECKPOINT:
+    a checkpoint is its event), the test term (SPLIT) or the Hint (HINT).
+    """
     proved: bool
     events: list = field(default_factory=list)
-    checkpoints: list = field(default_factory=list)
 
 
 def _child_name(parent: str, i: int) -> str:
@@ -419,10 +407,10 @@ def prove_clause(clause, pending, world, budget) -> ProofResult:
     entries and are visited depth first, in creation order.  A goal
     proves, becomes a checkpoint, or yields subgoals: one per branch of
     a split or one for a fired hint, each charged to budget.take_goal().
-    A goal's clause is rendered at most once (its GoalCtx), shared by
-    the hints that read CLAUSE and the STABLE and CHECKPOINT payloads.
+    Events keep terms (see ProofResult); only computed hints that read
+    CLAUSE render here, once per goal through its GoalCtx.
     """
-    result = ProofResult(proved=False)
+    result = ProofResult(proved=True)
     events = result.events
     todo = [("Goal", tuple(clause), list(pending), world.theory())]
     while todo:
@@ -435,23 +423,21 @@ def prove_clause(clause, pending, world, budget) -> ProofResult:
                 events.append((name, "PROVED", T))
                 continue
             if out.changed:
-                events.append((name, "SIMPLIFY",
-                               from_list([Symbol("CHANGED"), clause_sexpr(out.rewritten)])))
+                events.append((name, "SIMPLIFY", out.rewritten))
                 if out.split_test is not None:
-                    events.append((name, "SPLIT", unparse(out.split_test)))
+                    events.append((name, "SPLIT", out.split_test))
                 _push_subgoals(todo, name, out.clauses, pending, theory, budget)
                 continue
             ctx.stable = True
-            events.append((name, "SIMPLIFY", from_list([Symbol("STABLE"), ctx.sexpr])))
+            events.append((name, "SIMPLIFY", ctx))
             found = _first_firing(pending, ctx)
             if found is None:
-                events.append((name, "CHECKPOINT", ctx.sexpr))
-                result.checkpoints.append(Checkpoint(name, clause, ctx.sexpr))
+                events.append((name, "CHECKPOINT", ctx))
+                result.proved = False
                 continue
         i, hint = found
-        events.append((name, "HINT", render_hint(hint)))
+        events.append((name, "HINT", hint))
         clause, theory = apply_hint(hint, clause, theory, world)
         _push_subgoals(todo, name, [clause], _splice(pending, i, hint), theory, budget)
 
-    result.proved = not result.checkpoints
     return result

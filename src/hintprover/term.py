@@ -186,25 +186,23 @@ def _macro_bstar(form, tr):
     args = to_list(form.cdr)
     if len(args) != 2:
         raise TranslateError("B* expects a binder list and one body form")
-    binders = to_list(args[0])
-    body = args[1]
-
-    def build(i):
-        if i == len(binders):
-            return body
-        b = binders[i]
+    frames = []  # per binder, the forms around the rest: before + [rest] + after
+    for b in to_list(args[0]):
         items = to_list(b) if isinstance(b, Pair) else None
-        if items and len(items) == 2 and isinstance(items[0], Symbol):
-            return from_list([Symbol("LET"), from_list([b]), build(i + 1)])
-        if items and len(items) == 2 and isinstance(items[0], Pair):
-            head = to_list(items[0])
-            if len(head) == 2 and head[0] == Symbol("WHEN"):
-                return from_list([Symbol("IF"), head[1], items[1], build(i + 1)])
-            if len(head) == 2 and head[0] == Symbol("UNLESS"):
-                return from_list([Symbol("IF"), head[1], build(i + 1), items[1]])
-        raise TranslateError(f"malformed B* binder: {print_sexpr(b)}")
-
-    return tr(build(0))
+        pair = items and len(items) == 2
+        head = to_list(items[0]) if pair and isinstance(items[0], Pair) else ()
+        if pair and isinstance(items[0], Symbol):
+            frames.append(([Symbol("LET"), from_list([b])], []))
+        elif len(head) == 2 and head[0] == Symbol("WHEN"):
+            frames.append(([Symbol("IF"), head[1], items[1]], []))
+        elif len(head) == 2 and head[0] == Symbol("UNLESS"):
+            frames.append(([Symbol("IF"), head[1]], [items[1]]))
+        else:
+            raise TranslateError(f"malformed B* binder: {print_sexpr(b)}")
+    out = args[1]
+    for before, after in reversed(frames):
+        out = from_list(before + [out] + after)
+    return tr(out)
 
 
 def _macro_and(form, tr):
@@ -296,28 +294,24 @@ def expand_quasiquote(form):
 
 def free_vars(t):
     """Free variable names in left-to-right first-occurrence order."""
-    out, seen = [], set()
+    found = {}
+    _add_free_vars(t, found)
+    return list(found)
 
-    def add(name):
-        if name not in seen:
-            seen.add(name)
-            out.append(name)
 
-    def walk(u):
-        if isinstance(u, Var):
-            add(u.name)
-        elif isinstance(u, App):
-            for a in u.args:
-                walk(a)
-        elif isinstance(u, LamApp):
-            for a in u.actuals:
-                walk(a)
-            for name in free_vars(u.body):
-                if name not in u.formals:
-                    add(name)
-
-    walk(t)
-    return out
+def _add_free_vars(t, found):
+    """Add t's free variables to found, a dict kept in first-insertion order."""
+    if isinstance(t, Var):
+        found[t.name] = None
+    elif isinstance(t, App):
+        for a in t.args:
+            _add_free_vars(a, found)
+    elif isinstance(t, LamApp):
+        for a in t.actuals:
+            _add_free_vars(a, found)
+        for name in free_vars(t.body):
+            if name not in t.formals:
+                found[name] = None
 
 
 def make_lamapp(formals, body, actuals):
@@ -340,10 +334,16 @@ def translate(form, world, arity=None):
     defaults to world.arity and lets a caller overlay its own vocabulary,
     such as a definition that calls itself.
     """
-    env = world.macro_env
-    arity_of = world.arity if arity is None else arity
+    return _Translator(world.macro_env, world.arity if arity is None else arity).tr(form)
 
-    def tr(f):
+
+@dataclass
+class _Translator:
+    """One translation's macros and function arities; `tr` is its entry."""
+    env: dict
+    arity_of: object
+
+    def tr(self, f):
         if is_nil(f):
             return CONST_NIL
         if isinstance(f, Symbol):
@@ -362,26 +362,26 @@ def translate(form, world, arity=None):
             if head in (UNQUOTE, UNQUOTE_SPLICING):
                 raise TranslateError(f"{print_sexpr(head)} outside quasiquote")
             if isinstance(head, Symbol):
-                expander = env.get(head.name)
+                expander = self.env.get(head.name)
                 if expander is not None:
-                    return expander(f, tr)
-                return tr_app(head.name, f.cdr)
+                    return expander(f, self.tr)
+                return self.tr_app(head.name, f.cdr)
             if isinstance(head, Pair):
-                return tr_lambda(head, f.cdr)
+                return self.tr_lambda(head, f.cdr)
         raise TranslateError(f"cannot translate: {print_sexpr(f)}")
 
-    def tr_app(name, args_form):
-        args = [tr(a) for a in to_list(args_form)]
+    def tr_app(self, name, args_form):
+        args = [self.tr(a) for a in to_list(args_form)]
         if name == "APPEND":
             name = "BINARY-APPEND"
-        n = arity_of(name)
+        n = self.arity_of(name)
         if n is None:
             raise TranslateError(f"unknown function: {name}")
         if n != len(args):
             raise TranslateError(f"{name} expects {n} arguments, got {len(args)}")
         return App(name, tuple(args))
 
-    def tr_lambda(head, args_form):
+    def tr_lambda(self, head, args_form):
         items = to_list(head)
         if len(items) != 3 or items[0] != Symbol("LAMBDA"):
             raise TranslateError(f"bad application head: {print_sexpr(head)}")
@@ -390,12 +390,10 @@ def translate(form, world, arity=None):
             if not isinstance(s, Symbol):
                 raise TranslateError("lambda formals must be symbols")
             formals.append(s.name)
-        actuals = [tr(a) for a in to_list(args_form)]
+        actuals = [self.tr(a) for a in to_list(args_form)]
         if len(actuals) != len(formals):
             raise TranslateError("lambda applied to wrong number of arguments")
-        return make_lamapp(formals, tr(items[2]), actuals)
-
-    return tr(form)
+        return make_lamapp(formals, self.tr(items[2]), actuals)
 
 
 def unparse(t):
@@ -485,20 +483,25 @@ def ground_eval(t, world, fuel: int = 1000):
     Definition unfolding is fuel-bounded; stubs, free variables and
     nesting deeper than the Python stack are evaluation errors.
     """
-    state = [fuel]
-
-    def call(fn, args):
-        if fn in BUILTIN_ARITY:
-            return apply_builtin(fn, args)
-        defn = world.definitions.get(fn)
-        if defn is None:
-            raise EvalError(f"no evaluator for function: {fn}")
-        if state[0] <= 0:
-            raise EvalError("evaluation fuel exhausted")
-        state[0] -= 1
-        return evaluate(defn.body, dict(zip(defn.formals, args)), call)
-
     try:
-        return evaluate(t, {}, call)
+        return evaluate(t, {}, _GroundCalls(world, fuel).call)
     except RecursionError:
         raise EvalError("evaluation nested too deeply") from None
+
+
+@dataclass
+class _GroundCalls:
+    """The `call` of one ground evaluation: builtins, then definitions while fuel lasts."""
+    world: object
+    fuel: int
+
+    def call(self, fn, args):
+        if fn in BUILTIN_ARITY:
+            return apply_builtin(fn, args)
+        defn = self.world.definitions.get(fn)
+        if defn is None:
+            raise EvalError(f"no evaluator for function: {fn}")
+        if self.fuel <= 0:
+            raise EvalError("evaluation fuel exhausted")
+        self.fuel -= 1
+        return evaluate(defn.body, dict(zip(defn.formals, args)), self.call)

@@ -18,7 +18,7 @@ from hintprover.termhint import (
     DROP_PROCESSOR, HYP_FN, clause_labels, find_hint, install_prelude,
     keyword_fixup, process_termhint,
 )
-from hintprover.cli import EVENT_HANDLERS, _do_defun, _do_defthm, format_report, run
+from hintprover.cli import EVENT_HANDLERS, _do_defun, format_report, render_event, run
 
 from test_term import (
     _interpolate, _random_template, _random_value as _random_qq_value,
@@ -54,8 +54,13 @@ def _theorem(report, name):
 
 
 def _hints_fired(t):
-    return [(goal, print_sexpr(payload)) for goal, kind, payload in t.events
+    return [(goal, print_sexpr(render_event(kind, data))) for goal, kind, data in t.events
             if kind == "HINT"]
+
+
+def _checkpoints(t):
+    """The GoalCtx of each CHECKPOINT event, in order."""
+    return [ctx for _, kind, ctx in t.events if kind == "CHECKPOINT"]
 
 
 _PIPELINE_HINT_FORM = """
@@ -81,8 +86,7 @@ def test_criterion_1_pipeline_hint():
     w = World()
     install_prelude(w)
     for name in ["FOO", "BAR", "BAZ", "FA"]:
-        _do_defun(w, to_list(parse_one(f"(defund {name} (a b) (cons a b))")),
-                  enabled=False, max_steps=10000)
+        _do_defun(w, to_list(parse_one(f"(defund {name} (a b) (cons a b))")), 10000)
     t = beta_reduce(translate(parse_one(_PIPELINE_HINT_FORM), w))
     assert t.fn == "IF"
     test, use_branch, expand_branch = t.args
@@ -141,9 +145,9 @@ def test_criterion_2_rewrite_robustness():
     report = run([str(CORPUS / "robust_member.lisp")])
     t = _theorem(report, "BUILD-SHAPE")
     assert not t.proved and t.error is None
-    assert len(t.checkpoints) == 2
+    assert len(_checkpoints(t)) == 2
     # the membership patterns stopped matching: literals now mention KIND
-    for cp in t.checkpoints:
+    for cp in _checkpoints(t):
         shown = [print_sexpr(unparse(l)) for l in cp.clause]
         assert any("(KIND X)" in s for s in shown)
 
@@ -156,10 +160,11 @@ def test_criterion_3_staging_order():
         t = _theorem(report, "STAGED-REWRITE")
         assert t.proved
         hint_at = split_at = None
-        for i, (goal, kind, payload) in enumerate(t.events):
-            if kind == "HINT" and "MY-THEORY1" in print_sexpr(payload) and hint_at is None:
+        for i, (goal, kind, data) in enumerate(t.events):
+            shown = print_sexpr(render_event(kind, data))
+            if kind == "HINT" and "MY-THEORY1" in shown and hint_at is None:
                 hint_at = i
-            if kind == "SPLIT" and print_sexpr(payload) == "(FOO A B)" and split_at is None:
+            if kind == "SPLIT" and shown == "(FOO A B)" and split_at is None:
                 split_at = i
         assert hint_at is not None and split_at is not None, filename
         return hint_at < split_at
@@ -178,8 +183,8 @@ def test_criterion_4_nil_hint():
     fired = _hints_fired(t)
     # the injection hint, then the extracted hint with no keywords at all
     assert fired[-1][1] == "(:CLAUSE-PROCESSOR DROP-TERMHINT-HYP)"
-    assert len(t.checkpoints) == 1
-    cp = t.checkpoints[0].clause
+    assert len(_checkpoints(t)) == 1
+    cp = _checkpoints(t)[0].clause
     assert all(
         not (isinstance(l, App) and l.fn == "NOT"
              and isinstance(l.args[0], App) and l.args[0].fn == HYP_FN)
@@ -199,8 +204,8 @@ def test_criterion_5_mark_clause():
     report = run([str(CORPUS / "mark_clause.lisp")])
     assert report.exit_code == 1
     t = _theorem(report, "TWO-BRANCH-FAILURE")
-    assert len(t.checkpoints) == 2
-    labels = [clause_labels(cp.clause) for cp in t.checkpoints]
+    assert len(_checkpoints(t)) == 2
+    labels = [clause_labels(cp.clause) for cp in _checkpoints(t)]
     assert labels == [["CONSP-CASE"], ["ATOM-CASE"]]
     text = format_report(report, checkpoints=True)
     assert "[CONSP-CASE]" in text and "[ATOM-CASE]" in text
@@ -256,9 +261,7 @@ def _corpus_clauses():
             head = form.car.name
             if head == "DEFTHM":
                 yield clausify(items[2], world), world
-                _do_defthm(world, items, 10000)
-            else:
-                EVENT_HANDLERS[head](world, items, 10000)
+            EVENT_HANDLERS[head](world, items, 10000)
 
 
 @criterion(7, "simplifier-properties")

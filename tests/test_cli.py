@@ -5,8 +5,9 @@ import pytest
 from hintprover.sexpr import parse_one, print_sexpr, to_list
 from hintprover.term import App, Const, Var, translate
 from hintprover.world import World
+from hintprover.hints import GoalCtx
 from hintprover.cli import (
-    EventError, _do_defun, convert_rule, format_report, main, run,
+    EventError, _do_defun, convert_rule, format_report, main, render_event, run,
 )
 
 
@@ -53,20 +54,18 @@ def test_defun_and_defund_visibility(tmp_path):
 
 def test_defun_normalization_flag():
     w = World()
-    _do_defun(w, to_list(parse_one("(defun n1 (p q) (cons (if p 'a 'b) q))")),
-              enabled=True, max_steps=10000)
+    _do_defun(w, to_list(parse_one("(defun n1 (p q) (cons (if p 'a 'b) q))")), 10000)
     assert w.definitions["N1"].body == tr("(if p (cons 'a q) (cons 'b q))")
 
 
 def test_defun_normalize_nil_keeps_shape():
     w = World()
     _do_defun(w, to_list(parse_one(
-        "(defun n2 (p q) (declare (xargs :normalize nil)) (cons (if p 'a 'b) q))")),
-        enabled=True, max_steps=10000)
+        "(defun n2 (p q) (declare (xargs :normalize nil)) (cons (if p 'a 'b) q))")), 10000)
     assert w.definitions["N2"].body == tr("(cons (if p 'a 'b) q)")
     with pytest.raises(EventError):
         _do_defun(w, to_list(parse_one(
-            "(defun n3 (p) (declare (ignore p)) 'nil)")), enabled=True, max_steps=10000)
+            "(defun n3 (p) (declare (ignore p)) 'nil)")), 10000)
 
 
 def test_defun_rejects_stray_variables(tmp_path):
@@ -153,6 +152,24 @@ def test_deep_goal_fails_with_error(tmp_path, capsys):
     assert f"ERROR {path} DEEP: " in err
 
 
+def test_stack_overflow_is_a_named_depth_error(tmp_path, capsys):
+    conjuncts = " ".join(f"(p x{i})" for i in range(600))
+    wide = evfile(tmp_path, f"""
+      (defstub p 1)
+      (defthm w (implies (and {conjuncts}) (p x0)) :rule-classes nil)
+    """, "wide.lisp")
+    assert main([wide]) == 2
+    err = capsys.readouterr().err
+    assert f"ERROR {wide}: nesting depth exceeded" in err
+    assert "maximum recursion depth" not in err
+
+    deep = "(cons " * 300 + "x" + " y)" * 300
+    goal = evfile(tmp_path, f"(defthm deep (equal {deep} {deep}) :rule-classes nil)")
+    assert main([goal]) == 1
+    err = capsys.readouterr().err
+    assert f"ERROR {goal} DEEP: nesting depth exceeded" in err
+    assert "maximum recursion depth" not in err
+
 
 def test_long_quoted_list_proves(tmp_path, capsys):
     items = " ".join(str(i) for i in range(10_000))
@@ -177,7 +194,7 @@ def test_register_hint_fn_runs_per_goal(tmp_path):
     report = run([path])
     assert report.exit_code == 0
     t = report.files[0].theorems[0]
-    hints = [(g, print_sexpr(p)) for g, k, p in t.events if k == "HINT"]
+    hints = [(g, print_sexpr(render_event(k, d))) for g, k, d in t.events if k == "HINT"]
     assert hints == [("Goal", "(:IN-THEORY (ENABLE D))")]
 
 
@@ -197,7 +214,7 @@ def test_use_termhint_hint_entry(tmp_path):
     report = run([path])
     assert report.exit_code == 0
     t = report.files[0].theorems[0]
-    fired = [print_sexpr(p) for _, k, p in t.events if k == "HINT"]
+    fired = [print_sexpr(render_event(k, d)) for _, k, d in t.events if k == "HINT"]
     assert fired[-1] == "(:EXPAND ((D A)) :CLAUSE-PROCESSOR DROP-TERMHINT-HYP)"
 
 
@@ -461,10 +478,36 @@ def test_goal_clauses_render_once_and_only_when_read(tmp_path, monkeypatch):
     text = format_report(report, trace=True, checkpoints=True)
 
     (t,) = report.files[0].theorems
-    assert not t.proved and len(t.checkpoints) == 1
-    assert "CHECKPOINT Subgoal 1.1.1.1.1 [BAD]" in text
     kinds = [kind for _, kind, _ in t.events]
+    assert not t.proved and kinds.count("CHECKPOINT") == 1
+    assert "CHECKPOINT Subgoal 1.1.1.1.1 [BAD]" in text
     # one rendering per SIMPLIFY payload (CHANGED or STABLE); the computed
     # hints, the CHECKPOINT payload and the report reuse the STABLE one
     assert kinds.count("SIMPLIFY") == 12
     assert len(calls) == 12
+
+
+def test_untraced_run_renders_only_what_hints_read(tmp_path, monkeypatch):
+    import hintprover.cli as cli_mod
+    import hintprover.hints as hints_mod
+
+    rendered, hints_shown = [], []
+    real = hints_mod.clause_sexpr
+
+    def counted(clause):
+        rendered.append(clause)
+        return real(clause)
+
+    for mod in (hints_mod, cli_mod):
+        monkeypatch.setattr(mod, "clause_sexpr", counted)
+        monkeypatch.setattr(mod, "render_hint", hints_shown.append)
+    report = run([evfile(tmp_path, _SPLIT_TERMHINT)])
+    assert format_report(report).endswith("PROVED 0/1\n")
+
+    (t,) = report.files[0].theorems
+    # the stable goals whose termhint finder read CLAUSE and fired
+    read = [data.clause for (goal, kind, data), (after, then, _) in zip(t.events, t.events[1:])
+            if kind == "SIMPLIFY" and isinstance(data, GoalCtx) and (after, then) == (goal, "HINT")]
+    assert len(read) == 4  # of 5 stable goals: the checkpoint has no hint left
+    assert rendered == read
+    assert hints_shown == []

@@ -10,6 +10,7 @@ from hintprover.hints import (
     eval_hint_expr, parse_hint, prove_clause, render_hint, translate_hint_expr,
 )
 from hintprover.termhint import install_prelude
+from hintprover.cli import render_event
 
 
 def tr(text, world=None):
@@ -327,8 +328,9 @@ def test_waterfall_checkpoint_on_stuck_goal():
     assert not r.proved
     kinds = [(name, kind) for name, kind, _ in r.events]
     assert kinds == [("Goal", "SIMPLIFY"), ("Goal", "CHECKPOINT")]
-    assert r.checkpoints[0].goal == "Goal"
-    assert r.checkpoints[0].clause == clause
+    _, _, ctx = r.events[-1]
+    assert ctx.goal_name == "Goal"
+    assert ctx.clause == clause
 
 
 def test_waterfall_explicit_hint_fires_on_arrival():
@@ -338,7 +340,7 @@ def test_waterfall_explicit_hint_fires_on_arrival():
     assert r.proved
     assert [(n, k) for n, k, _ in r.events] == [
         ("Goal", "HINT"), ("Subgoal 1", "PROVED")]
-    assert print_sexpr(r.events[0][2]) == "(:IN-THEORY (ENABLE D))"
+    assert print_sexpr(render_event("HINT", r.events[0][2])) == "(:IN-THEORY (ENABLE D))"
 
 
 def test_waterfall_computed_hint_waits_for_stable():
@@ -348,8 +350,8 @@ def test_waterfall_computed_hint_waits_for_stable():
     assert r.proved
     assert [(n, k) for n, k, _ in r.events] == [
         ("Goal", "SIMPLIFY"), ("Goal", "HINT"), ("Subgoal 1", "PROVED")]
-    name, kind, payload = r.events[0]
-    assert payload.car == Symbol("STABLE")
+    name, kind, data = r.events[0]
+    assert render_event(kind, data).car == Symbol("STABLE")
 
 
 def test_waterfall_split_copies_pending_to_both_children():
@@ -361,7 +363,7 @@ def test_waterfall_split_copies_pending_to_both_children():
     assert hint_goals == ["Subgoal 1", "Subgoal 2"]
     proved_goals = [n for n, k, _ in r.events if k == "PROVED"]
     assert proved_goals == ["Subgoal 1.1", "Subgoal 2.1"]
-    split = [(n, print_sexpr(p)) for n, k, p in r.events if k == "SPLIT"]
+    split = [(n, print_sexpr(render_event(k, d))) for n, k, d in r.events if k == "SPLIT"]
     assert split == [("Goal", "(F Q)")]
 
 
@@ -406,7 +408,8 @@ def test_waterfall_replacement_splices():
         ("Subgoal 1", "HINT"),        # follow-up fires
         ("Subgoal 1.1", "PROVED"),
     ]
-    assert print_sexpr(r.events[0][2]).startswith("(:COMPUTED-HINT-REPLACEMENT")
+    shown = print_sexpr(render_event("HINT", r.events[0][2]))
+    assert shown.startswith("(:COMPUTED-HINT-REPLACEMENT")
 
 
 def test_waterfall_retired_hint_does_not_refire():

@@ -20,6 +20,7 @@ from hintprover.termhint import (
     ProcessError, clause_labels, drop_termhint_hyp, find_hint, install_prelude,
     keyword_fixup, mark_clause_hint, process_termhint, use_termhint,
 )
+from hintprover.cli import render_event
 
 
 def _world():
@@ -352,7 +353,7 @@ def test_prelude_waterfall_round_trip():
     hint = use_termhint(parse_one("`'(:expand ((d ,(hq p) ,(hq q))))"), w)
     r = prove_clause((goal,), [hint], w, StepBudget(100))
     assert r.proved
-    fired = [(n, print_sexpr(p)) for n, k, p in r.events if k == "HINT"]
+    fired = [(n, print_sexpr(render_event(k, d))) for n, k, d in r.events if k == "HINT"]
     assert fired[0][0] == "Goal"
     assert fired[1] == ("Subgoal 1", "(:EXPAND ((D P Q)) :CLAUSE-PROCESSOR DROP-TERMHINT-HYP)")
     assert r.events[-1] == ("Subgoal 1.1", "PROVED", T)
