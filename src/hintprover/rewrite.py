@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .sexpr import ProverError, is_nil
 from .term import (
     App, Const, LamApp, Var, CONST_NIL, CONST_T, FOLDABLE,
-    apply_builtin, beta_reduce, sexpr_equal, substitute, truthy,
+    apply_builtin, beta_reduce, substitute, truthy,
 )
 
 
@@ -37,10 +37,12 @@ class StepBudget:
         self.used = 0
         self.goals = 0
 
-    def take(self):
-        if self.used >= self.limit:
+    def take(self, n=1):
+        """Charge n steps, failing exactly where n single steps would."""
+        if self.used + n > self.limit:
+            self.used = max(self.used, self.limit)
             raise ResourceError(f"step budget of {self.limit} exhausted")
-        self.used += 1
+        self.used += n
 
     def take_goal(self):
         if self.goals >= self.limit:
@@ -63,7 +65,14 @@ def is_false_const(t) -> bool:
 
 
 class Assumptions:
-    """Truth context from the other literals of the clause in play."""
+    """Truth context from the other literals of the clause in play.
+
+    It also holds rewrite_term's memo for this context: `memo` maps
+    (term, iff) to (result, steps charged) under the theory and world
+    named by memo_theory and memo_world.  rewrite_term empties it when it
+    is called under another theory or world, so an answer never crosses
+    theories.  The world must not change while the memo is in use.
+    """
 
     def __init__(self, false_literals=()):
         self.false_terms = set(false_literals)
@@ -72,6 +81,12 @@ class Assumptions:
             for l in self.false_terms
             if isinstance(l, App) and l.fn == "NOT"
         }
+        self.memo = {}
+        self.memo_theory = self.memo_world = None
+
+    def restart_memo(self, theory, world):
+        self.memo = {}
+        self.memo_theory, self.memo_world = theory, world
 
     def decide(self, q):
         """True, False, or None when the context says nothing about q."""
@@ -97,11 +112,9 @@ def match(pattern, target):
 def _match(p, u, subst):
     if isinstance(p, Var):
         if p.name in subst:
-            return subst[p.name] == u
+            return subst[p.name] is u
         subst[p.name] = u
         return True
-    if isinstance(p, Const):
-        return isinstance(u, Const) and sexpr_equal(p.value, u.value)
     if isinstance(p, App):
         if not (isinstance(u, App) and u.fn == p.fn and len(u.args) == len(p.args)):
             return False
@@ -109,7 +122,7 @@ def _match(p, u, subst):
             if not _match(a, b, subst):
                 return False
         return True
-    return p == u
+    return p is u  # terms are interned: equal constants are one object
 
 
 def rewrite_term(t, theory, assumptions, world, budget, iff=False):
@@ -117,6 +130,11 @@ def rewrite_term(t, theory, assumptions, world, budget, iff=False):
 
     With iff=True only the truth value of t must be preserved, which
     admits IFF rules and lets assumptions settle whole subterms.
+
+    Calls are memoized per (t, iff) in assumptions.memo.  A hit charges
+    the steps the first rewrite took again, so the budget reads as if it
+    had been redone.  The lookup is at the entry and the store at the one
+    exit below: a wrapper would cost a stack frame per nesting level.
     """
     if isinstance(t, Var):
         if iff:
@@ -128,34 +146,43 @@ def rewrite_term(t, theory, assumptions, world, budget, iff=False):
         return t
     if isinstance(t, Const):
         return t
+    if assumptions.memo_theory is not theory or assumptions.memo_world is not world:
+        assumptions.restart_memo(theory, world)
+    key = (t, iff)
+    hit = assumptions.memo.get(key)
+    if hit is not None:
+        if hit[1]:
+            budget.take(hit[1])
+        return hit[0]
+    used = budget.used
+
     if isinstance(t, LamApp):
-        return rewrite_term(beta_reduce(t), theory, assumptions, world, budget, iff)
-
-    if t.fn == "HIDE":
-        return t
-
-    if t.fn == "IF":
+        out = rewrite_term(beta_reduce(t), theory, assumptions, world, budget, iff)
+    elif t.fn == "HIDE":
+        out = t
+    elif t.fn == "IF":
         test = rewrite_term(t.args[0], theory, assumptions, world, budget, iff=True)
-        if isinstance(test, Const):
-            branch = t.args[1] if truthy(test.value) else t.args[2]
-            return rewrite_term(branch, theory, assumptions, world, budget, iff)
-        d = assumptions.decide(test)
+        d = truthy(test.value) if isinstance(test, Const) else assumptions.decide(test)
         if d is not None:
             branch = t.args[1] if d else t.args[2]
-            return rewrite_term(branch, theory, assumptions, world, budget, iff)
-        args = (
-            test,
-            rewrite_term(t.args[1], theory, assumptions, world, budget, iff),
-            rewrite_term(t.args[2], theory, assumptions, world, budget, iff),
+            out = rewrite_term(branch, theory, assumptions, world, budget, iff)
+        else:
+            args = (
+                test,
+                rewrite_term(t.args[1], theory, assumptions, world, budget, iff),
+                rewrite_term(t.args[2], theory, assumptions, world, budget, iff),
+            )
+            out = _finish(App("IF", args), theory, assumptions, world, budget, iff)
+    else:
+        arg_iff = _arg_contexts(t.fn, len(t.args))
+        args = tuple(
+            rewrite_term(a, theory, assumptions, world, budget, iff=ai)
+            for a, ai in zip(t.args, arg_iff)
         )
-        return _finish(App("IF", args), theory, assumptions, world, budget, iff)
+        out = _finish(App(t.fn, args), theory, assumptions, world, budget, iff)
 
-    arg_iff = _arg_contexts(t.fn, len(t.args))
-    args = tuple(
-        rewrite_term(a, theory, assumptions, world, budget, iff=ai)
-        for a, ai in zip(t.args, arg_iff)
-    )
-    return _finish(App(t.fn, args), theory, assumptions, world, budget, iff)
+    assumptions.memo[key] = (out, budget.used - used)
+    return out
 
 
 def _arg_contexts(fn, n):

@@ -49,13 +49,21 @@ class Nil:
 NIL = Nil()
 
 
-@dataclass(frozen=True, eq=False)
 class Pair:
     """A cons cell.  Equality and hashing are structural and walk the cdr
-    spine in a loop, so long lists cost no recursion depth."""
+    spine in a loop, so long lists cost no recursion depth.
 
-    car: object
-    cdr: object
+    A cell is never changed after construction: its hash and its printed
+    text (print_sexpr) are computed on first use and kept on the cell.
+    """
+
+    __slots__ = ("car", "cdr", "_hash", "_text")
+
+    def __init__(self, car, cdr):
+        self.car = car
+        self.cdr = cdr
+        self._hash = None
+        self._text = None
 
     def __eq__(self, other):
         if not isinstance(other, Pair):
@@ -70,11 +78,14 @@ class Pair:
         return a is b or a == b
 
     def __hash__(self):
-        cars, cur = [], self
-        while isinstance(cur, Pair):
-            cars.append(cur.car)
-            cur = cur.cdr
-        return hash((tuple(cars), cur))
+        h = self._hash
+        if h is None:
+            cars, cur = [], self
+            while isinstance(cur, Pair):
+                cars.append(cur.car)
+                cur = cur.cdr
+            h = self._hash = hash((tuple(cars), cur))
+        return h
 
     def __repr__(self):
         return print_sexpr(self)
@@ -289,12 +300,17 @@ def print_sexpr(e) -> str:
     if isinstance(e, str):
         return '"' + _escape_string(e) + '"'
     if isinstance(e, Pair):
-        parts = []
-        cur = e
-        while isinstance(cur, Pair):
-            parts.append(print_sexpr(cur.car))
-            cur = cur.cdr
-        if is_nil(cur):
-            return "(" + " ".join(parts) + ")"
-        return "(" + " ".join(parts) + " . " + print_sexpr(cur) + ")"
+        text = e._text
+        if text is None:
+            parts = []
+            cur = e
+            while isinstance(cur, Pair):
+                parts.append(print_sexpr(cur.car))
+                cur = cur.cdr
+            if is_nil(cur):
+                text = "(" + " ".join(parts) + ")"
+            else:
+                text = "(" + " ".join(parts) + " . " + print_sexpr(cur) + ")"
+            e._text = text
+        return text
     raise TypeError(f"not an s-expression: {e!r}")

@@ -8,6 +8,7 @@ never needs to look inside a body for outside variables.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .sexpr import (
@@ -25,52 +26,91 @@ class EvalError(ProverError):
     pass
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+# The constructor table: one live node per structure, so structurally
+# equal terms are the same object and == and hash are identity.  Keys:
+# Var, its name; Const, (type(value), value); App, (fn, args); LamApp,
+# (formals, body, actuals).  A node leaves the table when the last
+# reference to it elsewhere goes.
+_TABLE = weakref.WeakValueDictionary()
+_set = object.__setattr__
+
+
+class _Term:
+    """Base of the interned term classes.
+
+    A node is never changed after construction.  What is derived from it
+    is computed on first use and kept on the node: `_sexpr`, the
+    s-expression unparse returns (each Pair of which keeps its printed
+    text), and `_fv`, the tuple free_vars returns.
+    """
+    __slots__ = ("_sexpr", "_fv", "__weakref__")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        return print_sexpr(unparse(self))
+
+
+def _new(cls, key, **fields):
+    """Build a node of class cls from fields and file it under key."""
+    t = object.__new__(cls)
+    for name, value in fields.items():
+        _set(t, name, value)
+    _set(t, "_sexpr", None)
+    _set(t, "_fv", None)
+    _TABLE[key] = t
+    return t
+
+
+class Var(_Term):
+    __slots__ = ("name",)
+    has_lambda = False
+
+    def __new__(cls, name):
+        t = _TABLE.get(name)
+        return t if t is not None else _new(cls, name, name=name)
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Const:
-    value: object
+class Const(_Term):
+    __slots__ = ("value",)
+    has_lambda = False
+
+    def __new__(cls, value):
+        key = (type(value), value)
+        t = _TABLE.get(key)
+        return t if t is not None else _new(cls, key, value=value)
 
     def __repr__(self):
         return "'" + print_sexpr(self.value)
 
 
-@dataclass(frozen=True)
-class App:
-    """A call (fn args...).  Equality is structural.
+class App(_Term):
+    """A call (fn args...); has_lambda says whether a LamApp occurs in it."""
+    __slots__ = ("fn", "args", "has_lambda")
 
-    The hash is computed on first use and stored on the node, so hashing
-    a term costs one visit per node however often it is rehashed.
-    """
-    fn: str
-    args: tuple
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.fn, self.args))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __repr__(self):
-        return print_sexpr(unparse(self))
+    def __new__(cls, fn, args):
+        key = (fn, args)
+        t = _TABLE.get(key)
+        if t is None:
+            t = _new(cls, key, fn=fn, args=args,
+                     has_lambda=any(a.has_lambda for a in args))
+        return t
 
 
-@dataclass(frozen=True)
-class LamApp:
-    formals: tuple
-    body: object
-    actuals: tuple
+class LamApp(_Term):
+    __slots__ = ("formals", "body", "actuals")
+    has_lambda = True
 
-    def __repr__(self):
-        return print_sexpr(unparse(self))
+    def __new__(cls, formals, body, actuals):
+        key = (formals, body, actuals)
+        t = _TABLE.get(key)
+        if t is None:
+            t = _new(cls, key, formals=formals, body=body, actuals=actuals)
+        return t
 
 
 CONST_T = Const(T)
@@ -205,38 +245,43 @@ def _macro_bstar(form, tr):
     return tr(out)
 
 
+# AND, OR and COND translate their arguments left to right, so the first
+# error reported is the leftmost, and then fold the right-nested IF chain
+# in a loop: a wide form costs no recursion depth.
+
 def _macro_and(form, tr):
-    args = to_list(form.cdr)
+    args = [tr(a) for a in to_list(form.cdr)]
     if not args:
         return CONST_T
-    if len(args) == 1:
-        return tr(args[0])
-    rest = from_list([Symbol("AND")] + args[1:])
-    return App("IF", (tr(args[0]), tr(rest), CONST_NIL))
+    out = args[-1]
+    for a in reversed(args[:-1]):
+        out = App("IF", (a, out, CONST_NIL))
+    return out
 
 
 def _macro_or(form, tr):
-    args = to_list(form.cdr)
+    args = [tr(a) for a in to_list(form.cdr)]
     if not args:
         return CONST_NIL
-    if len(args) == 1:
-        return tr(args[0])
-    first = tr(args[0])
-    rest = from_list([Symbol("OR")] + args[1:])
-    return App("IF", (first, first, tr(rest)))
+    out = args[-1]
+    for a in reversed(args[:-1]):
+        out = App("IF", (a, a, out))
+    return out
 
 
 def _macro_cond(form, tr):
-    clauses = to_list(form.cdr)
-    if not clauses:
-        return CONST_NIL
-    items = to_list(clauses[0]) if isinstance(clauses[0], Pair) else None
-    if not items or len(items) not in (1, 2):
-        raise TranslateError(f"malformed COND clause: {print_sexpr(clauses[0])}")
-    rest = from_list([Symbol("COND")] + clauses[1:])
-    if len(items) == 1:
-        return tr(from_list([Symbol("OR"), items[0], rest]))
-    return App("IF", (tr(items[0]), tr(items[1]), tr(rest)))
+    """(test value) chooses value; a one-form clause (test) yields test itself."""
+    arms = []
+    for c in to_list(form.cdr):
+        items = to_list(c) if isinstance(c, Pair) else None
+        if not items or len(items) not in (1, 2):
+            raise TranslateError(f"malformed COND clause: {print_sexpr(c)}")
+        test = tr(items[0])
+        arms.append((test, tr(items[1]) if len(items) == 2 else test))
+    out = CONST_NIL
+    for test, value in reversed(arms):
+        out = App("IF", (test, value, out))
+    return out
 
 
 def _macro_implies(form, tr):
@@ -294,31 +339,44 @@ def expand_quasiquote(form):
 
 def free_vars(t):
     """Free variable names in left-to-right first-occurrence order."""
-    found = {}
-    _add_free_vars(t, found)
-    return list(found)
+    return list(_free_vars(t))
 
 
-def _add_free_vars(t, found):
-    """Add t's free variables to found, a dict kept in first-insertion order."""
-    if isinstance(t, Var):
-        found[t.name] = None
-    elif isinstance(t, App):
-        for a in t.args:
-            _add_free_vars(a, found)
-    elif isinstance(t, LamApp):
-        for a in t.actuals:
-            _add_free_vars(a, found)
-        for name in free_vars(t.body):
-            if name not in t.formals:
-                found[name] = None
+def _free_vars(t):
+    """free_vars as a tuple, computed once per node and kept on it.
+
+    A lambda's actuals come first, then the body's names its formals
+    do not bind.
+    """
+    fv = t._fv
+    if fv is None:
+        if isinstance(t, Var):
+            fv = (t.name,)
+        elif isinstance(t, Const):
+            fv = ()
+        elif isinstance(t, App):
+            fv = _union([_free_vars(a) for a in t.args])
+        else:
+            bound = set(t.formals)
+            outer = tuple(n for n in _free_vars(t.body) if n not in bound)
+            fv = _union([_free_vars(a) for a in t.actuals] + [outer])
+        _set(t, "_fv", fv)
+    return fv
+
+
+def _union(parts):
+    """The names of parts in first-occurrence order, as a tuple."""
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(dict.fromkeys(n for p in parts for n in p))
 
 
 def make_lamapp(formals, body, actuals):
     """Build a LamApp, closing the body by passing extra free vars through."""
     if len(formals) != len(actuals):
         raise TranslateError("binder/actual count mismatch")
-    extras = [n for n in free_vars(body) if n not in formals]
+    bound = set(formals)
+    extras = [n for n in _free_vars(body) if n not in bound]
     return LamApp(
         tuple(formals) + tuple(extras),
         body,
@@ -397,21 +455,30 @@ class _Translator:
 
 
 def unparse(t):
-    """Render a Term back into a surface SExpr; constants become QUOTE forms."""
-    if isinstance(t, Var):
-        return Symbol(t.name)
-    if isinstance(t, Const):
-        return from_list([QUOTE, t.value])
-    if isinstance(t, App):
-        return from_list([Symbol(t.fn)] + [unparse(a) for a in t.args])
-    if isinstance(t, LamApp):
-        lam = from_list([
-            Symbol("LAMBDA"),
-            from_list([Symbol(n) for n in t.formals]),
-            unparse(t.body),
-        ])
-        return Pair(lam, from_list([unparse(a) for a in t.actuals]))
-    raise TypeError(f"not a term: {t!r}")
+    """Render a Term back into a surface SExpr; constants become QUOTE forms.
+
+    The result is built once per node and kept on it, and it shares the
+    renderings of the node's subterms.
+    """
+    if not isinstance(t, _Term):
+        raise TypeError(f"not a term: {t!r}")
+    out = t._sexpr
+    if out is None:
+        if isinstance(t, Var):
+            out = Symbol(t.name)
+        elif isinstance(t, Const):
+            out = from_list([QUOTE, t.value])
+        elif isinstance(t, App):
+            out = from_list([Symbol(t.fn)] + [unparse(a) for a in t.args])
+        else:
+            lam = from_list([
+                Symbol("LAMBDA"),
+                from_list([Symbol(n) for n in t.formals]),
+                unparse(t.body),
+            ])
+            out = Pair(lam, from_list([unparse(a) for a in t.actuals]))
+        _set(t, "_sexpr", out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +505,17 @@ def substitute(t, subst):
 
 
 def beta_reduce(t):
-    """Bottom-up beta reduction; the result contains no LamApp."""
-    if isinstance(t, (Var, Const)):
+    """Bottom-up beta reduction; the result contains no LamApp.
+
+    A term without a LamApp is returned as it is, at no cost.
+    """
+    if not t.has_lambda:
         return t
     if isinstance(t, App):
         return App(t.fn, tuple(beta_reduce(a) for a in t.args))
-    if isinstance(t, LamApp):
-        body = beta_reduce(t.body)
-        actuals = [beta_reduce(a) for a in t.actuals]
-        return substitute(body, dict(zip(t.formals, actuals)))
-    raise TypeError(f"not a term: {t!r}")
+    body = beta_reduce(t.body)
+    actuals = [beta_reduce(a) for a in t.actuals]
+    return substitute(body, dict(zip(t.formals, actuals)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,13 @@
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hintprover
 from hintprover.sexpr import parse_one, print_sexpr, to_list
 from hintprover.term import App, Const, Var, translate
 from hintprover.world import World
@@ -19,6 +25,13 @@ def evfile(tmp_path, text, name="events.lisp"):
 
 def tr(text, world=None):
     return translate(parse_one(text), world or World())
+
+
+def _child_env(**extra):
+    """The environment for a prover subprocess that imports this package."""
+    src = str(Path(hintprover.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -143,32 +156,45 @@ def test_deep_term_in_file_is_file_error(tmp_path, capsys):
     assert f"ERROR {path}: " in capsys.readouterr().err
 
 
-def test_deep_goal_fails_with_error(tmp_path, capsys):
+def test_deep_goal_and_wide_conjunction_prove(tmp_path, capsys):
+    # Both sides of EQUAL are one interned term, so no comparison recurses;
+    # AND folds its IF chain in a loop, so 600 conjuncts cost no depth.
     deep = "(cons " * 300 + "x" + " y)" * 300
-    path = evfile(tmp_path, f"(defthm deep (equal {deep} {deep}) :rule-classes nil)")
-    assert main([path]) == 1
-    out, err = capsys.readouterr()
-    assert "THEOREM DEEP FAILED" in out
-    assert f"ERROR {path} DEEP: " in err
-
-
-def test_stack_overflow_is_a_named_depth_error(tmp_path, capsys):
+    goal = evfile(tmp_path, f"(defthm deep (equal {deep} {deep}) :rule-classes nil)")
     conjuncts = " ".join(f"(p x{i})" for i in range(600))
     wide = evfile(tmp_path, f"""
       (defstub p 1)
       (defthm w (implies (and {conjuncts}) (p x0)) :rule-classes nil)
     """, "wide.lisp")
-    assert main([wide]) == 2
+    assert main([goal, wide]) == 0
+    out, err = capsys.readouterr()
+    assert "THEOREM DEEP PROVED" in out and "THEOREM W PROVED" in out
+    assert err == ""
+
+
+def test_stack_overflow_is_a_named_depth_error(tmp_path, capsys):
+    deep = "(car " * 600 + "x" + ")" * 600
+    bad = evfile(tmp_path, f"(defthm deep (equal {deep} y) :rule-classes nil)", "deep.lisp")
+    assert main([bad]) == 2
     err = capsys.readouterr().err
-    assert f"ERROR {wide}: nesting depth exceeded" in err
+    assert f"ERROR {bad}: nesting depth exceeded" in err
     assert "maximum recursion depth" not in err
 
-    deep = "(cons " * 300 + "x" + " y)" * 300
-    goal = evfile(tmp_path, f"(defthm deep (equal {deep} {deep}) :rule-classes nil)")
-    assert main([goal]) == 1
-    err = capsys.readouterr().err
-    assert f"ERROR {goal} DEEP: nesting depth exceeded" in err
-    assert "maximum recursion depth" not in err
+    # Each definition opens inside the last: the rewriter nests four frames
+    # per level.  Run as the command line does, so the stack starts at a
+    # known depth: 246 openings fit, as before the rewrite memo.
+    chain = ["(defun g0 (x) (cons x 'nil))"] + [
+        f"(defun g{i} (x) (cons (g{i - 1} x) 'nil))" for i in range(1, 400)]
+    goal = evfile(tmp_path, "\n".join(chain) + """
+      (defthm deep (equal (g399 x) y) :rule-classes nil)
+    """, "chain.lisp")
+    done = subprocess.run([sys.executable, "-m", "hintprover.cli", goal],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert done.returncode == 1
+    assert f"ERROR {goal} DEEP: nesting depth exceeded" in done.stderr
+    assert "maximum recursion depth" not in done.stderr
+    steps = int(re.search(r"THEOREM DEEP FAILED steps=(\d+)", done.stdout).group(1))
+    assert steps >= 246
 
 
 def test_long_quoted_list_proves(tmp_path, capsys):
@@ -511,3 +537,19 @@ def test_untraced_run_renders_only_what_hints_read(tmp_path, monkeypatch):
     assert len(read) == 4  # of 5 stable goals: the checkpoint has no hint left
     assert rendered == read
     assert hints_shown == []
+
+
+def test_trace_is_identical_under_different_hash_seeds():
+    # Terms hash by identity and strings by a per-process seed; neither
+    # may order anything the prover prints.
+    corpus = sorted(str(p) for p in (Path(__file__).resolve().parent.parent / "corpus")
+                    .glob("*.lisp"))
+    outs = []
+    for seed in ("0", "4242"):
+        done = subprocess.run(
+            [sys.executable, "-m", "hintprover.cli", "--trace", "--checkpoints", *corpus],
+            capture_output=True, text=True, timeout=120, env=_child_env(PYTHONHASHSEED=seed))
+        assert done.returncode == 1  # the corpus holds deliberate failures
+        outs.append(done.stdout)
+    assert len(outs[0]) > 1000
+    assert outs[0] == outs[1]

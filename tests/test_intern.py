@@ -1,0 +1,164 @@
+"""Interned terms and the caches kept on them.
+
+Each cached rendering, free-variable list and constructor call is checked
+against a plain, uncached reference kept here.
+"""
+
+import gc
+import random
+import time
+
+from hypothesis import given, seed, settings, strategies as st
+
+from hintprover import term
+from hintprover.sexpr import Pair, QUOTE, Keyword, Symbol, from_list, is_nil, print_sexpr
+from hintprover.term import App, Const, LamApp, Var, free_vars, make_lamapp, unparse
+from hintprover.cli import format_report, main, run
+
+from test_rewrite import _random_if_term, _random_rw_term
+from test_termhint import _random_hint_term
+
+
+def evfile(tmp_path, text, name="events.lisp"):
+    p = tmp_path / name
+    p.write_text(text)
+    return str(p)
+
+
+# ---------------------------------------------------------------------------
+# Plain references: no interning, no caches
+
+def _plain_unparse(t):
+    if isinstance(t, Var):
+        return Symbol(t.name)
+    if isinstance(t, Const):
+        return from_list([QUOTE, t.value])
+    if isinstance(t, App):
+        return from_list([Symbol(t.fn)] + [_plain_unparse(a) for a in t.args])
+    lam = from_list([Symbol("LAMBDA"), from_list([Symbol(n) for n in t.formals]),
+                     _plain_unparse(t.body)])
+    return Pair(lam, from_list([_plain_unparse(a) for a in t.actuals]))
+
+
+def _plain_print(e):
+    if is_nil(e):
+        return "NIL"
+    if isinstance(e, Symbol):
+        return e.name
+    if isinstance(e, Keyword):
+        return ":" + e.name
+    if isinstance(e, int):
+        return str(e)
+    if isinstance(e, str):
+        return '"' + e.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    parts = []
+    while isinstance(e, Pair):
+        parts.append(_plain_print(e.car))
+        e = e.cdr
+    tail = "" if is_nil(e) else " . " + _plain_print(e)
+    return "(" + " ".join(parts) + tail + ")"
+
+
+def _plain_free_vars(t, bound=frozenset(), out=None):
+    out = [] if out is None else out
+    if isinstance(t, Var):
+        if t.name not in bound and t.name not in out:
+            out.append(t.name)
+    elif isinstance(t, App):
+        for a in t.args:
+            _plain_free_vars(a, bound, out)
+    elif isinstance(t, LamApp):
+        for a in t.actuals:
+            _plain_free_vars(a, bound, out)
+        _plain_free_vars(t.body, bound | set(t.formals), out)
+    return out
+
+
+def _rebuild(t):
+    """t constructed again from scratch, bottom up."""
+    if isinstance(t, Var):
+        return Var(str(t.name))
+    if isinstance(t, Const):
+        return Const(t.value)
+    if isinstance(t, App):
+        return App(t.fn, tuple(_rebuild(a) for a in t.args))
+    return LamApp(t.formals, _rebuild(t.body), tuple(_rebuild(a) for a in t.actuals))
+
+
+def _random_term(rng):
+    """A term from one of the acceptance generators, or one under a lambda."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        t = _random_rw_term(rng, 4)
+    elif kind == 1:
+        t = _random_if_term(rng, 4)
+    elif kind == 2:
+        t = _random_hint_term(rng, 4, proper=rng.random() < 0.5)
+    else:
+        inner = _random_rw_term(rng, 3)
+        formals = rng.sample(["X", "Y", "Z"], rng.randrange(3))
+        actuals = [_random_rw_term(rng, 2) for _ in formals]
+        if rng.random() < 0.5:
+            t = make_lamapp(formals, inner, actuals)
+        else:  # left open, so the body's other variables stay free
+            t = LamApp(tuple(formals), inner, tuple(actuals))
+    return t
+
+
+@seed(8)
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_cached_forms_match_plain_references(n):
+    t = _random_term(random.Random(n))
+    assert _random_term(random.Random(n)) is t
+    assert _rebuild(t) is t
+    want_text = _plain_print(_plain_unparse(t))
+    want_vars = _plain_free_vars(t)
+    for _ in range(2):  # cold, then with every cache on t and its subterms warm
+        assert print_sexpr(unparse(t)) == want_text
+        assert free_vars(t) == want_vars
+    assert unparse(t) is unparse(t)
+
+
+# ---------------------------------------------------------------------------
+# The table holds only live terms
+
+def _named(fragment):
+    """Live App and Var nodes whose name contains fragment."""
+    return [t for t in list(term._TABLE.values())
+            if fragment in getattr(t, "fn", getattr(t, "name", ""))]
+
+
+def test_intern_table_drops_terms_once_a_run_is_released(tmp_path):
+    path = evfile(tmp_path, """
+      (defstub zq-stub 1)
+      (defun zq-def (zq-v) (cons (zq-stub zq-v) zq-v))
+      (defthm zq-thm (equal (zq-def zq-w) (cons (zq-stub zq-w) zq-w)))
+      (defthm zq-bad (equal (zq-def zq-w) zq-w) :rule-classes nil)
+    """)
+    gc.collect()
+    before = len(term._TABLE)
+    report = run([path])
+    text = format_report(report, trace=True, checkpoints=True)
+    assert "THEOREM ZQ-THM PROVED" in text and "CHECKPOINT" in text
+    assert _named("ZQ-")
+    del report
+    gc.collect()
+    assert _named("ZQ-") == []
+    assert len(term._TABLE) <= before
+
+
+# ---------------------------------------------------------------------------
+# Sizes that were cubic before free variables were cached
+
+def test_long_let_star_translates_and_proves_fast(tmp_path, capsys):
+    n = 400
+    bindings = " ".join(f"(v{i} (cons v{i + 1} v{i + 1}))" for i in range(n))
+    path = evfile(tmp_path, f"""
+      (defthm lets (equal (let* ({bindings}) v0) (let* ({bindings}) v0))
+        :rule-classes nil)
+    """)
+    t0 = time.perf_counter()
+    assert main([path]) == 0
+    assert time.perf_counter() - t0 < 30  # about 0.5 s here; minutes when cubic
+    assert "THEOREM LETS PROVED steps=0" in capsys.readouterr().out

@@ -230,6 +230,64 @@ def test_rule_application_consumes_budget():
         rw("(cons (d a) (d b))", w, limit=1)
 
 
+def _chain_world(inner="(cons x x)"):
+    """D3 opens into two D2 calls and D2 into two D1 calls: (d3 a) takes 7 steps."""
+    w = World()
+    w.add_definition("D1", ("X",), tr(inner))
+    w.add_definition("D2", ("X",), tr("(d1 (d1 x))", w))
+    w.add_definition("D3", ("X",), tr("(d2 (d2 x))", w))
+    return w
+
+
+def test_memo_hit_charges_the_steps_of_a_fresh_rewrite():
+    w = _chain_world()
+    theory = w.theory()
+    t = tr("(d3 a)", w)
+    b = StepBudget(100)
+    want = rewrite_term(t, theory, Assumptions(), w, b)
+    assert b.used == 7
+    # the second (d3 a) is a hit inside one call, and costs what the first did
+    b = StepBudget(100)
+    assert rewrite_term(App("CONS", (t, t)), theory, Assumptions(), w, b) \
+        is App("CONS", (want, want))
+    assert b.used == 14
+
+    shared = Assumptions()
+    rewrite_term(t, theory, shared, w, StepBudget(100))
+    filled = dict(shared.memo)
+    assert filled[(t, False)] == (want, 7)
+    # (steps already used, limit): room to spare, the exact limit, one short
+    for used, limit in [(0, 100), (0, 7), (3, 10), (0, 6), (3, 9), (0, 0), (5, 5)]:
+        seen = []
+        for a in (Assumptions(), shared):  # a fresh rewrite, then a memo hit
+            b = StepBudget(limit)
+            b.used = used
+            try:
+                out = rewrite_term(t, theory, a, w, b)
+            except ResourceError as e:
+                out = str(e)
+            seen.append((out, b.used))
+        assert seen[0] == seen[1]
+        if used + 7 > limit:
+            assert seen[1] == (f"step budget of {limit} exhausted", limit)
+    assert shared.memo == filled  # every later call was a hit
+
+
+def test_memo_never_answers_under_another_theory_or_world():
+    w = _chain_world()
+    t = tr("(d3 a)", w)
+    on, off = w.theory(), w.theory() - {"D2"}
+    other = _chain_world("(car x)")
+    shared = Assumptions()
+    for theory, world in [(on, w), (off, w), (on, w), (on, other)]:
+        b, fresh_b = StepBudget(100), StepBudget(100)
+        got = rewrite_term(t, theory, shared, world, b)
+        assert got is rewrite_term(t, theory, Assumptions(), world, fresh_b)
+        assert b.used == fresh_b.used
+    assert rewrite_term(t, on, shared, w, StepBudget(100)) is not \
+        rewrite_term(t, off, shared, w, StepBudget(100))
+
+
 def test_hide_blocks_rewriting():
     w = World()
     w.add_definition("D", ("X",), tr("(cons x x)"))
