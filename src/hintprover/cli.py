@@ -137,9 +137,8 @@ def _do_in_theory(world: World, items, max_steps: int):
     if len(items) != 2:
         raise EventError("in-theory expects one ENABLE or DISABLE form")
     enable, disable = _parse_in_theory(items[1])
-    known = set(world.rules) | set(world.definitions)
     for n in enable + disable:
-        if n not in known:
+        if n not in world.rules and n not in world.definitions:
             raise EventError(f"in-theory names unknown rule: {n}")
     world.enabled = (world.enabled | set(enable)) - set(disable)
 
@@ -221,22 +220,21 @@ def _do_defthm(world: World, items, max_steps: int) -> TheoremOutcome:
     rest = items[3:]
     if len(rest) % 2 != 0:
         raise EventError(f"odd keyword list in defthm {name}")
-    for k, v in zip(rest[::2], rest[1::2]):
-        if k == Keyword("RULE-CLASSES"):
-            if is_nil(v):
-                rule_classes = None
-            elif v == Keyword("REWRITE"):
-                rule_classes = "REWRITE"
-            else:
-                raise EventError(f"unsupported rule-classes: {print_sexpr(v)}")
-        elif k == Keyword("HINTS"):
-            if not is_proper_list(v):
-                raise EventError(f"bad :HINTS value in {name}")
-            pending = [_parse_hint_entry(e, world) for e in to_list(v)]
-        else:
-            raise EventError(f"unknown defthm keyword: {print_sexpr(k)}")
-
     try:
+        for k, v in zip(rest[::2], rest[1::2]):
+            if k == Keyword("RULE-CLASSES"):
+                if is_nil(v):
+                    rule_classes = None
+                elif v == Keyword("REWRITE"):
+                    rule_classes = "REWRITE"
+                else:
+                    raise EventError(f"unsupported rule-classes: {print_sexpr(v)}")
+            elif k == Keyword("HINTS"):
+                if not is_proper_list(v):
+                    raise EventError(f"bad :HINTS value in {name}")
+                pending = [_parse_hint_entry(e, world) for e in to_list(v)]
+            else:
+                raise EventError(f"unknown defthm keyword: {print_sexpr(k)}")
         rule = convert_rule(name, body, world) if rule_classes == "REWRITE" else None
         body_term = beta_reduce(translate(body, world))
         clause = clausify(body, world)

@@ -317,9 +317,8 @@ def apply_hint(hint: Hint, clause, theory, world, warn=_warn_stderr):
         clause = expand_calls(clause, hint.expand, world)
 
     if hint.enable or hint.disable:
-        known = set(world.rules) | set(world.definitions)
         for n in hint.enable + hint.disable:
-            if n not in known:
+            if n not in world.rules and n not in world.definitions:
                 raise HintError(f":IN-THEORY names unknown rule: {n}")
         theory = frozenset((set(theory) | set(hint.enable)) - set(hint.disable))
 

@@ -3,7 +3,9 @@
 A clause is a tuple of literal Terms read as a disjunction.  While one
 literal is rewritten, every other literal is assumed false; a literal of
 shape (NOT A) therefore contributes A as a true assumption.  Assumptions
-settle IF tests and propositional subterms, nothing else.
+settle IF tests and propositional subterms, nothing else.  Each literal
+is rewritten under one RewriteContext, which holds them together with
+the theory, the world, the step budget and the literal's memo.
 
 HIDE is opaque here: the rewriter neither descends into it nor applies
 rules to it, and IF splitting ignores tests under it.  Only an explicit
@@ -64,17 +66,22 @@ def is_false_const(t) -> bool:
     return isinstance(t, Const) and is_nil(t.value)
 
 
-class Assumptions:
-    """Truth context from the other literals of the clause in play.
+class RewriteContext:
+    """Everything one literal's rewrite holds fixed: theory, world, budget,
+    the truth context from the other literals of the clause in play, and
+    rewrite_term's memo.
 
-    It also holds rewrite_term's memo for this context: `memo` maps
-    (term, iff) to (result, steps charged) under the theory and world
-    named by memo_theory and memo_world.  rewrite_term empties it when it
-    is called under another theory or world, so an answer never crosses
-    theories.  The world must not change while the memo is in use.
+    `memo` maps (term, iff) to (result, steps charged).  A context serves
+    one theory and one world, so an answer never crosses theories; the
+    world must not change while the context is in use.
     """
 
-    def __init__(self, false_literals=()):
+    __slots__ = ("theory", "world", "budget", "false_terms", "true_terms", "memo")
+
+    def __init__(self, theory, world, budget, false_literals=()):
+        self.theory = theory
+        self.world = world
+        self.budget = budget
         self.false_terms = set(false_literals)
         self.true_terms = {
             l.args[0]
@@ -82,11 +89,6 @@ class Assumptions:
             if isinstance(l, App) and l.fn == "NOT"
         }
         self.memo = {}
-        self.memo_theory = self.memo_world = None
-
-    def restart_memo(self, theory, world):
-        self.memo = {}
-        self.memo_theory, self.memo_world = theory, world
 
     def decide(self, q):
         """True, False, or None when the context says nothing about q."""
@@ -125,20 +127,21 @@ def _match(p, u, subst):
     return p is u  # terms are interned: equal constants are one object
 
 
-def rewrite_term(t, theory, assumptions, world, budget, iff=False):
-    """Rewrite t inside out under the given theory and assumptions.
+def rewrite_term(t, ctx, iff=False):
+    """Rewrite t inside out under ctx, a RewriteContext.
 
     With iff=True only the truth value of t must be preserved, which
-    admits IFF rules and lets assumptions settle whole subterms.
+    admits IFF rules and lets the context settle whole subterms.  The
+    arguments of NOT and IFF are rewritten that way, no others.
 
-    Calls are memoized per (t, iff) in assumptions.memo.  A hit charges
-    the steps the first rewrite took again, so the budget reads as if it
-    had been redone.  The lookup is at the entry and the store at the one
-    exit below: a wrapper would cost a stack frame per nesting level.
+    Calls are memoized per (t, iff) in ctx.memo.  A hit charges the steps
+    the first rewrite took again, so the budget reads as if it had been
+    redone.  The lookup is at the entry and the store at the one exit
+    below: a wrapper would cost a stack frame per nesting level.
     """
     if isinstance(t, Var):
         if iff:
-            d = assumptions.decide(t)
+            d = ctx.decide(t)
             if d is True:
                 return CONST_T
             if d is False:
@@ -146,10 +149,9 @@ def rewrite_term(t, theory, assumptions, world, budget, iff=False):
         return t
     if isinstance(t, Const):
         return t
-    if assumptions.memo_theory is not theory or assumptions.memo_world is not world:
-        assumptions.restart_memo(theory, world)
     key = (t, iff)
-    hit = assumptions.memo.get(key)
+    hit = ctx.memo.get(key)
+    budget = ctx.budget
     if hit is not None:
         if hit[1]:
             budget.take(hit[1])
@@ -157,43 +159,27 @@ def rewrite_term(t, theory, assumptions, world, budget, iff=False):
     used = budget.used
 
     if isinstance(t, LamApp):
-        out = rewrite_term(beta_reduce(t), theory, assumptions, world, budget, iff)
+        out = rewrite_term(beta_reduce(t), ctx, iff)
     elif t.fn == "HIDE":
         out = t
     elif t.fn == "IF":
-        test = rewrite_term(t.args[0], theory, assumptions, world, budget, iff=True)
-        d = truthy(test.value) if isinstance(test, Const) else assumptions.decide(test)
+        test = rewrite_term(t.args[0], ctx, True)
+        d = truthy(test.value) if isinstance(test, Const) else ctx.decide(test)
         if d is not None:
-            branch = t.args[1] if d else t.args[2]
-            out = rewrite_term(branch, theory, assumptions, world, budget, iff)
+            out = rewrite_term(t.args[1] if d else t.args[2], ctx, iff)
         else:
-            args = (
-                test,
-                rewrite_term(t.args[1], theory, assumptions, world, budget, iff),
-                rewrite_term(t.args[2], theory, assumptions, world, budget, iff),
-            )
-            out = _finish(App("IF", args), theory, assumptions, world, budget, iff)
+            args = (test, rewrite_term(t.args[1], ctx, iff), rewrite_term(t.args[2], ctx, iff))
+            out = _finish(App("IF", args), ctx, iff)
     else:
-        arg_iff = _arg_contexts(t.fn, len(t.args))
-        args = tuple(
-            rewrite_term(a, theory, assumptions, world, budget, iff=ai)
-            for a, ai in zip(t.args, arg_iff)
-        )
-        out = _finish(App(t.fn, args), theory, assumptions, world, budget, iff)
+        arg_iff = t.fn == "NOT" or t.fn == "IFF"
+        args = tuple(rewrite_term(a, ctx, arg_iff) for a in t.args)
+        out = _finish(App(t.fn, args), ctx, iff)
 
-    assumptions.memo[key] = (out, budget.used - used)
+    ctx.memo[key] = (out, budget.used - used)
     return out
 
 
-def _arg_contexts(fn, n):
-    if fn == "NOT":
-        return (True,)
-    if fn == "IFF":
-        return (True, True)
-    return (False,) * n
-
-
-def _finish(u, theory, assumptions, world, budget, iff):
+def _finish(u, ctx, iff):
     """Post-child steps at one node: fold, settle, then fire the first
     enabled rule on u's head symbol, in install order (opened definitions
     included).  A rule whose lhs has another head can never match u."""
@@ -202,28 +188,26 @@ def _finish(u, theory, assumptions, world, budget, iff):
     if u.fn in ("EQUAL", "IFF") and u.args[0] == u.args[1]:
         return CONST_T
     if iff:
-        d = assumptions.decide(u)
+        d = ctx.decide(u)
         if d is True:
             return CONST_T
         if d is False:
             return CONST_NIL
 
-    for rule in world.rules_by_fn.get(u.fn, ()):
+    theory = ctx.theory
+    for rule in ctx.world.rules_by_fn.get(u.fn, ()):
         if rule.name not in theory or (rule.equiv == "IFF" and not iff):
             continue
         subst = match(rule.lhs, u)
         if subst is None:
             continue
-        budget.take()
+        ctx.budget.take()
         if not all(
-            is_true_const(
-                rewrite_term(substitute(h, subst), theory, assumptions, world, budget, iff=True)
-            )
+            is_true_const(rewrite_term(substitute(h, subst), ctx, True))
             for h in rule.hyps
         ):
             continue
-        rhs = substitute(rule.rhs, subst)
-        return rewrite_term(rhs, theory, assumptions, world, budget, iff)
+        return rewrite_term(substitute(rule.rhs, subst), ctx, iff)
 
     return u
 
@@ -303,8 +287,8 @@ def simplify_clause(clause, theory, world, budget) -> SimplifyOutcome:
     lits = list(clause)
     changed = False
     for i in range(len(lits)):
-        assumptions = Assumptions([l for j, l in enumerate(lits) if j != i])
-        new = rewrite_term(lits[i], theory, assumptions, world, budget, iff=True)
+        ctx = RewriteContext(theory, world, budget, [l for j, l in enumerate(lits) if j != i])
+        new = rewrite_term(lits[i], ctx, True)
         if new != lits[i]:
             changed = True
             lits[i] = new

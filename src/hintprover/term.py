@@ -338,12 +338,8 @@ def expand_quasiquote(form):
 # Translation
 
 def free_vars(t):
-    """Free variable names in left-to-right first-occurrence order."""
-    return list(_free_vars(t))
-
-
-def _free_vars(t):
-    """free_vars as a tuple, computed once per node and kept on it.
+    """Free variable names in left-to-right first-occurrence order, as a
+    tuple computed once per node and kept on it.
 
     A lambda's actuals come first, then the body's names its formals
     do not bind.
@@ -355,11 +351,11 @@ def _free_vars(t):
         elif isinstance(t, Const):
             fv = ()
         elif isinstance(t, App):
-            fv = _union([_free_vars(a) for a in t.args])
+            fv = _union([free_vars(a) for a in t.args])
         else:
             bound = set(t.formals)
-            outer = tuple(n for n in _free_vars(t.body) if n not in bound)
-            fv = _union([_free_vars(a) for a in t.actuals] + [outer])
+            outer = tuple(n for n in free_vars(t.body) if n not in bound)
+            fv = _union([free_vars(a) for a in t.actuals] + [outer])
         _set(t, "_fv", fv)
     return fv
 
@@ -376,7 +372,7 @@ def make_lamapp(formals, body, actuals):
     if len(formals) != len(actuals):
         raise TranslateError("binder/actual count mismatch")
     bound = set(formals)
-    extras = [n for n in _free_vars(body) if n not in bound]
+    extras = [n for n in free_vars(body) if n not in bound]
     return LamApp(
         tuple(formals) + tuple(extras),
         body,

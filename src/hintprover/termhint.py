@@ -115,31 +115,26 @@ def _interpret_extracted(v, ctx: GoalCtx) -> Hint:
     return hint if hint is not None else Hint()
 
 
-def find_hint(clause, world: World, goal_name: str = "Goal", stable: bool = True,
-              ctx: GoalCtx = None):
-    """Extract the hint carried by the clause's termhint hypothesis, if any.
+def find_hint(ctx: GoalCtx):
+    """Extract the hint carried by the goal's termhint hypothesis, if any.
 
-    ctx, when given, is the goal being searched (the caller's GoalCtx
-    for this clause); the extracted hint is evaluated against it, so a
+    The extracted hint is evaluated against ctx, the goal searched, so a
     clause rendering it already holds is reused.
     """
     carried = None
-    for lit in clause:
+    for lit in ctx.clause:
         if _is_hyp_literal(lit):
             carried = lit.args[0].args[0]
             break
     if carried is None:
         return None
 
-    if ctx is None:
-        ctx = GoalCtx(tuple(clause), goal_name, stable, world)
-
     if isinstance(carried, App) and carried.fn == SEQ_FN:
         first, rest = carried.args
         if isinstance(rest, App) and rest.fn == "HIDE":
             rest = rest.args[0]
         base = _interpret_extracted(keyword_fixup(process_termhint(first)), ctx)
-        stage2 = replace(_hyp_hint(rest, world),
+        stage2 = replace(_hyp_hint(rest, ctx.world),
                          display=from_list([Symbol("USE-TERMHINT"), unparse(rest)]))
         hint = _with_drop(base)
         return replace(hint, replacement=(hint.replacement or ()) + (stage2,))
@@ -191,7 +186,7 @@ def install_prelude(world: World):
     world.add_clause_processor(DROP_PROCESSOR, drop_termhint_hyp)
 
     def run_find(args, ctx):
-        found = find_hint(ctx.clause, ctx.world, ctx.goal_name, ctx.stable, ctx)
+        found = find_hint(ctx)
         return NIL if found is None else found
 
     world.add_hint_fn(HintFn(FIND_FN, 1, run_find))

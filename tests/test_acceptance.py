@@ -11,9 +11,9 @@ from hintprover.sexpr import parse, parse_one, print_sexpr, to_list
 from hintprover.term import App, ground_eval, translate, beta_reduce, unparse
 from hintprover.world import World
 from hintprover.rewrite import (
-    Assumptions, StepBudget, negate_term, rewrite_term, simplify_clause, split_ifs,
+    RewriteContext, StepBudget, negate_term, rewrite_term, simplify_clause, split_ifs,
 )
-from hintprover.hints import clausify, render_hint
+from hintprover.hints import GoalCtx, clausify, render_hint
 from hintprover.termhint import (
     DROP_PROCESSOR, HYP_FN, clause_labels, find_hint, install_prelude,
     keyword_fixup, process_termhint,
@@ -95,13 +95,13 @@ def test_criterion_1_pipeline_hint():
         "       (cons (bar (foo a b) c) (baz (foo a b) d)))"), w))
 
     else_clause = (test, goal, negate_term(App(HYP_FN, (expand_branch,))))
-    h = find_hint(else_clause, w, "Subgoal 1.2", True)
+    h = find_hint(GoalCtx(else_clause, "Subgoal 1.2", True, w))
     assert h.clause_processor == DROP_PROCESSOR
     shown = print_sexpr(render_hint(replace(h, clause_processor=None)))
     assert shown == _EXPAND_GOLDEN
 
     then_clause = (negate_term(test), goal, negate_term(App(HYP_FN, (use_branch,))))
-    h2 = find_hint(then_clause, w, "Subgoal 1.1", True)
+    h2 = find_hint(GoalCtx(then_clause, "Subgoal 1.1", True, w))
     assert h2.use and h2.use[0].name == "MY-LEMMA"
     assert [b[0] for b in h2.use[0].bindings] == ["X", "Y", "Z"]
     assert [print_sexpr(unparse(b[1])) for b in h2.use[0].bindings] == [
@@ -194,7 +194,7 @@ def test_criterion_4_nil_hint():
     w = World()
     install_prelude(w)
     carried = beta_reduce(translate(parse_one("''nil"), w))
-    h = find_hint((negate_term(App(HYP_FN, (carried,))),), w)
+    h = find_hint(GoalCtx((negate_term(App(HYP_FN, (carried,))),), "Goal", True, w))
     assert h.clause_processor == DROP_PROCESSOR
     assert print_sexpr(render_hint(replace(h, clause_processor=None))) == "NIL"
 
@@ -319,7 +319,7 @@ def test_criterion_7_simplifier_properties():
                                          CONST_NIL, (), rng.choice(["EQUAL", "IFF"])))
         theory = frozenset(rng.sample(["D", "F-GONE"], rng.randrange(3)))
         t = App("HIDE", (_random_rw_term(rng, 3),))
-        got = rewrite_term(t, theory, Assumptions(), w, StepBudget(1000),
+        got = rewrite_term(t, RewriteContext(theory, w, StepBudget(1000)),
                            iff=rng.random() < 0.5)
         assert got == t
 

@@ -128,6 +128,19 @@ def test_malformed_implies_is_a_file_error(tmp_path, capsys, rule_classes):
     assert f"ERROR {path}: in BAD: IMPLIES expects two arguments" in err
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("(use-termhint (hq))", "HQ expects 1 arguments, got 0"),
+    ("(:frob x)", "unknown hint keyword: :FROB"),
+])
+def test_bad_hint_entry_names_the_theorem(tmp_path, capsys, entry, message):
+    path = evfile(tmp_path, f"""
+      (defstub f 1)
+      (defthm bad (f x) :rule-classes nil :hints ({entry}))
+    """)
+    assert main([path]) == 2
+    assert f"ERROR {path}: in BAD: {message}\n" in capsys.readouterr().err
+
+
 def test_file_error_aborts_rest_of_file(tmp_path):
     path = evfile(tmp_path, """
       (defthm ok (equal (cons x y) (cons x y)) :rule-classes nil)

@@ -113,7 +113,7 @@ def test_cached_forms_match_plain_references(n):
     assert _random_term(random.Random(n)) is t
     assert _rebuild(t) is t
     want_text = _plain_print(_plain_unparse(t))
-    want_vars = _plain_free_vars(t)
+    want_vars = tuple(_plain_free_vars(t))
     for _ in range(2):  # cold, then with every cache on t and its subterms warm
         assert print_sexpr(unparse(t)) == want_text
         assert free_vars(t) == want_vars

@@ -9,7 +9,7 @@ from hintprover.term import (
 )
 from hintprover.world import RewriteRule, World
 from hintprover.rewrite import (
-    Assumptions, ExpandError, ResourceError, StepBudget, expand_calls,
+    ExpandError, ResourceError, RewriteContext, StepBudget, expand_calls,
     find_split_test, match, negate_term, normalize_definition, replace_subterm,
     rewrite_term, simplify_clause, split_ifs,
 )
@@ -23,7 +23,7 @@ def rw(text_or_term, world=None, theory=None, assume=(), iff=False, limit=100):
     world = world or World()
     t = tr(text_or_term, world) if isinstance(text_or_term, str) else text_or_term
     theory = world.theory() if theory is None else theory
-    return rewrite_term(t, theory, Assumptions(assume), world, StepBudget(limit), iff)
+    return rewrite_term(t, RewriteContext(theory, world, StepBudget(limit), assume), iff)
 
 
 def test_negate_term_unwraps():
@@ -46,7 +46,7 @@ def test_match_basics():
 
 def test_assumptions_decide():
     p, q = Var("P"), Var("Q")
-    a = Assumptions([App("NOT", (p,)), q])
+    a = RewriteContext(frozenset(), World(), StepBudget(0), [App("NOT", (p,)), q])
     assert a.decide(p) is True
     assert a.decide(q) is False
     assert a.decide(App("NOT", (q,))) is True
@@ -150,6 +150,9 @@ def test_iff_rule_needs_iff_context():
     assert rw("(f y)", w, iff=True) == CONST_T
     # NOT passes an iff context down to its argument
     assert rw("(not (f y))", w, iff=False) == CONST_NIL
+    # so does IFF, to both arguments; no other call does
+    assert rw("(iff (f y) (f z))", w, iff=False) == CONST_T
+    assert rw("(cons (f y) (f z))", w, iff=True) == tr("(cons (f y) (f z))", w)
 
 
 def test_definitions_and_rules_fire_in_install_order():
@@ -243,30 +246,32 @@ def test_memo_hit_charges_the_steps_of_a_fresh_rewrite():
     w = _chain_world()
     theory = w.theory()
     t = tr("(d3 a)", w)
-    b = StepBudget(100)
-    want = rewrite_term(t, theory, Assumptions(), w, b)
-    assert b.used == 7
-    # the second (d3 a) is a hit inside one call, and costs what the first did
-    b = StepBudget(100)
-    assert rewrite_term(App("CONS", (t, t)), theory, Assumptions(), w, b) \
-        is App("CONS", (want, want))
-    assert b.used == 14
 
-    shared = Assumptions()
-    rewrite_term(t, theory, shared, w, StepBudget(100))
+    def ctx(limit=100):
+        return RewriteContext(theory, w, StepBudget(limit))
+
+    c = ctx()
+    want = rewrite_term(t, c)
+    assert c.budget.used == 7
+    # the second (d3 a) is a hit inside one call, and costs what the first did
+    c = ctx()
+    assert rewrite_term(App("CONS", (t, t)), c) is App("CONS", (want, want))
+    assert c.budget.used == 14
+
+    shared = ctx()
+    rewrite_term(t, shared)
     filled = dict(shared.memo)
     assert filled[(t, False)] == (want, 7)
     # (steps already used, limit): room to spare, the exact limit, one short
     for used, limit in [(0, 100), (0, 7), (3, 10), (0, 6), (3, 9), (0, 0), (5, 5)]:
         seen = []
-        for a in (Assumptions(), shared):  # a fresh rewrite, then a memo hit
-            b = StepBudget(limit)
-            b.used = used
+        for c in (ctx(), shared):  # a fresh rewrite, then a memo hit
+            c.budget.limit, c.budget.used = limit, used
             try:
-                out = rewrite_term(t, theory, a, w, b)
+                out = rewrite_term(t, c)
             except ResourceError as e:
                 out = str(e)
-            seen.append((out, b.used))
+            seen.append((out, c.budget.used))
         assert seen[0] == seen[1]
         if used + 7 > limit:
             assert seen[1] == (f"step budget of {limit} exhausted", limit)
@@ -274,18 +279,22 @@ def test_memo_hit_charges_the_steps_of_a_fresh_rewrite():
 
 
 def test_memo_never_answers_under_another_theory_or_world():
+    # each context serves one theory and world, and answers as a fresh one would
     w = _chain_world()
     t = tr("(d3 a)", w)
     on, off = w.theory(), w.theory() - {"D2"}
     other = _chain_world("(car x)")
-    shared = Assumptions()
-    for theory, world in [(on, w), (off, w), (on, w), (on, other)]:
-        b, fresh_b = StepBudget(100), StepBudget(100)
-        got = rewrite_term(t, theory, shared, world, b)
-        assert got is rewrite_term(t, theory, Assumptions(), world, fresh_b)
-        assert b.used == fresh_b.used
-    assert rewrite_term(t, on, shared, w, StepBudget(100)) is not \
-        rewrite_term(t, off, shared, w, StepBudget(100))
+    cases = [
+        (on, w, "(let* ((x (cons a a)) (x (cons x x)) (x (cons x x))) (cons x x))", 7),
+        (off, w, "(d2 (d2 a))", 1),
+        (on, other, "(car (car (car (car a))))", 7),
+    ]
+    for theory, world, want, steps in cases:
+        c = RewriteContext(theory, world, StepBudget(100))
+        assert rewrite_term(t, c) is tr(want, world)
+        assert c.budget.used == steps
+        assert rewrite_term(t, c) is tr(want, world)  # a memo hit, charged again
+        assert c.budget.used == 2 * steps
 
 
 def test_hide_blocks_rewriting():
@@ -309,7 +318,7 @@ def test_hide_opacity_random():
         theory = frozenset(rng.sample(["D", "F-GONE"], rng.randrange(3)))
         inner = _random_rw_term(rng, 3)
         t = App("HIDE", (inner,))
-        got = rewrite_term(t, theory, Assumptions(), w, StepBudget(1000),
+        got = rewrite_term(t, RewriteContext(theory, w, StepBudget(1000)),
                            iff=rng.random() < 0.5)
         assert got == t
 

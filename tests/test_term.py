@@ -144,7 +144,7 @@ def test_beta_reduce_eliminates_lambdas():
 
 def test_free_vars_first_occurrence_order():
     t = tr("(cons (cons y x) (let ((a z)) (cons a y)))")
-    assert free_vars(t) == ["Y", "X", "Z"]
+    assert free_vars(t) == ("Y", "X", "Z")
 
 
 def test_make_lamapp_arity_mismatch():

@@ -204,13 +204,13 @@ def test_finder_declines_without_hypothesis():
 
 def test_find_hint_none_without_hypothesis():
     w = _dworld()
-    assert find_hint((Var("G"),), w) is None
+    assert find_hint(GoalCtx((Var("G"),), "Goal", True, w)) is None
 
 
 def test_find_hint_parses_carried_keyword_list():
     w = _dworld()
     clause = (_hyp_lit(Const(parse_one("(:expand ((d x y)))"))), Var("G"))
-    h = find_hint(clause, w)
+    h = find_hint(GoalCtx(clause, "Goal", True, w))
     assert h.expand == (tr("(d x y)", w),)
     assert h.clause_processor == DROP_PROCESSOR
     assert h.replacement is None
@@ -218,7 +218,7 @@ def test_find_hint_parses_carried_keyword_list():
 
 def test_find_hint_nil_is_drop_only():
     w = _dworld()
-    h = find_hint((_hyp_lit(CONST_NIL), Var("G")), w)
+    h = find_hint(GoalCtx((_hyp_lit(CONST_NIL), Var("G")), "Goal", True, w))
     assert h == Hint(clause_processor=DROP_PROCESSOR)
     assert print_sexpr(render_hint(h)) == "(:CLAUSE-PROCESSOR DROP-TERMHINT-HYP)"
 
@@ -232,7 +232,7 @@ def test_find_hint_builds_value_from_live_terms():
             App("CONS", (App("HQ", (tr("(d x y)", w),)), CONST_NIL)),
             CONST_NIL)),
     ))
-    h = find_hint(((_hyp_lit(carried)),), w)
+    h = find_hint(GoalCtx(((_hyp_lit(carried)),), "Goal", True, w))
     assert h.expand == (tr("(d x y)", w),)
 
 
@@ -242,21 +242,21 @@ def test_find_hint_first_hypothesis_wins():
         _hyp_lit(Const(parse_one("(:in-theory (enable d))"))),
         _hyp_lit(Const(parse_one("(:in-theory (disable d))"))),
     )
-    h = find_hint(clause, w)
+    h = find_hint(GoalCtx(clause, "Goal", True, w))
     assert h.enable == ("D",) and not h.disable
 
 
 def test_find_hint_rejects_residual_calls():
     w = _dworld()
     with pytest.raises(ProcessError, match="residual call"):
-        find_hint((_hyp_lit(tr("(d x y)", w)),), w)
+        find_hint(GoalCtx((_hyp_lit(tr("(d x y)", w)),), "Goal", True, w))
 
 
 def test_find_hint_rejects_processor_collision():
     w = _dworld()
     carried = Const(parse_one("(:clause-processor drop-termhint-hyp)"))
     with pytest.raises(ProcessError, match="clause processor"):
-        find_hint((_hyp_lit(carried),), w)
+        find_hint(GoalCtx((_hyp_lit(carried),), "Goal", True, w))
 
 
 def test_find_hint_seq_stages():
@@ -266,7 +266,7 @@ def test_find_hint_seq_stages():
         Const(parse_one("(:in-theory (enable d))")),
         App("HIDE", (stage2_term,)),
     ))
-    h = find_hint((_hyp_lit(carried),), w)
+    h = find_hint(GoalCtx((_hyp_lit(carried),), "Goal", True, w))
     assert h.enable == ("D",)
     assert h.clause_processor == DROP_PROCESSOR
     assert len(h.replacement) == 1
@@ -284,7 +284,7 @@ def test_find_hint_seq_base_keeps_finder_replacement():
     # a seq whose first stage is itself drop-only still re-arms stage two
     w = _dworld()
     carried = App(SEQ_FN, (CONST_NIL, App("HIDE", (Const(NIL),))))
-    h = find_hint((_hyp_lit(carried),), w)
+    h = find_hint(GoalCtx((_hyp_lit(carried),), "Goal", True, w))
     assert h.clause_processor == DROP_PROCESSOR
     assert len(h.replacement) == 1
 
