@@ -304,14 +304,17 @@ def process_file(path: str, max_steps: int, stop_on_failure: bool) -> FileOutcom
     return out
 
 
-def run(paths, max_steps: int = DEFAULT_MAX_STEPS, stop_on_failure: bool = False) -> RunReport:
-    report = RunReport()
+def iter_files(paths, max_steps: int, stop_on_failure: bool):
+    """Process the files in order, yielding each outcome as soon as it is done."""
     for path in paths:
         outcome = process_file(path, max_steps, stop_on_failure)
-        report.files.append(outcome)
+        yield outcome
         if stop_on_failure and any(not t.proved for t in outcome.theorems):
-            break
-    return report
+            return
+
+
+def run(paths, max_steps: int = DEFAULT_MAX_STEPS, stop_on_failure: bool = False) -> RunReport:
+    return RunReport(list(iter_files(paths, max_steps, stop_on_failure)))
 
 
 def render_event(kind: str, data):
@@ -329,29 +332,35 @@ def render_event(kind: str, data):
     return data
 
 
-def format_report(report: RunReport, trace: bool = False, checkpoints: bool = False) -> str:
-    lines = []
-    proved = total = 0
-    for f in report.files:
-        lines.append(f"FILE {f.path}")
-        for t in f.theorems:
-            total += 1
-            if trace:
-                for goal, kind, data in t.events:
-                    lines.append(f"EVENT {goal} {kind} {print_sexpr(render_event(kind, data))}")
-            status = "PROVED" if t.proved else "FAILED"
-            proved += t.proved
-            lines.append(f"THEOREM {t.name} {status} steps={t.steps}")
-            if checkpoints:
-                for ctx in [data for _, kind, data in t.events if kind == "CHECKPOINT"]:
-                    labels = clause_labels(ctx.clause)
-                    head = f"CHECKPOINT {ctx.goal_name}"
-                    if labels:
-                        head += " [" + " ".join(labels) + "]"
-                    lines.append(head)
-                    lines.append("  " + print_sexpr(ctx.sexpr))
-    lines.append(f"PROVED {proved}/{total}")
+def format_file(f: FileOutcome, trace: bool = False, checkpoints: bool = False) -> str:
+    """One file's block of the report: its FILE line, then its theorems."""
+    lines = [f"FILE {f.path}"]
+    for t in f.theorems:
+        if trace:
+            for goal, kind, data in t.events:
+                lines.append(f"EVENT {goal} {kind} {print_sexpr(render_event(kind, data))}")
+        status = "PROVED" if t.proved else "FAILED"
+        lines.append(f"THEOREM {t.name} {status} steps={t.steps}")
+        if checkpoints:
+            for ctx in [data for _, kind, data in t.events if kind == "CHECKPOINT"]:
+                labels = clause_labels(ctx.clause)
+                head = f"CHECKPOINT {ctx.goal_name}"
+                if labels:
+                    head += " [" + " ".join(labels) + "]"
+                lines.append(head)
+                lines.append("  " + print_sexpr(ctx.sexpr))
     return "\n".join(lines) + "\n"
+
+
+def proved_line(files) -> str:
+    """The report's last line: proved theorems out of all theorems."""
+    theorems = [t for f in files for t in f.theorems]
+    return f"PROVED {sum(t.proved for t in theorems)}/{len(theorems)}\n"
+
+
+def format_report(report: RunReport, trace: bool = False, checkpoints: bool = False) -> str:
+    return ("".join(format_file(f, trace, checkpoints) for f in report.files)
+            + proved_line(report.files))
 
 
 def main(argv=None) -> int:
@@ -373,10 +382,14 @@ def main(argv=None) -> int:
     if args.max_steps < 0:
         ap.error(f"--max-steps must not be negative: {args.max_steps}")
 
-    report = run(args.files, max_steps=args.max_steps,
-                 stop_on_failure=args.stop_on_failure)
-    sys.stdout.write(format_report(report, trace=args.trace,
-                                   checkpoints=args.checkpoints))
+    # each file's block goes out when that file is done, so a hang or a
+    # kill keeps what finished; the whole is what format_report prints
+    report = RunReport()
+    for outcome in iter_files(args.files, args.max_steps, args.stop_on_failure):
+        report.files.append(outcome)
+        sys.stdout.write(format_file(outcome, args.trace, args.checkpoints))
+        sys.stdout.flush()
+    sys.stdout.write(proved_line(report.files))
     return report.exit_code
 
 

@@ -412,12 +412,13 @@ def prove_clause(clause, pending, world, budget) -> ProofResult:
     result = ProofResult(proved=True)
     events = result.events
     todo = [("Goal", tuple(clause), list(pending), world.theory())]
+    memos = {}  # one rewrite memo table per theory, for this proof only
     while todo:
         name, clause, pending, theory = todo.pop()
         ctx = GoalCtx(clause, name, False, world)
         found = _first_firing(pending, ctx)
         if found is None:
-            out = simplify_clause(clause, theory, world, budget)
+            out = simplify_clause(clause, theory, world, budget, memos)
             if out.proved:
                 events.append((name, "PROVED", T))
                 continue

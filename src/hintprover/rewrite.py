@@ -5,7 +5,13 @@ literal is rewritten, every other literal is assumed false; a literal of
 shape (NOT A) therefore contributes A as a true assumption.  Assumptions
 settle IF tests and propositional subterms, nothing else.  Each literal
 is rewritten under one RewriteContext, which holds them together with
-the theory, the world, the step budget and the literal's memo.
+the theory, the world, the step budget and a memo table.
+
+The memo outlives the literal: the caller of simplify_clause owns one
+table per theory (`memos`), and every goal of a proof rewrites through
+it.  An entry records which assumption queries its rewrite asked and
+what they answered, and it is reused only where each of them answers
+the same, so a reused answer is the one a fresh rewrite would give.
 
 HIDE is opaque here: the rewriter neither descends into it nor applies
 rules to it, and IF splitting ignores tests under it.  Only an explicit
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from .sexpr import ProverError, is_nil
 from .term import (
     App, Const, LamApp, Var, CONST_NIL, CONST_T, FOLDABLE,
-    apply_builtin, beta_reduce, substitute, truthy,
+    _set, apply_builtin, beta_reduce, substitute, truthy,
 )
 
 
@@ -69,16 +75,20 @@ def is_false_const(t) -> bool:
 class RewriteContext:
     """Everything one literal's rewrite holds fixed: theory, world, budget,
     the truth context from the other literals of the clause in play, and
-    rewrite_term's memo.
+    the memo table rewrite_term reads and fills.
 
-    `memo` maps (term, iff) to (result, steps charged).  A context serves
-    one theory and one world, so an answer never crosses theories; the
-    world must not change while the context is in use.
+    `memo` maps (term, iff) to (result, steps charged, queries), where
+    queries holds the distinct (query, answer) pairs of every decide
+    call the rewrite made, those replayed from inner hits included.  A
+    table serves one theory and one world, but any number of truth
+    contexts: it may be shared by every literal of every goal of a proof
+    under that theory, and the world must not change while it is in use.
+    `log` is this context's record of its decide calls.
     """
 
-    __slots__ = ("theory", "world", "budget", "false_terms", "true_terms", "memo")
+    __slots__ = ("theory", "world", "budget", "false_terms", "true_terms", "memo", "log")
 
-    def __init__(self, theory, world, budget, false_literals=()):
+    def __init__(self, theory, world, budget, memo, false_literals=()):
         self.theory = theory
         self.world = world
         self.budget = budget
@@ -88,9 +98,10 @@ class RewriteContext:
             for l in self.false_terms
             if isinstance(l, App) and l.fn == "NOT"
         }
-        self.memo = {}
+        self.memo = memo
+        self.log = []
 
-    def decide(self, q):
+    def answer(self, q):
         """True, False, or None when the context says nothing about q."""
         if q in self.true_terms:
             return True
@@ -103,6 +114,12 @@ class RewriteContext:
             if p in self.false_terms:
                 return True
         return None
+
+    def decide(self, q):
+        """answer(q), recorded in the log for the memo entries being built."""
+        a = self.answer(q)
+        self.log.append((q, a))
+        return a
 
 
 def match(pattern, target):
@@ -134,10 +151,15 @@ def rewrite_term(t, ctx, iff=False):
     admits IFF rules and lets the context settle whole subterms.  The
     arguments of NOT and IFF are rewritten that way, no others.
 
-    Calls are memoized per (t, iff) in ctx.memo.  A hit charges the steps
-    the first rewrite took again, so the budget reads as if it had been
-    redone.  The lookup is at the entry and the store at the one exit
-    below: a wrapper would cost a stack frame per nesting level.
+    Calls are memoized per (t, iff) in ctx.memo.  An entry is reused
+    only if every query its rewrite asked of decide answers the same in
+    ctx; rewrite_term reads ctx only through decide, so the entry is then
+    what a fresh rewrite would return.  A reuse charges the recorded steps
+    again, so the budget reads (and runs out) as if the work were redone,
+    and adds the entry's queries to ctx.log, since the enclosing entries
+    depend on them too.  A stale entry is recomputed and overwritten.  The
+    lookup is at the entry and the store at the one exit below: a wrapper
+    would cost a stack frame per nesting level.
     """
     if isinstance(t, Var):
         if iff:
@@ -152,11 +174,20 @@ def rewrite_term(t, ctx, iff=False):
     key = (t, iff)
     hit = ctx.memo.get(key)
     budget = ctx.budget
+    log = ctx.log
     if hit is not None:
-        if hit[1]:
-            budget.take(hit[1])
-        return hit[0]
+        out, steps, queries = hit
+        answer = ctx.answer
+        for q, a in queries:
+            if answer(q) is not a:
+                break
+        else:
+            if steps:
+                budget.take(steps)
+            log.extend(queries)
+            return out
     used = budget.used
+    start = len(log)
 
     if isinstance(t, LamApp):
         out = rewrite_term(beta_reduce(t), ctx, iff)
@@ -172,10 +203,11 @@ def rewrite_term(t, ctx, iff=False):
             out = _finish(App("IF", args), ctx, iff)
     else:
         arg_iff = t.fn == "NOT" or t.fn == "IFF"
-        args = tuple(rewrite_term(a, ctx, arg_iff) for a in t.args)
+        args = tuple([rewrite_term(a, ctx, arg_iff) for a in t.args])
         out = _finish(App(t.fn, args), ctx, iff)
 
-    ctx.memo[key] = (out, budget.used - used)
+    ctx.memo[key] = (out, budget.used - used,
+                     frozenset(log[start:]) if len(log) > start else ())
     return out
 
 
@@ -216,17 +248,25 @@ def _finish(u, ctx, iff):
 # IF splitting
 
 def find_split_test(t):
-    """Innermost leftmost IF with a non-constant test, ignoring HIDE."""
-    if isinstance(t, App):
-        if t.fn == "HIDE":
-            return None
-        for a in t.args:
-            r = find_split_test(a)
-            if r is not None:
-                return r
-        if t.fn == "IF" and not isinstance(t.args[0], Const):
-            return t
-    return None
+    """Innermost leftmost IF with a non-constant test, ignoring HIDE.
+
+    The answer is computed once per node and kept in its `_split` slot:
+    False until then, True when it is the node itself (so no node refers
+    to itself), otherwise None or the subterm found.
+    """
+    r = t._split
+    if r is False:
+        r = None
+        if isinstance(t, App) and t.fn != "HIDE":
+            for a in t.args:
+                r = find_split_test(a)
+                if r is not None:
+                    break
+            else:
+                if t.fn == "IF" and not isinstance(t.args[0], Const):
+                    r = True
+        _set(t, "_split", r)
+    return t if r is True else r
 
 
 def replace_subterm(t, old, new):
@@ -283,11 +323,20 @@ def _has_complementary_pair(lits) -> bool:
     )
 
 
-def simplify_clause(clause, theory, world, budget) -> SimplifyOutcome:
+def simplify_clause(clause, theory, world, budget, memos) -> SimplifyOutcome:
+    """One pass: rewrite each literal assuming the others false, drop
+    false literals, then split the first splittable IF.
+
+    memos maps a theory to its memo table (see RewriteContext) and is
+    filled here.  prove_clause passes one dict to every goal of a proof,
+    so later goals reuse earlier rewrites.
+    """
+    memo = memos.setdefault(theory, {})
     lits = list(clause)
     changed = False
     for i in range(len(lits)):
-        ctx = RewriteContext(theory, world, budget, [l for j, l in enumerate(lits) if j != i])
+        ctx = RewriteContext(theory, world, budget, memo,
+                             [l for j, l in enumerate(lits) if j != i])
         new = rewrite_term(lits[i], ctx, True)
         if new != lits[i]:
             changed = True

@@ -41,9 +41,10 @@ class _Term:
     A node is never changed after construction.  What is derived from it
     is computed on first use and kept on the node: `_sexpr`, the
     s-expression unparse returns (each Pair of which keeps its printed
-    text), and `_fv`, the tuple free_vars returns.
+    text), `_fv`, the tuple free_vars returns, and `_split`, what
+    rewrite.find_split_test finds in it (False until it is asked).
     """
-    __slots__ = ("_sexpr", "_fv", "__weakref__")
+    __slots__ = ("_sexpr", "_fv", "_split", "__weakref__")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -59,6 +60,7 @@ def _new(cls, key, **fields):
         _set(t, name, value)
     _set(t, "_sexpr", None)
     _set(t, "_fv", None)
+    _set(t, "_split", False)
     _TABLE[key] = t
     return t
 

@@ -294,13 +294,13 @@ def test_criterion_7_simplifier_properties():
             if not frontier:
                 break
             c = frontier.pop()
-            out = simplify_clause(c, world.theory(), world, StepBudget(10000))
+            out = simplify_clause(c, world.theory(), world, StepBudget(10000), {})
             if out.proved:
                 continue
             if out.changed:
                 frontier.extend(tuple(x) for x in out.clauses)
                 continue
-            again = simplify_clause(c, world.theory(), world, StepBudget(10000))
+            again = simplify_clause(c, world.theory(), world, StepBudget(10000), {})
             assert not again.changed and not again.proved
             assert [tuple(x) for x in again.clauses] == [c]
             checked += 1
@@ -319,7 +319,7 @@ def test_criterion_7_simplifier_properties():
                                          CONST_NIL, (), rng.choice(["EQUAL", "IFF"])))
         theory = frozenset(rng.sample(["D", "F-GONE"], rng.randrange(3)))
         t = App("HIDE", (_random_rw_term(rng, 3),))
-        got = rewrite_term(t, RewriteContext(theory, w, StepBudget(1000)),
+        got = rewrite_term(t, RewriteContext(theory, w, StepBudget(1000), {}),
                            iff=rng.random() < 0.5)
         assert got == t
 

@@ -552,6 +552,94 @@ def test_untraced_run_renders_only_what_hints_read(tmp_path, monkeypatch):
     assert hints_shown == []
 
 
+def test_main_prints_each_file_as_soon_as_it_is_done(tmp_path, monkeypatch, capsys):
+    import hintprover.cli as cli_mod
+
+    first = evfile(tmp_path, "(defthm one (equal x x) :rule-classes nil)", "first.lisp")
+    second = evfile(tmp_path, "(defthm two (equal x y) :rule-classes nil)", "second.lisp")
+    real = cli_mod.process_file
+    held = {}
+
+    def spy(path, *args):
+        held[path] = capsys.readouterr().out  # stdout so far, taken from the capture
+        return real(path, *args)
+
+    monkeypatch.setattr(cli_mod, "process_file", spy)
+    assert main(["--trace", first, second]) == 1
+    rest = capsys.readouterr().out
+    assert held[first] == ""
+    assert held[second] == f"FILE {first}\nEVENT Goal PROVED T\nTHEOREM ONE PROVED steps=0\n"
+    assert rest.startswith(f"FILE {second}\n") and rest.endswith("PROVED 1/2\n")
+
+
+_CORPUS = sorted(str(p) for p in (Path(__file__).resolve().parent.parent / "corpus")
+                 .glob("*.lisp"))
+
+
+@pytest.mark.parametrize("flags", [[], ["--trace"], ["--checkpoints"], ["--stop-on-failure"],
+                                   ["--trace", "--checkpoints", "--stop-on-failure"]])
+def test_streamed_output_is_the_report(flags, capsys):
+    # the blocks main writes file by file add up to format_report's text
+    want = format_report(run(_CORPUS, stop_on_failure="--stop-on-failure" in flags),
+                         trace="--trace" in flags, checkpoints="--checkpoints" in flags)
+    capsys.readouterr()
+    main(flags + _CORPUS)
+    assert capsys.readouterr().out == want
+
+
+# four IF-valued arguments: the goal splits 2^4 ways, and each branch
+# rewrites the termhint literal and the goal with the others again.  The
+# branch functions are enabled definitions, so every opening costs a step.
+_SPLIT4_TERMHINT = """
+  (defstub p0 1) (defstub p1 1) (defstub p2 1) (defstub p3 1)
+  (defun g0 (x) (cons x 'g0)) (defun g1 (x) (cons x 'g1))
+  (defun g2 (x) (cons x 'g2)) (defun g3 (x) (cons x 'g3))
+  (defun h0 (x) (cons x 'h0)) (defun h1 (x) (cons x 'h1))
+  (defun h2 (x) (cons x 'h2)) (defun h3 (x) (cons x 'h3))
+  (defund fw4 (a0 a1 a2 a3) (cons a0 (cons a1 (cons a2 a3))))
+  (defthm split4
+    (equal (fw4 (if (p1 x) (h0 x) (g0 x)) (if (p0 x) (h1 x) (g1 x))
+                (if (p3 x) (g2 x) (h2 x)) (if (p2 x) (g3 x) (h3 x)))
+           (cons (if (p1 x) (h0 x) (g0 x))
+                 (cons (if (p0 x) (h1 x) (g1 x))
+                       (cons (if (p3 x) (g2 x) (h2 x)) (if (p2 x) (g3 x) (h3 x))))))
+    :rule-classes nil
+    :hints ((use-termhint
+             (let* ((t0 (if (p1 x) (h0 x) (g0 x))) (t1 (if (p0 x) (h1 x) (g1 x)))
+                    (t2 (if (p3 x) (g2 x) (h2 x))) (t3 (if (p2 x) (g3 x) (h3 x))))
+               `'(:expand ((fw4 ,(hq t0) ,(hq t1) ,(hq t2) ,(hq t3))))))))
+"""
+
+
+def test_one_memo_per_proof_saves_rewrites_of_split_goals(tmp_path, monkeypatch):
+    import hintprover.hints as hints_mod
+    import hintprover.rewrite as rewrite_mod
+
+    real_rewrite, real_simplify = rewrite_mod.rewrite_term, hints_mod.simplify_clause
+    calls = [0]
+
+    def counted(t, ctx, iff=False):
+        calls[0] += 1
+        return real_rewrite(t, ctx, iff)
+
+    def fresh_memo(clause, theory, world, budget, memos):
+        return real_simplify(clause, theory, world, budget, {})
+
+    monkeypatch.setattr(rewrite_mod, "rewrite_term", counted)
+    path = evfile(tmp_path, _SPLIT4_TERMHINT)
+    outcomes = []
+    for patch in (False, True):  # the proof's memo, then a fresh one per simplify_clause
+        if patch:
+            monkeypatch.setattr(hints_mod, "simplify_clause", fresh_memo)
+        calls[0] = 0
+        (t,) = run([path]).files[0].theorems
+        outcomes.append((t.proved, t.steps, calls[0]))
+    (shared_proved, shared_steps, shared), (fresh_proved, fresh_steps, fresh) = outcomes
+    assert shared_proved and fresh_proved
+    assert shared_steps == fresh_steps == 24
+    assert shared <= 0.6 * fresh, (shared, fresh)  # 1,884 against 3,355
+
+
 def test_trace_is_identical_under_different_hash_seeds():
     # Terms hash by identity and strings by a per-process seed; neither
     # may order anything the prover prints.

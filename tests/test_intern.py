@@ -1,7 +1,7 @@
 """Interned terms and the caches kept on them.
 
-Each cached rendering, free-variable list and constructor call is checked
-against a plain, uncached reference kept here.
+Each cached rendering, free-variable list, split search and constructor
+call is checked against a plain, uncached reference kept here.
 """
 
 import gc
@@ -13,6 +13,7 @@ from hypothesis import given, seed, settings, strategies as st
 from hintprover import term
 from hintprover.sexpr import Pair, QUOTE, Keyword, Symbol, from_list, is_nil, print_sexpr
 from hintprover.term import App, Const, LamApp, Var, free_vars, make_lamapp, unparse
+from hintprover.rewrite import find_split_test
 from hintprover.cli import format_report, main, run
 
 from test_rewrite import _random_if_term, _random_rw_term
@@ -74,6 +75,30 @@ def _plain_free_vars(t, bound=frozenset(), out=None):
     return out
 
 
+def _plain_find_split_test(t):
+    """Innermost leftmost IF with a non-constant test outside HIDE, uncached."""
+    if isinstance(t, App) and t.fn != "HIDE":
+        for a in t.args:
+            r = _plain_find_split_test(a)
+            if r is not None:
+                return r
+        if t.fn == "IF" and not isinstance(t.args[0], Const):
+            return t
+    return None
+
+
+def _subterms(t):
+    yield t
+    if isinstance(t, App):
+        kids = t.args
+    elif isinstance(t, LamApp):
+        kids = t.actuals + (t.body,)
+    else:
+        kids = ()
+    for a in kids:
+        yield from _subterms(a)
+
+
 def _rebuild(t):
     """t constructed again from scratch, bottom up."""
     if isinstance(t, Var):
@@ -114,10 +139,14 @@ def test_cached_forms_match_plain_references(n):
     assert _rebuild(t) is t
     want_text = _plain_print(_plain_unparse(t))
     want_vars = tuple(_plain_free_vars(t))
+    want_split = _plain_find_split_test(t)
     for _ in range(2):  # cold, then with every cache on t and its subterms warm
         assert print_sexpr(unparse(t)) == want_text
         assert free_vars(t) == want_vars
+        assert find_split_test(t) is want_split
     assert unparse(t) is unparse(t)
+    for u in _subterms(t):  # some answers cached by the walks above, some not
+        assert find_split_test(u) is _plain_find_split_test(u)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ def rw(text_or_term, world=None, theory=None, assume=(), iff=False, limit=100):
     world = world or World()
     t = tr(text_or_term, world) if isinstance(text_or_term, str) else text_or_term
     theory = world.theory() if theory is None else theory
-    return rewrite_term(t, RewriteContext(theory, world, StepBudget(limit), assume), iff)
+    return rewrite_term(t, RewriteContext(theory, world, StepBudget(limit), {}, assume), iff)
 
 
 def test_negate_term_unwraps():
@@ -46,7 +46,7 @@ def test_match_basics():
 
 def test_assumptions_decide():
     p, q = Var("P"), Var("Q")
-    a = RewriteContext(frozenset(), World(), StepBudget(0), [App("NOT", (p,)), q])
+    a = RewriteContext(frozenset(), World(), StepBudget(0), {}, [App("NOT", (p,)), q])
     assert a.decide(p) is True
     assert a.decide(q) is False
     assert a.decide(App("NOT", (q,))) is True
@@ -247,8 +247,8 @@ def test_memo_hit_charges_the_steps_of_a_fresh_rewrite():
     theory = w.theory()
     t = tr("(d3 a)", w)
 
-    def ctx(limit=100):
-        return RewriteContext(theory, w, StepBudget(limit))
+    def ctx(limit=100, memo=None):
+        return RewriteContext(theory, w, StepBudget(limit), {} if memo is None else memo)
 
     c = ctx()
     want = rewrite_term(t, c)
@@ -258,14 +258,15 @@ def test_memo_hit_charges_the_steps_of_a_fresh_rewrite():
     assert rewrite_term(App("CONS", (t, t)), c) is App("CONS", (want, want))
     assert c.budget.used == 14
 
-    shared = ctx()
-    rewrite_term(t, shared)
-    filled = dict(shared.memo)
-    assert filled[(t, False)] == (want, 7)
+    # the table outlives the context that filled it
+    shared = {}
+    rewrite_term(t, ctx(memo=shared))
+    filled = dict(shared)
+    assert filled[(t, False)] == (want, 7, ())  # no assumption was consulted
     # (steps already used, limit): room to spare, the exact limit, one short
     for used, limit in [(0, 100), (0, 7), (3, 10), (0, 6), (3, 9), (0, 0), (5, 5)]:
         seen = []
-        for c in (ctx(), shared):  # a fresh rewrite, then a memo hit
+        for c in (ctx(), ctx(memo=shared)):  # a fresh rewrite, then a memo hit
             c.budget.limit, c.budget.used = limit, used
             try:
                 out = rewrite_term(t, c)
@@ -275,26 +276,129 @@ def test_memo_hit_charges_the_steps_of_a_fresh_rewrite():
         assert seen[0] == seen[1]
         if used + 7 > limit:
             assert seen[1] == (f"step budget of {limit} exhausted", limit)
-    assert shared.memo == filled  # every later call was a hit
+    assert shared == filled  # every later call was a hit
 
 
 def test_memo_never_answers_under_another_theory_or_world():
-    # each context serves one theory and world, and answers as a fresh one would
+    # a proof keeps one table per theory and never changes its world: each
+    # table answers as a fresh one would
     w = _chain_world()
     t = tr("(d3 a)", w)
     on, off = w.theory(), w.theory() - {"D2"}
     other = _chain_world("(car x)")
+    memos = {id(w): {}, id(other): {}}  # one proof's memos per world
     cases = [
         (on, w, "(let* ((x (cons a a)) (x (cons x x)) (x (cons x x))) (cons x x))", 7),
         (off, w, "(d2 (d2 a))", 1),
         (on, other, "(car (car (car (car a))))", 7),
     ]
     for theory, world, want, steps in cases:
-        c = RewriteContext(theory, world, StepBudget(100))
+        table = memos[id(world)].setdefault(theory, {})
+        c = RewriteContext(theory, world, StepBudget(100), table)
         assert rewrite_term(t, c) is tr(want, world)
         assert c.budget.used == steps
-        assert rewrite_term(t, c) is tr(want, world)  # a memo hit, charged again
+        c2 = RewriteContext(theory, world, c.budget, table)
+        assert rewrite_term(t, c2) is tr(want, world)  # a memo hit, charged again
         assert c.budget.used == 2 * steps
+    assert len(memos[id(w)]) == 2 and len(memos[id(other)]) == 1
+
+
+def test_memo_entry_is_recomputed_when_an_assumption_changes():
+    w = _chain_world()
+    w.add_stub("P", 1)
+    theory = w.theory()
+    p = tr("(p x)", w)
+    t = tr("(cons (if (p x) (d1 a) (d2 a)) c)", w)
+    memo = {}
+
+    def run(false_literals):
+        c = RewriteContext(theory, w, StepBudget(100), memo, false_literals)
+        return rewrite_term(t, c), c.budget.used
+
+    # (p x) true: the entry records that it asked about (p x) and heard True
+    assert run([negate_term(p)]) == (tr("(cons (cons a a) c)"), 1)
+    assert memo[(t, False)][2] == frozenset({(p, True)})
+    # (p x) false: the entry is stale, so the other branch is rewritten
+    assert run([p]) == (tr("(cons (cons (cons a a) (cons a a)) c)"), 3)
+    assert memo[(t, False)][2] == frozenset({(p, False)})
+    # nothing known about (p x): the IF stays, both branches rewritten
+    assert run([]) == (tr("(cons (if (p x) (cons a a) (cons (cons a a) (cons a a))) c)", w), 4)
+    assert memo[(t, False)][2] == frozenset({(p, None)})
+    # an assumption the entry never asked about does not make it stale
+    again = memo[(t, False)]
+    assert run([tr("(p y)", w)]) == (tr("(cons (if (p x) (cons a a) (cons (cons a a) (cons a a))) c)", w), 4)
+    assert memo[(t, False)] is again
+
+
+def _oracle_world():
+    """D opens into an IF on (f x); both rules have a hypothesis to settle."""
+    w = World()
+    w.add_stub("F", 1)
+    w.add_definition("D", ("X",), tr("(if (f x) (cons x x) (car x))", w))
+    w.add_rule("F-CAR", RewriteRule("F-CAR", tr("(f (car x))", w), CONST_T,
+                                    (tr("(f x)", w),), "IFF"))
+    w.add_rule("CAR-F", RewriteRule("CAR-F", tr("(car (f x))", w), Var("X"),
+                                    (tr("(not (equal x 'k))", w),), "EQUAL"))
+    return w
+
+
+def test_shared_memo_answers_as_a_fresh_context_random():
+    # one table per term, shared by contexts drawn from a small pool of
+    # literals, under limits with room, exact and short
+    w = _oracle_world()
+    pool = [tr(s, w) for s in ["x", "(not x)", "y", "(f x)", "(not (f y))", "(f (car z))",
+                               "(equal x y)", "(not (equal y 'k))", "(car x)", "(f '3)"]]
+    theory = w.theory()
+    rng = random.Random(4113)
+    hits = stale = 0
+    for _ in range(150):
+        memo = {}
+        t = _random_rw_term(rng, 4)
+        for _ in range(6):
+            assume = rng.sample(pool, rng.randrange(4))
+            iff = rng.random() < 0.5
+            fresh = RewriteContext(theory, w, StepBudget(10000), {}, assume)
+            want = rewrite_term(t, fresh, iff)
+            full = fresh.budget.used
+            for limit in (10000, full, max(full - 1, 0), rng.randrange(full + 1)):
+                seen = []
+                for table in ({}, memo):  # a fresh table, then the shared one
+                    entry = table.get((t, iff))
+                    c = RewriteContext(theory, w, StepBudget(limit), table, assume)
+                    try:
+                        out = rewrite_term(t, c, iff)
+                    except ResourceError as e:
+                        out = str(e)
+                    seen.append((out, c.budget.used))
+                    if entry is not None and not isinstance(out, str):
+                        if table.get((t, iff)) is entry:
+                            hits += 1
+                        else:
+                            stale += 1
+                assert seen[0] == seen[1], (t, assume, iff, limit)
+                if limit == 10000:
+                    assert seen[0] == (want, full)
+    assert hits > 1000 and stale > 20  # both ways of a lookup were exercised
+
+
+def test_one_memos_dict_serves_two_theories_as_fresh_tables_would():
+    w = _chain_world()
+    w.add_stub("P", 1)
+    on, off = w.theory(), w.theory() - {"D2"}
+    clauses = [
+        (tr("(equal (d3 a) (cons (d2 a) b))", w),),
+        (tr("(not (p x))", w), tr("(equal (if (p x) (d3 a) (d2 b)) (d1 a))", w)),
+        (tr("(p x)", w), tr("(equal (if (p x) (d3 a) (d2 b)) (d1 a))", w)),
+    ]
+    memos = {}
+    for theory in (on, off, on, off):
+        for clause in clauses:
+            fresh, shared = StepBudget(1000), StepBudget(1000)
+            want = simplify_clause(clause, theory, w, fresh, {})
+            got = simplify_clause(clause, theory, w, shared, memos)
+            assert got == want
+            assert shared.used == fresh.used
+    assert set(memos) == {on, off}
 
 
 def test_hide_blocks_rewriting():
@@ -318,7 +422,7 @@ def test_hide_opacity_random():
         theory = frozenset(rng.sample(["D", "F-GONE"], rng.randrange(3)))
         inner = _random_rw_term(rng, 3)
         t = App("HIDE", (inner,))
-        got = rewrite_term(t, RewriteContext(theory, w, StepBudget(1000)),
+        got = rewrite_term(t, RewriteContext(theory, w, StepBudget(1000), {}),
                            iff=rng.random() < 0.5)
         assert got == t
 
@@ -448,7 +552,7 @@ def test_split_ifs_preserves_truth_tables():
 # simplify_clause
 
 def test_simplify_true_literal_proves():
-    out = simplify_clause((tr("(equal x x)"),), frozenset(), World(), StepBudget(10))
+    out = simplify_clause((tr("(equal x x)"),), frozenset(), World(), StepBudget(10), {})
     assert out.proved and out.clauses == []
 
 
@@ -456,7 +560,7 @@ def test_simplify_drops_false_literals():
     w = World()
     w.add_stub("F", 1)
     out = simplify_clause((tr("(consp '7)"), tr("(f x)", w)),
-                          frozenset(), w, StepBudget(10))
+                          frozenset(), w, StepBudget(10), {})
     assert not out.proved and out.changed
     assert out.clauses == [(tr("(f x)", w),)]
 
@@ -465,7 +569,7 @@ def test_simplify_complementary_pair_proves():
     w = World()
     w.add_stub("F", 1)
     lit = tr("(f x)", w)
-    out = simplify_clause((lit, negate_term(lit)), frozenset(), w, StepBudget(10))
+    out = simplify_clause((lit, negate_term(lit)), frozenset(), w, StepBudget(10), {})
     assert out.proved
 
 
@@ -473,7 +577,7 @@ def test_simplify_assumptions_between_literals():
     w = World()
     # second literal is decided false under the first literal's negation
     clause = (tr("(not (consp x))", w), tr("(if (consp x) (equal 'a 'a) 'nil)", w))
-    out = simplify_clause(clause, frozenset(), w, StepBudget(10))
+    out = simplify_clause(clause, frozenset(), w, StepBudget(10), {})
     assert out.proved
 
 
@@ -481,7 +585,7 @@ def test_simplify_splits_and_reports():
     w = World()
     w.add_stub("F", 1)
     clause = (tr("(if (f x) (equal a b) (equal c d))", w),)
-    out = simplify_clause(clause, frozenset(), w, StepBudget(10))
+    out = simplify_clause(clause, frozenset(), w, StepBudget(10), {})
     assert out.changed and not out.proved
     assert out.split_test == tr("(f x)", w)
     assert len(out.clauses) == 2
@@ -501,13 +605,13 @@ def test_simplify_stable_fixpoint():
             if not frontier:
                 break
             c = frontier.pop()
-            out = simplify_clause(c, frozenset(), w, StepBudget(10000))
+            out = simplify_clause(c, frozenset(), w, StepBudget(10000), {})
             if out.proved:
                 continue
             if out.changed:
                 frontier.extend(tuple(x) for x in out.clauses)
                 continue
-            again = simplify_clause(c, frozenset(), w, StepBudget(10000))
+            again = simplify_clause(c, frozenset(), w, StepBudget(10000), {})
             assert not again.changed and not again.proved
             assert again.clauses == [tuple(c)]
         assert not frontier
