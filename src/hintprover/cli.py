@@ -12,6 +12,7 @@ ran out of steps, 2 on malformed input or bad events.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -271,8 +272,13 @@ EVENT_HANDLERS = {
 
 
 def _error_text(e: Exception) -> str:
-    """An error's message; Python's own text for a stack overflow is not shown."""
-    return "nesting depth exceeded" if isinstance(e, RecursionError) else str(e)
+    """An error's message; Python's own text for a stack overflow or an
+    undecodable file is not shown."""
+    if isinstance(e, RecursionError):
+        return "nesting depth exceeded"
+    if isinstance(e, UnicodeDecodeError):
+        return f"not {e.encoding} text: {e.reason}"
+    return str(e)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +304,7 @@ def process_file(path: str, max_steps: int, stop_on_failure: bool) -> FileOutcom
                     print(f"ERROR {path} {outcome.name}: {outcome.error}", file=sys.stderr)
                 if stop_on_failure and not outcome.proved:
                     break
-    except (OSError, ProverError, RecursionError) as e:
+    except (OSError, UnicodeDecodeError, ProverError, RecursionError) as e:
         out.error = _error_text(e)
         print(f"ERROR {path}: {out.error}", file=sys.stderr)
     return out
@@ -394,7 +400,15 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+    except BrokenPipeError:
+        # The reader of stdout left early, as `prover ... | head` does.
+        # Point stdout at the null device so the flush at exit cannot fail
+        # again, and end with the status of a process killed by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 128 + 13
+    sys.exit(code)
 
 
 if __name__ == "__main__":

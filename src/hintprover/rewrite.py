@@ -125,10 +125,12 @@ class RewriteContext:
 def match(pattern, target):
     """One-way match; repeated pattern variables must bind equal terms."""
     subst = {}
-    return subst if _match(pattern, target, subst) else None
+    return subst if _match(pattern, target, subst, set()) else None
 
 
-def _match(p, u, subst):
+def _match(p, u, subst, matched):
+    """matched holds the (pattern, target) call pairs matched so far: a
+    shared pattern node is matched against each target node once."""
     if isinstance(p, Var):
         if p.name in subst:
             return subst[p.name] is u
@@ -137,9 +139,13 @@ def _match(p, u, subst):
     if isinstance(p, App):
         if not (isinstance(u, App) and u.fn == p.fn and len(u.args) == len(p.args)):
             return False
+        pair = (p, u)
+        if pair in matched:
+            return True
         for a, b in zip(p.args, u.args):
-            if not _match(a, b, subst):
+            if not _match(a, b, subst, matched):
                 return False
+        matched.add(pair)
         return True
     return p is u  # terms are interned: equal constants are one object
 
@@ -200,11 +206,11 @@ def rewrite_term(t, ctx, iff=False):
             out = rewrite_term(t.args[1] if d else t.args[2], ctx, iff)
         else:
             args = (test, rewrite_term(t.args[1], ctx, iff), rewrite_term(t.args[2], ctx, iff))
-            out = _finish(App("IF", args), ctx, iff)
+            out = _finish(t if args == t.args else App("IF", args), ctx, iff)
     else:
         arg_iff = t.fn == "NOT" or t.fn == "IFF"
         args = tuple([rewrite_term(a, ctx, arg_iff) for a in t.args])
-        out = _finish(App(t.fn, args), ctx, iff)
+        out = _finish(t if args == t.args else App(t.fn, args), ctx, iff)
 
     ctx.memo[key] = (out, budget.used - used,
                      frozenset(log[start:]) if len(log) > start else ())
@@ -270,15 +276,34 @@ def find_split_test(t):
 
 
 def replace_subterm(t, old, new):
-    """Replace every visible occurrence of old; HIDE contents stay put."""
-    if t == old:
+    """Replace every visible occurrence of old; HIDE contents stay put.
+
+    Each shared node is visited once.  When old holds a splittable IF, a
+    lambda-free call in which find_split_test finds none cannot hold old
+    (the search would have found old's), so it is returned unvisited.
+    """
+    return _replace(t, old, new, find_split_test(old) is not None, {})
+
+
+def _replace(t, old, new, prune, done):
+    if t is old:
         return new
     if isinstance(t, App):
-        if t.fn == "HIDE":
+        if t.fn == "HIDE" or prune and not t.has_lambda and find_split_test(t) is None:
             return t
-        return App(t.fn, tuple(replace_subterm(a, old, new) for a in t.args))
+        out = done.get(t)
+        if out is None:
+            args = tuple([_replace(a, old, new, prune, done) for a in t.args])
+            out = t if args == t.args else App(t.fn, args)
+            done[t] = out
+        return out
     if isinstance(t, LamApp):
-        return LamApp(t.formals, t.body, tuple(replace_subterm(a, old, new) for a in t.actuals))
+        out = done.get(t)
+        if out is None:
+            actuals = tuple([_replace(a, old, new, prune, done) for a in t.actuals])
+            out = t if actuals == t.actuals else LamApp(t.formals, t.body, actuals)
+            done[t] = out
+        return out
     return t
 
 
@@ -375,25 +400,38 @@ def expand_calls(clause, targets, world):
         if pat.fn != "HIDE" and pat.fn not in world.definitions:
             raise ExpandError(f"no definition to expand: {pat.fn}")
 
-    return tuple(_expand(lit, targets, world) for lit in clause)
+    done = {}  # node -> its expansion, shared by the literals
+    return tuple([_expand(lit, targets, world, done) for lit in clause])
 
 
-def _expand(t, targets, world):
-    if isinstance(t, App):
+def _expand(t, targets, world, done):
+    if not isinstance(t, (App, LamApp)):
+        return t
+    out = done.get(t)
+    if out is not None:
+        return out
+    if isinstance(t, LamApp):
+        actuals = tuple([_expand(a, targets, world, done) for a in t.actuals])
+        out = t if actuals == t.actuals else LamApp(t.formals, t.body, actuals)
+    else:
         for pat in targets:
             subst = match(pat, t)
             if subst is None:
                 continue
             if pat.fn == "HIDE":
-                return t.args[0]
-            d = world.definitions[pat.fn]
-            return beta_reduce(substitute(d.body, dict(zip(d.formals, t.args))))
-        if t.fn == "HIDE":
-            return t
-        return App(t.fn, tuple(_expand(a, targets, world) for a in t.args))
-    if isinstance(t, LamApp):
-        return LamApp(t.formals, t.body, tuple(_expand(a, targets, world) for a in t.actuals))
-    return t
+                out = t.args[0]
+            else:
+                d = world.definitions[pat.fn]
+                out = beta_reduce(substitute(d.body, dict(zip(d.formals, t.args))))
+            break
+        else:
+            if t.fn == "HIDE":
+                out = t
+            else:
+                args = tuple([_expand(a, targets, world, done) for a in t.args])
+                out = t if args == t.args else App(t.fn, args)
+    done[t] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +443,27 @@ def normalize_definition(body, budget: StepBudget):
     Applies to every function including HIDE; opacity matters when
     rewriting, not when a definition is installed.  Each lift takes one
     step from budget, since k IF-valued arguments need 2^k - 1 lifts.
+
+    A shared node is normalized once.  Its entry keeps the steps that took,
+    and each reuse takes them again, so the budget runs out where a walk
+    over the unshared tree would.
     """
-    if not isinstance(body, App):
-        return body
-    return _lift_ifs(body.fn, [normalize_definition(a, budget) for a in body.args], budget)
+    return _normalize(body, budget, {})
+
+
+def _normalize(t, budget, done):
+    if not isinstance(t, App):
+        return t
+    hit = done.get(t)
+    if hit is not None:
+        out, steps = hit
+        if steps:
+            budget.take(steps)
+        return out
+    used = budget.used
+    out = _lift_ifs(t.fn, [_normalize(a, budget, done) for a in t.args], budget)
+    done[t] = (out, budget.used - used)
+    return out
 
 
 def _lift_ifs(fn, args, budget):

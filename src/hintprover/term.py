@@ -9,7 +9,7 @@ never needs to look inside a body for outside variables.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .sexpr import (
     NIL, Keyword, Pair, ProverError, Symbol, T,
@@ -53,11 +53,8 @@ class _Term:
         return print_sexpr(unparse(self))
 
 
-def _new(cls, key, **fields):
-    """Build a node of class cls from fields and file it under key."""
-    t = object.__new__(cls)
-    for name, value in fields.items():
-        _set(t, name, value)
+def _file(t, key):
+    """Give the new node t empty caches and file it under key."""
     _set(t, "_sexpr", None)
     _set(t, "_fv", None)
     _set(t, "_split", False)
@@ -71,7 +68,11 @@ class Var(_Term):
 
     def __new__(cls, name):
         t = _TABLE.get(name)
-        return t if t is not None else _new(cls, name, name=name)
+        if t is None:
+            t = object.__new__(cls)
+            _set(t, "name", name)
+            _file(t, name)
+        return t
 
     def __repr__(self):
         return self.name
@@ -84,7 +85,11 @@ class Const(_Term):
     def __new__(cls, value):
         key = (type(value), value)
         t = _TABLE.get(key)
-        return t if t is not None else _new(cls, key, value=value)
+        if t is None:
+            t = object.__new__(cls)
+            _set(t, "value", value)
+            _file(t, key)
+        return t
 
     def __repr__(self):
         return "'" + print_sexpr(self.value)
@@ -98,8 +103,16 @@ class App(_Term):
         key = (fn, args)
         t = _TABLE.get(key)
         if t is None:
-            t = _new(cls, key, fn=fn, args=args,
-                     has_lambda=any(a.has_lambda for a in args))
+            t = object.__new__(cls)
+            _set(t, "fn", fn)
+            _set(t, "args", args)
+            lam = False
+            for a in args:
+                if a.has_lambda:
+                    lam = True
+                    break
+            _set(t, "has_lambda", lam)
+            _file(t, key)
         return t
 
 
@@ -111,7 +124,11 @@ class LamApp(_Term):
         key = (formals, body, actuals)
         t = _TABLE.get(key)
         if t is None:
-            t = _new(cls, key, formals=formals, body=body, actuals=actuals)
+            t = object.__new__(cls)
+            _set(t, "formals", formals)
+            _set(t, "body", body)
+            _set(t, "actuals", actuals)
+            _file(t, key)
         return t
 
 
@@ -395,36 +412,50 @@ def translate(form, world, arity=None):
 
 @dataclass
 class _Translator:
-    """One translation's macros and function arities; `tr` is its entry."""
+    """One translation's macros and function arities; `tr` is its entry.
+
+    `done` maps id(form) to (form, term) for each call form translated so
+    far, so a form shared by several parents, as in the s-expression of a
+    term built by unparse, is translated once.  The entry keeps the form
+    alive: macros build and drop forms during a translation, and a dropped
+    form's id could name a new one.
+    """
     env: dict
     arity_of: object
+    done: dict = field(default_factory=dict)
 
     def tr(self, f):
-        if is_nil(f):
-            return CONST_NIL
-        if isinstance(f, Symbol):
-            if f == T:
-                return CONST_T
-            return Var(f.name)
-        if isinstance(f, (int, str, Keyword)):
-            return Const(f)
-        if isinstance(f, Pair):
-            head = f.car
-            if head == QUOTE:
-                args = to_list(f.cdr)
-                if len(args) != 1:
-                    raise TranslateError("malformed quote")
-                return Const(args[0])
-            if head in (UNQUOTE, UNQUOTE_SPLICING):
-                raise TranslateError(f"{print_sexpr(head)} outside quasiquote")
-            if isinstance(head, Symbol):
-                expander = self.env.get(head.name)
-                if expander is not None:
-                    return expander(f, self.tr)
-                return self.tr_app(head.name, f.cdr)
-            if isinstance(head, Pair):
-                return self.tr_lambda(head, f.cdr)
-        raise TranslateError(f"cannot translate: {print_sexpr(f)}")
+        if not isinstance(f, Pair):
+            if is_nil(f):
+                return CONST_NIL
+            if isinstance(f, Symbol):
+                return CONST_T if f == T else Var(f.name)
+            if isinstance(f, (int, str, Keyword)):
+                return Const(f)
+            raise TranslateError(f"cannot translate: {print_sexpr(f)}")
+        hit = self.done.get(id(f))
+        if hit is not None:
+            return hit[1]
+        head = f.car
+        if head == QUOTE:
+            args = to_list(f.cdr)
+            if len(args) != 1:
+                raise TranslateError("malformed quote")
+            out = Const(args[0])
+        elif head in (UNQUOTE, UNQUOTE_SPLICING):
+            raise TranslateError(f"{print_sexpr(head)} outside quasiquote")
+        elif isinstance(head, Symbol):
+            expander = self.env.get(head.name)
+            if expander is not None:
+                out = expander(f, self.tr)
+            else:
+                out = self.tr_app(head.name, f.cdr)
+        elif isinstance(head, Pair):
+            out = self.tr_lambda(head, f.cdr)
+        else:
+            raise TranslateError(f"cannot translate: {print_sexpr(f)}")
+        self.done[id(f)] = (f, out)
+        return out
 
     def tr_app(self, name, args_form):
         args = [self.tr(a) for a in to_list(args_form)]
@@ -481,25 +512,44 @@ def unparse(t):
 
 # ---------------------------------------------------------------------------
 # Substitution and beta reduction
+#
+# A walker keeps, per call, a table from each node it has finished to its
+# result, so a subterm shared by many parents costs one visit: the
+# bindings of a let* become shared nodes, and a tree walk over them would
+# take time exponential in their depth.  The lookup sits in the walker
+# itself (a wrapper would add a frame per nesting level), and a node none
+# of whose children changed is returned as it is, not looked up again in
+# the intern table.
 
 def substitute(t, subst):
     """Capture-avoiding substitution; descends into HIDE arguments."""
     if not subst:
         return t
+    return _substitute(t, subst, {})
+
+
+def _substitute(t, subst, done):
     if isinstance(t, Var):
         return subst.get(t.name, t)
     if isinstance(t, Const):
         return t
-    if isinstance(t, App):
-        return App(t.fn, tuple(substitute(a, subst) for a in t.args))
-    if isinstance(t, LamApp):
-        inner = {k: v for k, v in subst.items() if k not in t.formals}
-        return LamApp(
-            t.formals,
-            substitute(t.body, inner),
-            tuple(substitute(a, subst) for a in t.actuals),
-        )
-    raise TypeError(f"not a term: {t!r}")
+    out = done.get(t)
+    if out is None:
+        if isinstance(t, App):
+            args = tuple([_substitute(a, subst, done) for a in t.args])
+            out = t if args == t.args else App(t.fn, args)
+        elif isinstance(t, LamApp):
+            inner = {k: v for k, v in subst.items() if k not in t.formals}
+            body = _substitute(t.body, inner, {}) if inner else t.body
+            actuals = tuple([_substitute(a, subst, done) for a in t.actuals])
+            if body is t.body and actuals == t.actuals:
+                out = t
+            else:
+                out = LamApp(t.formals, body, actuals)
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        done[t] = out
+    return out
 
 
 def beta_reduce(t):
@@ -509,11 +559,22 @@ def beta_reduce(t):
     """
     if not t.has_lambda:
         return t
-    if isinstance(t, App):
-        return App(t.fn, tuple(beta_reduce(a) for a in t.args))
-    body = beta_reduce(t.body)
-    actuals = [beta_reduce(a) for a in t.actuals]
-    return substitute(body, dict(zip(t.formals, actuals)))
+    return _beta_reduce(t, {})
+
+
+def _beta_reduce(t, done):
+    if not t.has_lambda:
+        return t
+    out = done.get(t)
+    if out is None:
+        if isinstance(t, App):  # some argument holds a lambda, so it changes
+            out = App(t.fn, tuple([_beta_reduce(a, done) for a in t.args]))
+        else:
+            body = _beta_reduce(t.body, done)
+            actuals = [_beta_reduce(a, done) for a in t.actuals]
+            out = substitute(body, dict(zip(t.formals, actuals)))
+        done[t] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -56,23 +56,33 @@ def process_termhint(t):
 
     Only constants, (HQ u), CONS, and BINARY-APPEND are meaningful; any
     other head left in the term is an error worth naming, since it means
-    simplification did not reduce the hint far enough.
+    simplification did not reduce the hint far enough.  A shared subterm
+    is read once, and its value is shared too.
     """
+    return _process(t, {})
+
+
+def _process(t, done):
     if isinstance(t, Const):
         return t.value
     if isinstance(t, App):
-        if t.fn == "HQ":
-            return unparse(t.args[0])
-        if t.fn == "CONS":
-            return Pair(process_termhint(t.args[0]), process_termhint(t.args[1]))
-        if t.fn == "BINARY-APPEND":
-            head = process_termhint(t.args[0])
-            if not is_proper_list(head):
-                raise ProcessError(
-                    f"spliced hint segment is not a proper list: {print_sexpr(head)}"
-                )
-            return from_list(to_list(head), process_termhint(t.args[1]))
-        raise ProcessError(f"residual call in hint term: {t.fn}")
+        out = done.get(t)
+        if out is None:
+            if t.fn == "HQ":
+                out = unparse(t.args[0])
+            elif t.fn == "CONS":
+                out = Pair(_process(t.args[0], done), _process(t.args[1], done))
+            elif t.fn == "BINARY-APPEND":
+                head = _process(t.args[0], done)
+                if not is_proper_list(head):
+                    raise ProcessError(
+                        f"spliced hint segment is not a proper list: {print_sexpr(head)}"
+                    )
+                out = from_list(to_list(head), _process(t.args[1], done))
+            else:
+                raise ProcessError(f"residual call in hint term: {t.fn}")
+            done[t] = out
+        return out
     if isinstance(t, Var):
         raise ProcessError(f"residual variable in hint term: {t.name}")
     raise ProcessError(f"cannot interpret hint term: {t!r}")

@@ -40,11 +40,23 @@ class HintFn:
     run: object  # callable(args, ctx) -> hint value
 
 
-def _calls(t, name: str) -> bool:
+def _calls(t, name: str, clean: set) -> bool:
+    """Whether t calls name; clean holds the nodes already found not to,
+    so a shared subterm is searched once."""
     if isinstance(t, App):
-        return t.fn == name or any(_calls(a, name) for a in t.args)
-    if isinstance(t, LamApp):
-        return _calls(t.body, name) or any(_calls(a, name) for a in t.actuals)
+        if t.fn == name:
+            return True
+        kids = t.args
+    elif isinstance(t, LamApp):
+        kids = (t.body,) + t.actuals
+    else:
+        return False
+    if t in clean:
+        return False
+    for a in kids:
+        if _calls(a, name, clean):
+            return True
+    clean.add(t)
     return False
 
 
@@ -88,7 +100,7 @@ class World:
         self._claim_name(name)
         self.functions[name] = len(formals)
         self.definitions[name] = Definition(name, tuple(formals), body)
-        if not _calls(body, name):
+        if not _calls(body, name, set()):
             lhs = App(name, tuple(Var(f) for f in formals))
             self._install(RewriteRule(name, lhs, body, (), "EQUAL"))
         if enabled:

@@ -162,6 +162,34 @@ def test_parse_error_is_file_error(tmp_path, capsys):
         f"ERROR {tmp_path / 'events.lisp'}", f"ERROR {tmp_path / 'missing.lisp'}"]
 
 
+def test_undecodable_file_is_file_error(tmp_path):
+    bad = tmp_path / "bad.lisp"
+    bad.write_bytes(b"\xff(defstub f 1)\n")
+    done = subprocess.run([sys.executable, "-c", "from hintprover.cli import entry; entry()",
+                           str(bad)], capture_output=True, text=True, timeout=60,
+                          env=_child_env())
+    assert done.returncode == 2
+    assert f"ERROR {bad}: " in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == f"FILE {bad}\nPROVED 0/0\n"
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # --trace over the corpus four times writes more than a pipe holds, so
+    # the prover is still writing when the reader goes away after one line
+    corpus = sorted(str(p) for p in (Path(__file__).resolve().parent.parent / "corpus")
+                    .glob("*.lisp"))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from hintprover.cli import entry; entry()",
+         "--trace", *corpus * 4],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env())
+    assert proc.stdout.readline().startswith("FILE ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert proc.returncode not in (0, 1)
+
+
 def test_deep_term_in_file_is_file_error(tmp_path, capsys):
     deep = "(car " * 600 + "x" + ")" * 600
     path = evfile(tmp_path, f"(defthm deep (equal {deep} y) :rule-classes nil)")
@@ -638,6 +666,36 @@ def test_one_memo_per_proof_saves_rewrites_of_split_goals(tmp_path, monkeypatch)
     assert shared_proved and fresh_proved
     assert shared_steps == fresh_steps == 24
     assert shared <= 0.6 * fresh, (shared, fresh)  # 1,884 against 3,355
+
+
+def test_split_goals_rebuild_only_what_changed(tmp_path, monkeypatch):
+    # Walkers hand back an unchanged node instead of rebuilding it, and
+    # visit a shared node once: 1,839 App() calls for this theorem when
+    # every walker rebuilt every node it passed
+    import hintprover.cli as cli_mod
+    import hintprover.term as term_mod
+
+    real_new, real_defthm = term_mod.App.__new__, cli_mod.EVENT_HANDLERS["DEFTHM"]
+    built = [0]
+
+    def counted_new(cls, fn, args):
+        built[0] += 1
+        return real_new(cls, fn, args)
+
+    def counted_defthm(world, items, max_steps):  # the theorem's own calls only
+        before = built[0]
+        try:
+            return real_defthm(world, items, max_steps)
+        finally:
+            counts.append(built[0] - before)
+
+    counts = []
+    monkeypatch.setattr(term_mod.App, "__new__", counted_new)
+    monkeypatch.setitem(cli_mod.EVENT_HANDLERS, "DEFTHM", counted_defthm)
+    (t,) = run([evfile(tmp_path, _SPLIT4_TERMHINT)]).files[0].theorems
+    assert t.proved and t.steps == 24
+    (n,) = counts
+    assert n < 1100, n  # 841
 
 
 def test_trace_is_identical_under_different_hash_seeds():
