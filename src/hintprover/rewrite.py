@@ -13,6 +13,10 @@ it.  An entry records which assumption queries its rewrite asked and
 what they answered, and it is reused only where each of them answers
 the same, so a reused answer is the one a fresh rewrite would give.
 
+Every term walked here is lambda-free.  The callers beta-reduce what
+they translate before it reaches a clause, a rule or a definition, and
+expand_calls does the same to its targets.
+
 HIDE is opaque here: the rewriter neither descends into it nor applies
 rules to it, and IF splitting ignores tests under it.  Only an explicit
 (HIDE ...) expansion target peels it off.
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 from .sexpr import ProverError, is_nil
 from .term import (
-    App, Const, LamApp, Var, CONST_NIL, CONST_T, FOLDABLE,
+    App, Const, Var, CONST_NIL, CONST_T, FOLDABLE,
     _set, apply_builtin, beta_reduce, substitute, truthy,
 )
 
@@ -195,9 +199,7 @@ def rewrite_term(t, ctx, iff=False):
     used = budget.used
     start = len(log)
 
-    if isinstance(t, LamApp):
-        out = rewrite_term(beta_reduce(t), ctx, iff)
-    elif t.fn == "HIDE":
+    if t.fn == "HIDE":
         out = t
     elif t.fn == "IF":
         test = rewrite_term(t.args[0], ctx, True)
@@ -278,33 +280,25 @@ def find_split_test(t):
 def replace_subterm(t, old, new):
     """Replace every visible occurrence of old; HIDE contents stay put.
 
-    Each shared node is visited once.  When old holds a splittable IF, a
-    lambda-free call in which find_split_test finds none cannot hold old
-    (the search would have found old's), so it is returned unvisited.
+    old must hold a splittable IF, as what split_ifs replaces does.  A call
+    in which find_split_test finds none, a HIDE among them, cannot hold a
+    visible old (the search would have found old's), so it is returned
+    unvisited.  Each shared node is visited once.
     """
-    return _replace(t, old, new, find_split_test(old) is not None, {})
+    return _replace(t, old, new, {})
 
 
-def _replace(t, old, new, prune, done):
+def _replace(t, old, new, done):
     if t is old:
         return new
-    if isinstance(t, App):
-        if t.fn == "HIDE" or prune and not t.has_lambda and find_split_test(t) is None:
-            return t
-        out = done.get(t)
-        if out is None:
-            args = tuple([_replace(a, old, new, prune, done) for a in t.args])
-            out = t if args == t.args else App(t.fn, args)
-            done[t] = out
-        return out
-    if isinstance(t, LamApp):
-        out = done.get(t)
-        if out is None:
-            actuals = tuple([_replace(a, old, new, prune, done) for a in t.actuals])
-            out = t if actuals == t.actuals else LamApp(t.formals, t.body, actuals)
-            done[t] = out
-        return out
-    return t
+    if not isinstance(t, App) or find_split_test(t) is None:
+        return t
+    out = done.get(t)
+    if out is None:
+        args = tuple([_replace(a, old, new, done) for a in t.args])
+        out = t if args == t.args else App(t.fn, args)
+        done[t] = out
+    return out
 
 
 def split_ifs(clause):
@@ -390,46 +384,46 @@ def simplify_clause(clause, theory, world, budget, memos) -> SimplifyOutcome:
 def expand_calls(clause, targets, world):
     """Open up matching calls in place, ignoring enable status.
 
-    Each target is a call pattern whose variables match anything.  A
-    (HIDE x) target strips matching HIDE wrappers instead of unfolding.
-    Replacements are not rescanned.
+    Each target is a call pattern whose variables match anything; it is
+    beta-reduced first, as the clause was.  A (HIDE x) target strips
+    matching HIDE wrappers instead of unfolding.  Replacements are not
+    rescanned.
     """
-    for pat in targets:
+    pats = []
+    for written in targets:
+        pat = beta_reduce(written)
         if not isinstance(pat, App):
-            raise ExpandError(f"expansion target is not a call: {pat!r}")
+            raise ExpandError(f"expansion target is not a call: {written!r}")
         if pat.fn != "HIDE" and pat.fn not in world.definitions:
             raise ExpandError(f"no definition to expand: {pat.fn}")
+        pats.append(pat)
 
     done = {}  # node -> its expansion, shared by the literals
-    return tuple([_expand(lit, targets, world, done) for lit in clause])
+    return tuple([_expand(lit, pats, world, done) for lit in clause])
 
 
 def _expand(t, targets, world, done):
-    if not isinstance(t, (App, LamApp)):
+    if not isinstance(t, App):
         return t
     out = done.get(t)
     if out is not None:
         return out
-    if isinstance(t, LamApp):
-        actuals = tuple([_expand(a, targets, world, done) for a in t.actuals])
-        out = t if actuals == t.actuals else LamApp(t.formals, t.body, actuals)
-    else:
-        for pat in targets:
-            subst = match(pat, t)
-            if subst is None:
-                continue
-            if pat.fn == "HIDE":
-                out = t.args[0]
-            else:
-                d = world.definitions[pat.fn]
-                out = beta_reduce(substitute(d.body, dict(zip(d.formals, t.args))))
-            break
+    for pat in targets:
+        subst = match(pat, t)
+        if subst is None:
+            continue
+        if pat.fn == "HIDE":
+            out = t.args[0]
         else:
-            if t.fn == "HIDE":
-                out = t
-            else:
-                args = tuple([_expand(a, targets, world, done) for a in t.args])
-                out = t if args == t.args else App(t.fn, args)
+            d = world.definitions[pat.fn]
+            out = substitute(d.body, dict(zip(d.formals, t.args)))
+        break
+    else:
+        if t.fn == "HIDE":
+            out = t
+        else:
+            args = tuple([_expand(a, targets, world, done) for a in t.args])
+            out = t if args == t.args else App(t.fn, args)
     done[t] = out
     return out
 

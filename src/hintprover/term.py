@@ -1,9 +1,12 @@
 """Internal term representation and the surface-form translator.
 
 Terms are Var, Const, App, and LamApp (a lambda applied to actuals).
-Lambdas are kept closed: any variable free in the body but not bound
-by the binder list is added as a pass-through formal, so substitution
-never needs to look inside a body for outside variables.
+A LamApp lives only between translate and beta_reduce, and in hint
+expressions and hint payloads as written: the terms a proof rewrites,
+splits and expands are lambda-free.  Lambdas are kept closed: any
+variable free in the body but not bound by the binder list is added as
+a pass-through formal, so evaluate, which binds only the formals, finds
+every variable of the body.
 """
 
 from __future__ import annotations
@@ -522,7 +525,7 @@ def unparse(t):
 # the intern table.
 
 def substitute(t, subst):
-    """Capture-avoiding substitution; descends into HIDE arguments."""
+    """Replace variables of the lambda-free t; descends into HIDE arguments."""
     if not subst:
         return t
     return _substitute(t, subst, {})
@@ -533,21 +536,12 @@ def _substitute(t, subst, done):
         return subst.get(t.name, t)
     if isinstance(t, Const):
         return t
+    if not isinstance(t, App):
+        raise TypeError(f"not a lambda-free term: {t!r}")
     out = done.get(t)
     if out is None:
-        if isinstance(t, App):
-            args = tuple([_substitute(a, subst, done) for a in t.args])
-            out = t if args == t.args else App(t.fn, args)
-        elif isinstance(t, LamApp):
-            inner = {k: v for k, v in subst.items() if k not in t.formals}
-            body = _substitute(t.body, inner, {}) if inner else t.body
-            actuals = tuple([_substitute(a, subst, done) for a in t.actuals])
-            if body is t.body and actuals == t.actuals:
-                out = t
-            else:
-                out = LamApp(t.formals, body, actuals)
-        else:
-            raise TypeError(f"not a term: {t!r}")
+        args = tuple([_substitute(a, subst, done) for a in t.args])
+        out = t if args == t.args else App(t.fn, args)
         done[t] = out
     return out
 

@@ -153,12 +153,6 @@ def find_hint(ctx: GoalCtx):
     return _with_drop(_interpret_extracted(v, ctx))
 
 
-def mark_clause_hint(label) -> Hint:
-    """A :USE hint that plants (NOT (MARK-CLAUSE 'label)) in the goal."""
-    value = Symbol(label) if isinstance(label, str) else label
-    return Hint(use=(UseInstance(MARK_THEOREM, (("X", Const(value)),)),))
-
-
 def clause_labels(clause):
     """Marker labels smuggled into the clause via MARK-CLAUSE hypotheses."""
     labels = []

@@ -2,7 +2,8 @@
 
 One World is built per input file.  Rewriting consults a theory (a set of
 enabled rule and definition names) that usually starts from the ambient
-set and is refined per goal by :IN-THEORY hints.
+set and is refined per goal by :IN-THEORY hints.  Definition bodies,
+rules and theorems hold lambda-free terms.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .sexpr import ProverError
-from .term import BUILTIN_ARITY, App, LamApp, Var, builtin_macro_env
+from .term import BUILTIN_ARITY, App, Var, builtin_macro_env
 
 
 class WorldError(ProverError):
@@ -43,17 +44,13 @@ class HintFn:
 def _calls(t, name: str, clean: set) -> bool:
     """Whether t calls name; clean holds the nodes already found not to,
     so a shared subterm is searched once."""
-    if isinstance(t, App):
-        if t.fn == name:
-            return True
-        kids = t.args
-    elif isinstance(t, LamApp):
-        kids = (t.body,) + t.actuals
-    else:
+    if not isinstance(t, App):
         return False
+    if t.fn == name:
+        return True
     if t in clean:
         return False
-    for a in kids:
+    for a in t.args:
         if _calls(a, name, clean):
             return True
     clean.add(t)

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports from the package is used,
-every exception class the package defines derives from ProverError, and
-no module builds a self-referencing closure."""
+every exception class the package defines derives from ProverError, no
+module builds a self-referencing closure, and the proof core never names
+LamApp."""
 
 import ast
 import importlib
@@ -92,3 +93,30 @@ def test_self_referencing_closure_is_reported():
         "    return top(k - 1) if k else 0\n"
     )
     assert _self_referencing_nested_functions(src) == [(2, "go")]
+
+
+def _names_of(source: str, name: str):
+    """Lines where source mentions name: imported, read or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.alias) and name in (node.name, node.asname)
+        or isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def test_proof_core_never_names_lamapp():
+    # terms enter the proof beta-reduced (tests/test_lambda_free.py), so the
+    # rewriter, splitter, expander and world need no lambda path
+    found = [
+        f"{module}:{line}"
+        for module in ("rewrite.py", "world.py")
+        for line in _names_of((PACKAGE / module).read_text(), "LamApp")
+    ]
+    assert found == []
+
+
+def test_a_named_lamapp_is_reported():
+    src = "from .term import App, LamApp\n\nx = isinstance(t, term.LamApp)\n"
+    assert _names_of(src, "LamApp") == [1, 3]

@@ -454,9 +454,9 @@ def test_find_split_test_innermost_leftmost():
 def test_replace_subterm_respects_hide():
     w = World()
     w.add_stub("F", 2)
-    t = tr("(f (car x) (hide (car x)))", w)
-    got = replace_subterm(t, tr("(car x)"), Var("Y"))
-    assert got == tr("(f y (hide (car x)))", w)
+    t = tr("(f (if p x y) (hide (if p x y)))", w)
+    got = replace_subterm(t, tr("(if p x y)"), Var("Y"))
+    assert got == tr("(f y (hide (if p x y)))", w)
 
 
 def test_split_ifs_shape():

@@ -120,12 +120,13 @@ def _hq_world():
 
 
 def test_substitute_and_shadowing():
-    t = tr("(let ((a x)) (cons a y))")
-    got = substitute(t, {"Y": Const(1), "A": Const(2)})
-    # A is bound by the binder, so only the actual for Y changes
-    assert beta_reduce(got) == App("CONS", (Var("X"), Const(1)))
+    t = tr("(let ((y '1) (a '2)) (let ((a x)) (cons a y)))")
+    # the inner binder of A shadows the outer one, so only Y's value gets in
+    assert beta_reduce(t) == App("CONS", (Var("X"), Const(1)))
     hidden = substitute(App("HIDE", (Var("X"),)), {"X": Const(3)})
     assert hidden == App("HIDE", (Const(3),))
+    with pytest.raises(TypeError):  # substitute takes lambda-free terms only
+        substitute(tr("(let ((a x)) (cons a y))"), {"Y": Const(1)})
 
 
 def test_beta_reduce_eliminates_lambdas():

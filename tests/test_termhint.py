@@ -13,12 +13,12 @@ from hintprover.world import World
 from hintprover.rewrite import StepBudget
 from hintprover.hints import (
     ComputedHint, GoalCtx, Hint, UseInstance, apply_hint, eval_computed_hint,
-    prove_clause, render_hint, translate_hint_expr,
+    parse_hint, prove_clause, render_hint, translate_hint_expr,
 )
 from hintprover.termhint import (
     DROP_PROCESSOR, FIND_FN, HYP_FN, HYP_THEOREM, MARK_FN, MARK_THEOREM, SEQ_FN,
     ProcessError, clause_labels, drop_termhint_hyp, find_hint, install_prelude,
-    keyword_fixup, mark_clause_hint, process_termhint, use_termhint,
+    keyword_fixup, process_termhint, use_termhint,
 )
 from hintprover.cli import render_event
 
@@ -294,7 +294,8 @@ def test_find_hint_seq_base_keeps_finder_replacement():
 
 def test_mark_clause_hint_and_labels():
     w = _world()
-    h = mark_clause_hint("CONSP-CASE")
+    # the spelling corpus/mark_clause.lisp uses
+    h = parse_hint(parse_one("(:use ((:instance mark-clause-is-true (x 'consp-case))))"), w)
     clause, _ = apply_hint(h, (Var("G"),), w.theory(), w)
     assert clause == (Var("G"), tr("(not (mark-clause 'consp-case))", w))
     assert clause_labels(clause) == ["CONSP-CASE"]

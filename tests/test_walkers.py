@@ -5,7 +5,9 @@ with many parents.  Each walker keeps a per-call table of the nodes it has
 finished and hands back a node none of whose children changed as it is.
 Here every walker is checked against a plain tree walk kept in this file,
 on random terms with shared subterms, and the shapes whose tree is
-exponentially larger than their DAG must stay fast.
+exponentially larger than their DAG must stay fast.  The walkers of a
+proof take lambda-free terms, so only beta_reduce and translate are fed
+lambdas.
 """
 
 import random
@@ -34,15 +36,11 @@ from hintprover.cli import main
 # Plain references: tree walks with no table, rebuilding every node
 
 def _ref_substitute(t, subst):
-    if not subst or isinstance(t, Const):
-        return t
     if isinstance(t, Var):
         return subst.get(t.name, t)
     if isinstance(t, App):
         return App(t.fn, tuple(_ref_substitute(a, subst) for a in t.args))
-    inner = {k: v for k, v in subst.items() if k not in t.formals}
-    return LamApp(t.formals, _ref_substitute(t.body, inner),
-                  tuple(_ref_substitute(a, subst) for a in t.actuals))
+    return t
 
 
 def _ref_beta_reduce(t):
@@ -61,8 +59,6 @@ def _ref_replace(t, old, new):
         if t.fn == "HIDE":
             return t
         return App(t.fn, tuple(_ref_replace(a, old, new) for a in t.args))
-    if isinstance(t, LamApp):
-        return LamApp(t.formals, t.body, tuple(_ref_replace(a, old, new) for a in t.actuals))
     return t
 
 
@@ -87,20 +83,16 @@ def _ref_expand(t, targets, world):
             if pat.fn == "HIDE":
                 return t.args[0]
             d = world.definitions[pat.fn]
-            return _ref_beta_reduce(_ref_substitute(d.body, dict(zip(d.formals, t.args))))
+            return _ref_substitute(d.body, dict(zip(d.formals, t.args)))
         if t.fn == "HIDE":
             return t
         return App(t.fn, tuple(_ref_expand(a, targets, world) for a in t.args))
-    if isinstance(t, LamApp):
-        return LamApp(t.formals, t.body, tuple(_ref_expand(a, targets, world) for a in t.actuals))
     return t
 
 
 def _ref_calls(t, name):
     if isinstance(t, App):
         return t.fn == name or any(_ref_calls(a, name) for a in t.args)
-    if isinstance(t, LamApp):
-        return _ref_calls(t.body, name) or any(_ref_calls(a, name) for a in t.actuals)
     return False
 
 
@@ -179,16 +171,17 @@ def _tree_size(t, sizes):
     return n
 
 
-def _random_dag(rng, size, calls=_CALLS, leaves=_LEAVES):
+def _random_dag(rng, size, calls=_CALLS, leaves=_LEAVES, lambdas=True):
     """A term built bottom up from a pool, each node taking its children
-    mostly from the nodes built just before it, so they are shared."""
+    mostly from the nodes built just before it, so they are shared.  With
+    lambdas, about one node in eight is a LamApp."""
     pool, sizes = list(leaves), {}
 
     def pick():
         return pool[max(0, len(pool) - 1 - int(rng.expovariate(0.4)))]
 
     for _ in range(size):
-        if rng.random() < 0.12 and calls is _CALLS:
+        if rng.random() < 0.12 and lambdas:
             formals = rng.sample(["X", "Y", "Z", "W"], rng.randrange(1, 3))
             body, actuals = pick(), [pick() for _ in formals]
             if rng.random() < 0.7:
@@ -255,14 +248,15 @@ _SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 def test_substitute_and_beta_reduce_match_tree_walks(n):
     rng = random.Random(n)
     t = _random_dag(rng, rng.randrange(5, 40))
-    pool = _nodes(t)
-    subst = {v: rng.choice(pool) for v in rng.sample(["X", "Y", "Z", "W"], rng.randrange(1, 4))}
-    assert substitute(t, subst) is _ref_substitute(t, subst)
     reduced = beta_reduce(t)
     assert reduced is _ref_beta_reduce(t)
+    plain = _random_dag(rng, rng.randrange(5, 40), lambdas=False)
+    pool = _nodes(plain)
+    subst = {v: rng.choice(pool) for v in rng.sample(["X", "Y", "Z", "W"], rng.randrange(1, 4))}
+    assert substitute(plain, subst) is _ref_substitute(plain, subst)
     with _Built() as built:  # nothing to change: no node is rebuilt
-        assert substitute(t, {"UNUSED": CONST_T}) is t
-        assert substitute(t, {v: Var(v) for v in free_vars(t)}) is t
+        assert substitute(plain, {"UNUSED": CONST_T}) is plain
+        assert substitute(plain, {v: Var(v) for v in free_vars(plain)}) is plain
         assert beta_reduce(reduced) is reduced
     assert built.n == 0
 
@@ -271,17 +265,17 @@ def test_substitute_and_beta_reduce_match_tree_walks(n):
 @_SETTINGS
 @given(_SEEDS)
 def test_replace_subterm_matches_a_tree_walk(n):
+    # old always holds a splittable IF, as in split_ifs: the walk prunes
+    # calls without one, the reference visits every node
     rng = random.Random(n)
-    t = _random_dag(rng, rng.randrange(5, 40))
-    new = rng.choice(_nodes(_random_dag(rng, 4)))
-    found = find_split_test(t)
-    olds = [rng.choice(_nodes(t))] + ([found] if found is not None else [])
-    for old in olds:  # the pruned walk for a split test, the general one otherwise
+    t = _random_dag(rng, rng.randrange(5, 40), lambdas=False)
+    new = rng.choice(_nodes(_random_dag(rng, 4, lambdas=False)))
+    splittable = [u for u in _nodes(t) if find_split_test(u) is not None]
+    for old in rng.sample(splittable, min(3, len(splittable))):
         assert replace_subterm(t, old, new) is _ref_replace(t, old, new)
-    absent = App("F", (Const(Symbol("ABSENT")),))
+    absent = App("IF", (Var("ABSENT"), Var("X"), CONST_NIL))
     with _Built() as built:
         assert replace_subterm(t, absent, new) is t
-        assert replace_subterm(t, Var("ABSENT"), new) is t
     assert built.n == 0
 
 
@@ -291,15 +285,18 @@ def test_replace_subterm_matches_a_tree_walk(n):
 def test_expand_match_and_calls_match_tree_walks(n):
     rng = random.Random(n)
     w = _world()
-    clause = tuple(_random_dag(rng, rng.randrange(3, 30)) for _ in range(rng.randrange(1, 3)))
+    clause = tuple(_random_dag(rng, rng.randrange(3, 30), lambdas=False)
+                   for _ in range(rng.randrange(1, 3)))
     pool = [u for lit in clause for u in _nodes(lit)]
     instances = [u for u in pool if isinstance(u, App) and u.fn in ("D", "HIDE")]
     targets = [App("D", (Var("V"),)), App("HIDE", (Var("V"),)),
-               App("D", (App("CONS", (Var("A"), Var("A"))),))]
-    targets = rng.sample(targets, rng.randrange(1, 4)) + rng.sample(instances,
+               App("D", (App("CONS", (Var("A"), Var("A"))),)),
+               make_lamapp(["A"], App("D", (Var("A"),)), [Var("V")])]  # reduces to (D V)
+    targets = rng.sample(targets, rng.randrange(1, 5)) + rng.sample(instances,
                                                                     min(2, len(instances)))
     rng.shuffle(targets)
-    assert expand_calls(clause, targets, w) == tuple(_ref_expand(l, targets, w) for l in clause)
+    reduced = [_ref_beta_reduce(p) for p in targets]
+    assert expand_calls(clause, targets, w) == tuple(_ref_expand(l, reduced, w) for l in clause)
     absent = App("D", (Const(Symbol("ABSENT")),))
     with _Built() as built:
         assert all(a is b for a, b in zip(expand_calls(clause, [absent], w), clause))
@@ -351,7 +348,8 @@ def _random_hint_dag(rng, size):
     leaves += [App("HQ", (u,)) for u in rng.sample(goal_terms, min(3, len(goal_terms)))]
     if rng.random() < 0.2:
         leaves.append(rng.choice([Var("X"), App("F", (Var("X"),))]))
-    return _random_dag(rng, size, calls=[("CONS", 2), ("BINARY-APPEND", 2)], leaves=leaves)
+    return _random_dag(rng, size, calls=[("CONS", 2), ("BINARY-APPEND", 2)], leaves=leaves,
+                       lambdas=False)
 
 
 @seed(1105)
@@ -391,7 +389,7 @@ def test_rewrite_of_an_irreducible_term_builds_nothing(n):
     rng = random.Random(n)
     w = _world()
     t = _random_dag(rng, rng.randrange(3, 30), calls=[("CONS", 2), ("CAR", 1), ("F", 1)],
-                    leaves=[Var("X"), Var("Y"), Var("Z")])
+                    leaves=[Var("X"), Var("Y"), Var("Z")], lambdas=False)
     with _Built() as built:
         for iff in (False, True):
             ctx = RewriteContext(w.theory(), w, StepBudget(100), {})
@@ -400,12 +398,14 @@ def test_rewrite_of_an_irreducible_term_builds_nothing(n):
 
 
 def test_random_terms_share_subterms():
-    # the generator makes DAGs, not trees, or the tests above check little
-    shared = 0
+    # the generator makes DAGs, not trees, or the tests above check little;
+    # and a lambda-free one often holds an IF for replace_subterm to split
+    shared = splittable = 0
     for n in range(50):
         t = _random_dag(random.Random(n), 30)
         shared += len(_nodes(t)) < _tree_size(t, {})
-    assert shared >= 40
+        splittable += find_split_test(_random_dag(random.Random(n), 30, lambdas=False)) is not None
+    assert shared >= 40 and splittable >= 20
 
 
 # ---------------------------------------------------------------------------
