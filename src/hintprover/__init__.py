@@ -6,6 +6,5 @@ from .world import World
 from .rewrite import StepBudget, rewrite_term, simplify_clause, split_ifs
 from .hints import Hint, parse_hint, prove_clause
 from .termhint import find_hint, install_prelude, process_termhint, use_termhint
-from .cli import main, run
 
 __version__ = "0.1.0"

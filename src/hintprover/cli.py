@@ -25,11 +25,11 @@ from .term import (
     beta_reduce, free_vars, translate, unparse,
 )
 from .world import RewriteRule, HintFn, World
-from .rewrite import ResourceError, StepBudget, normalize_definition
+from .rewrite import ResourceError, StepBudget, negate_term, normalize_definition
 from .hints import (
     ComputedHint, GoalCtx, HintError,
     _parse_in_theory, clause_sexpr, clausify, eval_hint_expr, parse_hint,
-    peel_implies, prove_clause, render_hint, translate_hint_expr,
+    prove_clause, render_hint, translate_hint_expr,
 )
 from .termhint import clause_labels, install_prelude, use_termhint
 
@@ -153,31 +153,25 @@ def _do_register_hint_fn(world: World, items, max_steps: int):
 
 
 # ---------------------------------------------------------------------------
-# Rewrite rule conversion (surface level)
+# Rewrite rule conversion
 
-def convert_rule(name: str, body, world: World) -> RewriteRule:
-    hyp_forms, concl = peel_implies(body)
+def convert_rule(name: str, hyps, concl, concl_form) -> RewriteRule:
+    """The rewrite rule of a statement's hypotheses and conclusion, as
+    clausify returns them.
 
-    def tr(f):
-        return beta_reduce(translate(f, world))
-
-    if isinstance(concl, Pair) and concl.car in (Symbol("EQUAL"), Symbol("IFF")):
-        args = to_list(concl.cdr)
-        if len(args) != 2:
-            raise EventError(f"bad conclusion in {name}")
-        lhs, rhs = tr(args[0]), tr(args[1])
-        equiv = "EQUAL" if concl.car == Symbol("EQUAL") else "IFF"
-    elif isinstance(concl, Pair) and concl.car == Symbol("NOT"):
-        args = to_list(concl.cdr)
-        if len(args) != 1:
-            raise EventError(f"bad conclusion in {name}")
-        lhs, rhs, equiv = tr(args[0]), CONST_NIL, "IFF"
+    The head of the conclusion as written chooses the kind, so a
+    conclusion wrapped in a LET rewrites its whole term to T.
+    """
+    head = concl_form.car if isinstance(concl_form, Pair) else None
+    if head in (Symbol("EQUAL"), Symbol("IFF")):
+        (lhs, rhs), equiv = concl.args, head.name
+    elif head == Symbol("NOT"):
+        lhs, rhs, equiv = concl.args[0], CONST_NIL, "IFF"
     else:
-        lhs, rhs, equiv = tr(concl), CONST_T, "IFF"
+        lhs, rhs, equiv = concl, CONST_T, "IFF"
 
     if not isinstance(lhs, App):
         raise EventError(f"rule {name} does not rewrite a function call")
-    hyps = tuple(tr(h) for h in hyp_forms)
     bound = set(free_vars(lhs))
     loose = [
         v
@@ -236,11 +230,11 @@ def _do_defthm(world: World, items, max_steps: int) -> TheoremOutcome:
                 pending = [_parse_hint_entry(e, world) for e in to_list(v)]
             else:
                 raise EventError(f"unknown defthm keyword: {print_sexpr(k)}")
-        rule = convert_rule(name, body, world) if rule_classes == "REWRITE" else None
-        body_term = beta_reduce(translate(body, world))
-        clause = clausify(body, world)
+        hyps, concl, body_term, concl_form = clausify(body, world)
+        rule = convert_rule(name, hyps, concl, concl_form) if rule_classes == "REWRITE" else None
     except (TranslateError, HintError) as e:
         raise EventError(f"in {name}: {e}")
+    clause = tuple(negate_term(h) for h in hyps) + (concl,)
 
     budget = StepBudget(max_steps)
     outcome = TheoremOutcome(name, False, 0)

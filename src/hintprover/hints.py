@@ -25,7 +25,7 @@ from .sexpr import (
     from_list, is_nil, is_proper_list, print_sexpr, to_list,
 )
 from .term import (
-    BUILTIN_ARITY, EvalError,
+    BUILTIN_ARITY, EvalError, Translator,
     apply_builtin, beta_reduce, evaluate, free_vars, substitute, translate, unparse,
 )
 from .rewrite import expand_calls, negate_term, simplify_clause
@@ -354,11 +354,20 @@ def peel_implies(form):
 
 
 def clausify(form, world):
-    """Turn a statement into one clause: negated hypotheses plus conclusion."""
-    hyp_forms, concl = peel_implies(form)
-    lits = [negate_term(beta_reduce(translate(h, world))) for h in hyp_forms]
-    lits.append(beta_reduce(translate(concl, world)))
-    return tuple(lits)
+    """Translate a statement once, split at its IMPLIES.
+
+    Returns the hypotheses and the conclusion, lambda-free, the whole
+    statement as one lambda-free term, and the conclusion as written,
+    whose head chooses a rewrite rule's kind.  The parts are read back
+    from the translator's table of the call forms it has translated, so
+    no part of the statement is translated twice.
+    """
+    hyp_forms, concl_form = peel_implies(form)
+    tr = Translator(world.macro_env, world.arity)
+    body = beta_reduce(tr.tr(form))
+    parts = [beta_reduce(tr.done[id(f)][1] if isinstance(f, Pair) else tr.tr(f))
+             for f in hyp_forms + [concl_form]]
+    return tuple(parts[:-1]), parts[-1], body, concl_form
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ so `foo` and `FOO` read as the same symbol.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -35,6 +36,7 @@ class Keyword:
 
 
 class Nil:
+    """The type of NIL, which is its one object: Nil() and copy return it."""
     _instance = None
 
     def __new__(cls):
@@ -101,7 +103,7 @@ T = Symbol("T")
 
 
 def is_nil(e) -> bool:
-    return e is NIL or isinstance(e, Nil)
+    return e is NIL
 
 
 def from_list(items, tail=NIL):
@@ -132,145 +134,110 @@ def is_proper_list(e) -> bool:
 # ---------------------------------------------------------------------------
 # Reader
 
-_DELIMS = "()\"';`,"
-_INT_CHARS = set("0123456789")
+# Two parts of _TOKEN that an error path also matches on their own
+_SPACE = r"(?:[ \t\r\n]+|;[^\n]*)*"
+_STRING_BODY = r'[^"\\]*(?:\\["\\][^"\\]*)*'
+
+# One match per token, with the whitespace and comments before it.  The
+# group that matched says what the token is: 1 "(", 2 ")", 3 a reader
+# macro, 4 the body of a string, 5 a dot standing alone, 6 an atom, 7 a
+# string that does not close; none, the end of the text.
+_TOKEN = re.compile(_SPACE + r"""(?:(\()|(\))|(,@|[',`])|"(%s)"|(\.)(?=[ \t\r\n()";]|\Z)
+                    |([^ \t\r\n()"';`,]+)|(")|\Z)""" % _STRING_BODY, re.X)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_ESCAPE = re.compile(r'\\(["\\])')
+_MACROS = {"'": QUOTE, "`": QUASIQUOTE, ",": UNQUOTE, ",@": UNQUOTE_SPLICING}
+_DOT = object()  # on the reader's stack: the next form is a dotted tail
 
 
-def _is_integer_token(tok: str) -> bool:
-    body = tok[1:] if tok[0] in "+-" else tok
-    return bool(body) and all(c in _INT_CHARS for c in body)
+def _fail(text: str, pos: int, msg: str):
+    line = text.count("\n", 0, pos) + 1
+    raise ParseError(f"{msg} (line {line})")
 
 
-class _Reader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg: str):
-        line = self.text.count("\n", 0, self.pos) + 1
-        raise ParseError(f"{msg} (line {line})")
-
-    def skip_space(self):
-        t, n = self.text, len(self.text)
-        while self.pos < n:
-            c = t[self.pos]
-            if c in " \t\r\n":
-                self.pos += 1
-            elif c == ";":
-                while self.pos < n and t[self.pos] != "\n":
-                    self.pos += 1
-            else:
-                return
-
-    def at_end(self) -> bool:
-        self.skip_space()
-        return self.pos >= len(self.text)
-
-    def read(self):
-        self.skip_space()
-        if self.pos >= len(self.text):
-            self.error("unexpected end of input")
-        c = self.text[self.pos]
-        if c == "(":
-            self.pos += 1
-            return self.read_list()
-        if c == ")":
-            self.error("unexpected )")
-        if c == "'":
-            self.pos += 1
-            return Pair(QUOTE, Pair(self.read(), NIL))
-        if c == "`":
-            self.pos += 1
-            return Pair(QUASIQUOTE, Pair(self.read(), NIL))
-        if c == ",":
-            self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos] == "@":
-                self.pos += 1
-                return Pair(UNQUOTE_SPLICING, Pair(self.read(), NIL))
-            return Pair(UNQUOTE, Pair(self.read(), NIL))
-        if c == '"':
-            return self.read_string()
-        return self.read_atom()
-
-    def read_list(self):
-        items = []
-        while True:
-            self.skip_space()
-            if self.pos >= len(self.text):
-                self.error("unterminated list")
-            if self.text[self.pos] == ")":
-                self.pos += 1
-                return from_list(items)
-            if self._at_dot():
-                if not items:
-                    self.error("dotted pair without a car")
-                self.pos += 1
-                tail = self.read()
-                self.skip_space()
-                if self.pos >= len(self.text) or self.text[self.pos] != ")":
-                    self.error("malformed dotted pair")
-                self.pos += 1
-                return from_list(items, tail)
-            items.append(self.read())
-
-    def _at_dot(self) -> bool:
-        if self.text[self.pos] != ".":
-            return False
-        nxt = self.pos + 1
-        return nxt >= len(self.text) or self.text[nxt] in " \t\r\n()\";"
-
-    def read_string(self):
-        self.pos += 1
-        out = []
-        t, n = self.text, len(self.text)
-        while self.pos < n:
-            c = t[self.pos]
-            if c == '"':
-                self.pos += 1
-                return "".join(out)
-            if c == "\\":
-                self.pos += 1
-                if self.pos >= n:
-                    break
-                esc = t[self.pos]
-                if esc not in '"\\':
-                    self.error(f"unknown string escape \\{esc}")
-                out.append(esc)
-                self.pos += 1
-            else:
-                out.append(c)
-                self.pos += 1
-        self.error("unterminated string")
-
-    def read_atom(self):
-        start = self.pos
-        t, n = self.text, len(self.text)
-        while self.pos < n and t[self.pos] not in " \t\r\n" + _DELIMS:
-            self.pos += 1
-        tok = t[start:self.pos]
-        if not tok:
-            self.error("empty token")
-        if _is_integer_token(tok):
-            return int(tok)
-        if tok.startswith(":"):
-            if len(tok) == 1:
-                self.error("bare colon is not a keyword")
-            return Keyword(tok[1:].upper())
-        up = tok.upper()
-        if up == "NIL":
-            return NIL
-        if "." in up:
-            self.error(f"symbol name may not contain a dot: {tok}")
-        return Symbol(up)
+def _atom(tok: str, text: str, end: int):
+    """The value an atom's token reads as; `end` is where the token ends."""
+    if _INTEGER.fullmatch(tok):
+        return int(tok)
+    if tok[0] == ":":
+        if len(tok) == 1:
+            _fail(text, end, "bare colon is not a keyword")
+        return Keyword(tok[1:].upper())
+    up = tok.upper()
+    if up == "NIL":
+        return NIL
+    if "." in up:
+        _fail(text, end, f"symbol name may not contain a dot: {tok}")
+    return Symbol(up)
 
 
 def parse(text: str):
-    """Read all forms in `text`, returning a Python list of SExprs."""
-    r = _Reader(text)
-    forms = []
-    while not r.at_end():
-        forms.append(r.read())
-    return forms
+    """Read all forms in `text`, returning a Python list of SExprs.
+
+    One loop reads the tokens in order, with an explicit stack of the
+    lists still open (Python lists of their items so far), the reader
+    macros waiting for their form, and _DOT after a dotted pair's dot, so
+    nesting costs no recursion.  A finished form is wrapped by the macros
+    above it and joins the innermost open list, or is a top-level form.
+    """
+    forms, stack = [], []
+    atoms = {}  # the value of each atom token read so far
+    closing = False  # a dotted tail has been read: the list must close next
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        if closing and kind != 2:
+            _fail(text, re.compile(_SPACE).match(text, m.start()).end(), "malformed dotted pair")
+        if kind == 6:
+            tok = m.group(6)
+            value = atoms.get(tok)
+            if value is None:
+                value = atoms[tok] = _atom(tok, text, m.end())
+        elif kind == 1:
+            stack.append([])
+            continue
+        elif kind == 2:
+            if not stack or type(stack[-1]) is not list:
+                _fail(text, m.end() - 1, "unexpected )")
+            items = stack.pop()
+            value = from_list(items, items.pop()) if closing else from_list(items)
+            closing = False
+        elif kind == 3:
+            stack.append(_MACROS[m.group(3)])
+            continue
+        elif kind == 4:
+            value = m.group(4)
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+        elif kind == 5:
+            if not stack or type(stack[-1]) is not list:
+                _fail(text, m.end(), "symbol name may not contain a dot: .")
+            if not stack[-1]:
+                _fail(text, m.end() - 1, "dotted pair without a car")
+            stack.append(_DOT)
+            continue
+        elif kind == 7:
+            stop = re.compile(_STRING_BODY).match(text, m.end()).end()
+            if stop + 1 < len(text):  # stopped at a backslash
+                _fail(text, stop + 1, f"unknown string escape \\{text[stop + 1]}")
+            _fail(text, len(text), "unterminated string")
+        else:
+            if stack:
+                last = "unterminated list" if type(stack[-1]) is list else "unexpected end of input"
+                _fail(text, len(text), last)
+            return forms
+        while stack:
+            top = stack[-1]
+            if type(top) is list:
+                top.append(value)
+                break
+            stack.pop()
+            if top is _DOT:
+                stack[-1].append(value)
+                closing = True
+                break
+            value = Pair(top, Pair(value, NIL))
+        else:
+            forms.append(value)
 
 
 def parse_one(text: str):

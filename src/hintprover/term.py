@@ -162,12 +162,6 @@ def truthy(v) -> bool:
     return not is_nil(v)
 
 
-def sexpr_equal(a, b) -> bool:
-    if is_nil(a) and is_nil(b):
-        return True
-    return a == b
-
-
 def apply_builtin(name: str, args):
     """Apply one of the builtin functions to SExpr values."""
     if name == "CONS":
@@ -181,7 +175,7 @@ def apply_builtin(name: str, args):
     if name == "ATOM":
         return NIL if isinstance(args[0], Pair) else T
     if name == "EQUAL":
-        return T if sexpr_equal(args[0], args[1]) else NIL
+        return T if args[0] == args[1] else NIL
     if name == "NOT":
         return NIL if truthy(args[0]) else T
     if name == "LEN":
@@ -193,7 +187,7 @@ def apply_builtin(name: str, args):
     if name == "MEMBER-EQUAL":
         x, cur = args[0], args[1]
         while isinstance(cur, Pair):
-            if sexpr_equal(cur.car, x):
+            if cur.car == x:
                 return cur
             cur = cur.cdr
         return NIL
@@ -410,11 +404,11 @@ def translate(form, world, arity=None):
     defaults to world.arity and lets a caller overlay its own vocabulary,
     such as a definition that calls itself.
     """
-    return _Translator(world.macro_env, world.arity if arity is None else arity).tr(form)
+    return Translator(world.macro_env, world.arity if arity is None else arity).tr(form)
 
 
 @dataclass
-class _Translator:
+class Translator:
     """One translation's macros and function arities; `tr` is its entry.
 
     `done` maps id(form) to (form, term) for each call form translated so

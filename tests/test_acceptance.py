@@ -260,7 +260,8 @@ def _corpus_clauses():
             items = to_list(form)
             head = form.car.name
             if head == "DEFTHM":
-                yield clausify(items[2], world), world
+                hyps, concl, _, _ = clausify(items[2], world)
+                yield tuple(negate_term(h) for h in hyps) + (concl,), world
             EVENT_HANDLERS[head](world, items, 10000)
 
 

@@ -3,17 +3,18 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import hintprover
-from hintprover.sexpr import parse_one, print_sexpr, to_list
-from hintprover.term import App, Const, Var, translate
+from hintprover.sexpr import Pair, parse_one, print_sexpr, to_list
+from hintprover.term import App, Const, Translator, Var, translate
 from hintprover.world import World
-from hintprover.hints import GoalCtx
+from hintprover.hints import GoalCtx, clausify
 from hintprover.cli import (
-    EventError, _do_defun, convert_rule, format_report, main, render_event, run,
+    EventError, _do_defthm, _do_defun, convert_rule, format_report, main, render_event, run,
 )
 
 
@@ -172,6 +173,14 @@ def test_undecodable_file_is_file_error(tmp_path):
     assert f"ERROR {bad}: " in done.stderr
     assert "Traceback" not in done.stderr
     assert done.stdout == f"FILE {bad}\nPROVED 0/0\n"
+
+
+def test_module_form_runs_with_a_clean_stderr():
+    smoke = Path(__file__).resolve().parent.parent / "corpus" / "smoke.lisp"
+    done = subprocess.run([sys.executable, "-m", "hintprover.cli", str(smoke)],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert done.returncode == 0
+    assert done.stderr == ""
 
 
 def test_closed_stdout_ends_without_a_traceback():
@@ -388,37 +397,66 @@ def _fg_world():
     return w
 
 
+def _rule(text, w):
+    """The rule _do_defthm converts from what clausify returns."""
+    hyps, concl, _, concl_form = clausify(parse_one(text), w)
+    return convert_rule("R", hyps, concl, concl_form)
+
+
 def test_convert_rule_shapes():
     w = _fg_world()
-    r = convert_rule("R", parse_one("(equal (f x) (g x))"), w)
+    r = _rule("(equal (f x) (g x))", w)
     assert (r.lhs, r.rhs, r.hyps, r.equiv) == (
         tr("(f x)", w), tr("(g x)", w), (), "EQUAL")
-    r = convert_rule("R", parse_one("(iff (f x) (g x))"), w)
+    r = _rule("(iff (f x) (g x))", w)
     assert r.equiv == "IFF"
-    r = convert_rule("R", parse_one("(not (f x))"), w)
+    r = _rule("(not (f x))", w)
     assert (r.rhs, r.equiv) == (Const(parse_one("nil")), "IFF")
-    r = convert_rule("R", parse_one("(f x)"), w)
+    r = _rule("(f x)", w)
     assert (r.rhs, r.equiv) == (Const(parse_one("t")), "IFF")
 
 
 def test_convert_rule_hypotheses_flatten():
     w = _fg_world()
-    r = convert_rule(
-        "R", parse_one("(implies (and (consp x) (f x)) (equal (f x) (g x)))"), w)
+    r = _rule("(implies (and (consp x) (f x)) (equal (f x) (g x)))", w)
     assert r.hyps == (tr("(consp x)", w), tr("(f x)", w))
-    r = convert_rule(
-        "R", parse_one("(implies (consp x) (implies (f x) (equal (f x) (g x))))"), w)
+    r = _rule("(implies (consp x) (implies (f x) (equal (f x) (g x))))", w)
     assert len(r.hyps) == 2
 
 
 def test_convert_rule_errors():
     w = _fg_world()
     with pytest.raises(EventError, match="function call"):
-        convert_rule("R", parse_one("(equal x (f x))"), w)
+        _rule("(equal x (f x))", w)
     with pytest.raises(EventError, match="free variables"):
-        convert_rule("R", parse_one("(equal (f x) (g y))"), w)
+        _rule("(equal (f x) (g y))", w)
     with pytest.raises(EventError, match="free variables"):
-        convert_rule("R", parse_one("(implies (consp y) (equal (f x) 'nil))"), w)
+        _rule("(implies (consp y) (equal (f x) 'nil))", w)
+
+
+def test_defthm_translates_each_form_once(monkeypatch):
+    entries = Counter()
+    tr = Translator.tr
+
+    def counted(self, f):
+        if isinstance(f, Pair):
+            entries[id(f)] += 1
+        return tr(self, f)
+
+    monkeypatch.setattr(Translator, "tr", counted)
+    w = _fg_world()
+    form = parse_one("""(defthm r (implies (and (consp x) (and (f x) (equal (f x) (g x))))
+                                      (implies (g x) (equal (f x) (g x)))))""")
+    calls, todo = 0, [form.cdr.cdr.car]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, Pair):
+            calls += 1
+            todo.extend(to_list(f.cdr))
+    assert _do_defthm(w, to_list(form), 1000).proved
+    assert "R" in w.rules
+    assert len(entries) == calls == 13
+    assert set(entries.values()) == {1}
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hintprover.sexpr import NIL, T, Keyword, Symbol, parse_one, print_sexpr
 from hintprover.term import App, CONST_T, Const, TranslateError, Var, translate
 from hintprover.world import HintFn, RewriteRule, World
-from hintprover.rewrite import StepBudget
+from hintprover.rewrite import StepBudget, negate_term
 from hintprover.hints import (
     ComputedHint, GoalCtx, Hint, HintError, UseInstance,
     _interpret_hint_value, apply_hint, clause_sexpr, clausify, eval_computed_hint,
@@ -281,24 +281,30 @@ def test_apply_processor_runs_first():
 # ---------------------------------------------------------------------------
 # clausify
 
+def _clause(text, w):
+    """The clause _do_defthm builds from what clausify returns."""
+    hyps, concl, _, _ = clausify(parse_one(text), w)
+    return tuple(negate_term(h) for h in hyps) + (concl,)
+
+
 def test_clausify_shapes():
     w = _stub_f()
-    assert clausify(parse_one("(f x)"), w) == (tr("(f x)", w),)
-    got = clausify(parse_one("(implies (f x) (f y))"), w)
+    assert _clause("(f x)", w) == (tr("(f x)", w),)
+    got = _clause("(implies (f x) (f y))", w)
     assert got == (tr("(not (f x))", w), tr("(f y)", w))
-    got = clausify(parse_one("(implies (and (f x) (not (f y))) (f z))"), w)
+    got = _clause("(implies (and (f x) (not (f y))) (f z))", w)
     assert got == (tr("(not (f x))", w), tr("(f y)", w), tr("(f z)", w))
-    got = clausify(parse_one("(implies (f x) (implies (f y) (f z)))"), w)
+    got = _clause("(implies (f x) (implies (f y) (f z)))", w)
     assert got == (tr("(not (f x))", w), tr("(not (f y))", w), tr("(f z)", w))
-    got = clausify(parse_one("(implies (and (f x) (and (f y) (f q))) (f z))"), w)
+    got = _clause("(implies (and (f x) (and (f y) (f q))) (f z))", w)
     assert len(got) == 4
     with pytest.raises(HintError):
-        clausify(parse_one("(implies (f x))"), w)
+        _clause("(implies (f x))", w)
 
 
 def test_clausify_beta_reduces():
     w = World()
-    got = clausify(parse_one("(let ((a '1)) (equal a '1))"), w)
+    got = _clause("(let ((a '1)) (equal a '1))", w)
     assert got == (tr("(equal '1 '1)"),)
 
 

@@ -77,9 +77,12 @@ def test_every_entry_point_hands_on_lambda_free_terms(n):
     w = _world()
     a, b, c = (_binding(rng, rng.choice(_BINDERS), 3, ["X", "Y"]) for _ in range(3))
     assert all(translate(parse_one(f), w).has_lambda for f in (a, b, c))
-    out = list(clausify(parse_one(f"(implies (and (p {a}) (p {b})) (p {c}))"), w))
+    hyps, concl, body, _ = clausify(parse_one(f"(implies (and (p {a}) (p {b})) (p {c}))"), w)
+    out = [*hyps, concl, body]
 
-    rule = convert_rule("R", parse_one(f"(implies (p {b}) (equal (g {a} x y) {c}))"), w)
+    hyps, concl, _, concl_form = clausify(
+        parse_one(f"(implies (p {b}) (equal (g {a} x y) {c}))"), w)
+    rule = convert_rule("R", hyps, concl, concl_form)
     out += [rule.lhs, rule.rhs, *rule.hyps]
 
     _do_defun(w, to_list(parse_one(f"(defun h (x y) {a})")), 10_000)

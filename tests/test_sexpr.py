@@ -1,9 +1,10 @@
+import copy
 import random
 
 import pytest
 
 from hintprover.sexpr import (
-    NIL, Keyword, Pair, ParseError, Symbol, T, QUOTE, QUASIQUOTE, UNQUOTE,
+    NIL, Keyword, Nil, Pair, ParseError, Symbol, T, QUOTE, QUASIQUOTE, UNQUOTE,
     UNQUOTE_SPLICING, from_list, is_nil, is_proper_list, parse, parse_one,
     print_sexpr, to_list,
 )
@@ -68,6 +69,54 @@ def test_parse_errors():
         parse_one("a.b")
     with pytest.raises(ParseError):
         parse_one("")
+
+
+# Each message the reader gives, placed past line 1, with its line number.
+PARSE_ERRORS = [
+    ("(a)\n'", "unexpected end of input (line 2)"),
+    ("(a)\n(b))", "unexpected ) (line 2)"),
+    ("(a)\n(b\n c", "unterminated list (line 3)"),
+    ("(a)\n( . b)", "dotted pair without a car (line 2)"),
+    ("(a\n . b\n c)", "malformed dotted pair (line 3)"),
+    ("(a . b\n", "malformed dotted pair (line 2)"),
+    ('(a)\n"a\\xb"', "unknown string escape \\x (line 2)"),
+    ('(a)\n"abc', "unterminated string (line 2)"),
+    ('(a)\n"abc\\"', "unterminated string (line 2)"),
+    ('(a)\n"abc\\', "unterminated string (line 2)"),
+    ("(a\n :)", "bare colon is not a keyword (line 2)"),
+    ("(a)\n(a.b)", "symbol name may not contain a dot: a.b (line 2)"),
+    # a dot followed by a reader macro is not a dotted pair's dot
+    ("(a)\n(a .'b)", "symbol name may not contain a dot: . (line 2)"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_parse_error_messages_and_lines(text, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == message
+
+
+def test_deep_nesting_reads_without_recursion():
+    n = 100_000
+    (form,) = parse("(" * n + "x" + ")" * n)
+    depth = 0
+    while isinstance(form, Pair):
+        assert form.cdr is NIL
+        form, depth = form.car, depth + 1
+    assert (form, depth) == (Symbol("X"), n)
+    (form,) = parse("'" * n + "x")
+    depth = 0
+    while isinstance(form, Pair):
+        assert form.car == QUOTE
+        form, depth = form.cdr.car, depth + 1
+    assert (form, depth) == (Symbol("X"), n)
+
+
+def test_nil_is_one_object():
+    assert Nil() is NIL
+    assert copy.copy(NIL) is NIL and copy.deepcopy(NIL) is NIL
+    assert copy.deepcopy(from_list([1], NIL)).cdr is NIL
 
 
 def test_print_canonical():
