@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .sexpr import (
-    Keyword, Pair, ProverError, Symbol,
+    Keyword, Pair, ParseError, ProverError, Symbol,
     from_list, is_nil, is_proper_list, parse, print_sexpr, to_list,
 )
 from .term import (
@@ -232,7 +232,7 @@ def _do_defthm(world: World, items, max_steps: int) -> TheoremOutcome:
                 raise EventError(f"unknown defthm keyword: {print_sexpr(k)}")
         hyps, concl, body_term, concl_form = clausify(body, world)
         rule = convert_rule(name, hyps, concl, concl_form) if rule_classes == "REWRITE" else None
-    except (TranslateError, HintError) as e:
+    except (ParseError, TranslateError, HintError) as e:
         raise EventError(f"in {name}: {e}")
     clause = tuple(negate_term(h) for h in hyps) + (concl,)
 

@@ -109,7 +109,7 @@ _INSTANCE = Keyword("INSTANCE")
 _CHR = Keyword("COMPUTED-HINT-REPLACEMENT")
 
 
-def _parse_instance(form, world):
+def _parse_instance(form, tr):
     if isinstance(form, Symbol):
         return UseInstance(form.name, ())
     items = to_list(form) if isinstance(form, Pair) else None
@@ -120,28 +120,28 @@ def _parse_instance(form, world):
         pair = to_list(b) if isinstance(b, Pair) else None
         if not pair or len(pair) != 2 or not isinstance(pair[0], Symbol):
             raise HintError(f"malformed instance binding: {print_sexpr(b)}")
-        bindings.append((pair[0].name, translate(pair[1], world)))
+        bindings.append((pair[0].name, tr.tr(pair[1])))
     return UseInstance(items[1].name, tuple(bindings))
 
 
-def _parse_use(value, world):
+def _parse_use(value, tr):
     if isinstance(value, Symbol):
-        return (_parse_instance(value, world),)
+        return (_parse_instance(value, tr),)
     if isinstance(value, Pair):
         if value.car == _INSTANCE:
-            return (_parse_instance(value, world),)
-        return tuple(_parse_instance(e, world) for e in to_list(value))
+            return (_parse_instance(value, tr),)
+        return tuple(_parse_instance(e, tr) for e in to_list(value))
     raise HintError(f"bad :USE value: {print_sexpr(value)}")
 
 
-def _parse_expand(value, world):
+def _parse_expand(value, tr):
     if isinstance(value, Pair) and isinstance(value.car, Symbol):
         forms = [value]
     elif isinstance(value, Pair):
         forms = to_list(value)
     else:
         raise HintError(f"bad :EXPAND value: {print_sexpr(value)}")
-    return tuple(translate(f, world) for f in forms)
+    return tuple(tr.tr(f) for f in forms)
 
 
 def _parse_in_theory(value):
@@ -160,6 +160,13 @@ def _parse_in_theory(value):
 
 def parse_hint(form, world) -> Hint:
     """Parse a keyword hint list, optionally headed by a replacement clause."""
+    return parse_hint_with(form, world, Translator(world.macro_env, world.arity))
+
+
+def parse_hint_with(form, world, tr) -> Hint:
+    """parse_hint, translating every term of the hint through tr, a
+    Translator under the world's own macros and arities.  A caller that
+    already knows the term of some form may file it in tr.done."""
     items = to_list(form)
     replacement = None
     if items and items[0] == _CHR:
@@ -178,9 +185,9 @@ def parse_hint(form, world) -> Hint:
         if not isinstance(k, Keyword):
             raise HintError(f"expected a hint keyword, got: {print_sexpr(k)}")
         if k == Keyword("USE"):
-            use = use + _parse_use(v, world)
+            use = use + _parse_use(v, tr)
         elif k == Keyword("EXPAND"):
-            expand = expand + _parse_expand(v, world)
+            expand = expand + _parse_expand(v, tr)
         elif k == Keyword("IN-THEORY"):
             en, dis = _parse_in_theory(v)
             enable, disable = enable + en, disable + dis

@@ -52,8 +52,10 @@ NIL = Nil()
 
 
 class Pair:
-    """A cons cell.  Equality and hashing are structural and walk the cdr
-    spine in a loop, so long lists cost no recursion depth.
+    """A cons cell.  Equality and hashing are structural and walk both the
+    car and the cdr direction without recursion: the cdr spine in a loop,
+    nested cars on an explicit stack.  So neither long lists nor deep
+    nesting cost Python stack depth.
 
     A cell is never changed after construction: its hash and its printed
     text (print_sexpr) are computed on first use and kept on the cell.
@@ -70,27 +72,60 @@ class Pair:
     def __eq__(self, other):
         if not isinstance(other, Pair):
             return NotImplemented
-        a, b = self, other
-        while isinstance(a, Pair) and isinstance(b, Pair):
-            if a is b:
-                return True
-            if a.car is not b.car and not a.car == b.car:
-                return False
-            a, b = a.cdr, b.cdr
-        return a is b or a == b
+        todo = [(self, other)]  # pairs of cells still to compare
+        while todo:
+            a, b = todo.pop()
+            while isinstance(a, Pair) and isinstance(b, Pair):
+                if a is b:
+                    break
+                x, y = a.car, b.car
+                if x is not y:
+                    if isinstance(x, Pair) and isinstance(y, Pair):
+                        todo.append((x, y))
+                    elif not x == y:
+                        return False
+                a, b = a.cdr, b.cdr
+            else:
+                if not (a is b or a == b):
+                    return False
+        return True
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            cars, cur = [], self
-            while isinstance(cur, Pair):
-                cars.append(cur.car)
-                cur = cur.cdr
-            h = self._hash = hash((tuple(cars), cur))
+            h = _hash_cells(self)
         return h
 
     def __repr__(self):
         return print_sexpr(self)
+
+
+def _hash_cells(root):
+    """Hash root, and first every unhashed list nested in its cars.
+
+    A list's hash is hash((cars, tail)).  The lists in its cars are hashed
+    before it, from an explicit stack, so hashing the cars tuple only
+    reads their kept hashes and never recurses.
+    """
+    todo = [root]
+    while todo:
+        p = todo[-1]
+        if p._hash is not None:
+            todo.pop()
+            continue
+        cars, inner, cur = [], [], p
+        while isinstance(cur, Pair):
+            a = cur.car
+            if isinstance(a, Pair) and a._hash is None:
+                inner.append(a)
+            cars.append(a)
+            cur = cur.cdr
+        if inner:
+            todo.extend(inner)
+        else:
+            todo.pop()
+            p._hash = hash((tuple(cars), cur))
+    return root._hash
 
 
 # SExpr = Symbol | Keyword | int | str | Pair | Nil
@@ -255,8 +290,33 @@ def _escape_string(s: str) -> str:
 
 
 def print_sexpr(e) -> str:
-    """Canonical printer: uppercase names, single spaces, no line breaks."""
-    if is_nil(e):
+    """Canonical printer: uppercase names, single spaces, no line breaks.
+
+    A cell's text is made once and kept on it, so a list element that is
+    a cell printed before, or a symbol, costs no call.
+    """
+    if isinstance(e, Pair):
+        text = e._text
+        if text is None:
+            parts = []
+            cur = e
+            while isinstance(cur, Pair):
+                a = cur.car
+                if isinstance(a, Pair):
+                    s = a._text
+                    parts.append(print_sexpr(a) if s is None else s)
+                elif isinstance(a, Symbol):
+                    parts.append(a.name)
+                else:
+                    parts.append(print_sexpr(a))
+                cur = cur.cdr
+            if cur is NIL:
+                text = "(" + " ".join(parts) + ")"
+            else:
+                text = "(" + " ".join(parts) + " . " + print_sexpr(cur) + ")"
+            e._text = text
+        return text
+    if e is NIL:
         return "NIL"
     if isinstance(e, Symbol):
         return e.name
@@ -266,18 +326,4 @@ def print_sexpr(e) -> str:
         return str(e)
     if isinstance(e, str):
         return '"' + _escape_string(e) + '"'
-    if isinstance(e, Pair):
-        text = e._text
-        if text is None:
-            parts = []
-            cur = e
-            while isinstance(cur, Pair):
-                parts.append(print_sexpr(cur.car))
-                cur = cur.cdr
-            if is_nil(cur):
-                text = "(" + " ".join(parts) + ")"
-            else:
-                text = "(" + " ".join(parts) + " . " + print_sexpr(cur) + ")"
-            e._text = text
-        return text
     raise TypeError(f"not an s-expression: {e!r}")

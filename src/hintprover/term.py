@@ -32,10 +32,25 @@ class EvalError(ProverError):
 # The constructor table: one live node per structure, so structurally
 # equal terms are the same object and == and hash are identity.  Keys:
 # Var, its name; Const, (type(value), value); App, (fn, args); LamApp,
-# (formals, body, actuals).  A node leaves the table when the last
-# reference to it elsewhere goes.
-_TABLE = weakref.WeakValueDictionary()
+# (formals, body, actuals).  Each value is a weak reference to the node,
+# whose callback removes the entry when the node dies, so a node leaves
+# the table when the last reference to it elsewhere goes.  A constructor
+# reads a dead entry as empty and files its new node over it.
+_TABLE = {}
 _set = object.__setattr__
+
+
+class _Ref(weakref.ref):
+    """A table entry: a weak reference to a node, and the node's key."""
+    __slots__ = ("key",)
+
+
+def _drop(ref, table=_TABLE):
+    """Callback of a dying node's entry.  It removes the key only if the
+    table still holds this entry: a newer node may already be filed there."""
+    key = ref.key
+    if table.get(key) is ref:
+        del table[key]
 
 
 class _Term:
@@ -61,8 +76,8 @@ def _file(t, key):
     _set(t, "_sexpr", None)
     _set(t, "_fv", None)
     _set(t, "_split", False)
-    _TABLE[key] = t
-    return t
+    r = _TABLE[key] = _Ref(t, _drop)
+    r.key = key
 
 
 class Var(_Term):
@@ -70,7 +85,8 @@ class Var(_Term):
     has_lambda = False
 
     def __new__(cls, name):
-        t = _TABLE.get(name)
+        r = _TABLE.get(name)
+        t = r() if r is not None else None
         if t is None:
             t = object.__new__(cls)
             _set(t, "name", name)
@@ -87,7 +103,8 @@ class Const(_Term):
 
     def __new__(cls, value):
         key = (type(value), value)
-        t = _TABLE.get(key)
+        r = _TABLE.get(key)
+        t = r() if r is not None else None
         if t is None:
             t = object.__new__(cls)
             _set(t, "value", value)
@@ -104,7 +121,8 @@ class App(_Term):
 
     def __new__(cls, fn, args):
         key = (fn, args)
-        t = _TABLE.get(key)
+        r = _TABLE.get(key)
+        t = r() if r is not None else None
         if t is None:
             t = object.__new__(cls)
             _set(t, "fn", fn)
@@ -125,7 +143,8 @@ class LamApp(_Term):
 
     def __new__(cls, formals, body, actuals):
         key = (formals, body, actuals)
-        t = _TABLE.get(key)
+        r = _TABLE.get(key)
+        t = r() if r is not None else None
         if t is None:
             t = object.__new__(cls)
             _set(t, "formals", formals)
@@ -480,6 +499,9 @@ class Translator:
         return make_lamapp(formals, self.tr(items[2]), actuals)
 
 
+_FN_SYMBOLS = {}  # function name -> the Symbol unparse heads its calls with
+
+
 def unparse(t):
     """Render a Term back into a surface SExpr; constants become QUOTE forms.
 
@@ -490,12 +512,19 @@ def unparse(t):
         raise TypeError(f"not a term: {t!r}")
     out = t._sexpr
     if out is None:
-        if isinstance(t, Var):
+        if isinstance(t, App):
+            out = NIL
+            for a in reversed(t.args):
+                s = a._sexpr
+                out = Pair(unparse(a) if s is None else s, out)
+            head = _FN_SYMBOLS.get(t.fn)
+            if head is None:
+                head = _FN_SYMBOLS[t.fn] = Symbol(t.fn)
+            out = Pair(head, out)
+        elif isinstance(t, Var):
             out = Symbol(t.name)
         elif isinstance(t, Const):
-            out = from_list([QUOTE, t.value])
-        elif isinstance(t, App):
-            out = from_list([Symbol(t.fn)] + [unparse(a) for a in t.args])
+            out = Pair(QUOTE, Pair(t.value, NIL))
         else:
             lam = from_list([
                 Symbol("LAMBDA"),

@@ -20,11 +20,11 @@ from .sexpr import (
     NIL, Keyword, Pair, ProverError, Symbol, QUOTE,
     from_list, is_nil, is_proper_list, parse_one, print_sexpr, to_list,
 )
-from .term import App, Const, TranslateError, Var, translate, unparse
+from .term import App, Const, TranslateError, Translator, Var, translate, unparse
 from .world import HintFn, World
 from .hints import (
     ComputedHint, GoalCtx, Hint, UseInstance,
-    eval_computed_hint, translate_hint_expr,
+    eval_computed_hint, parse_hint_with, translate_hint_expr,
 )
 
 HYP_FN = "USE-TERMHINT-HYP"
@@ -116,13 +116,38 @@ def _with_drop(hint: Hint) -> Hint:
     return replace(hint, clause_processor=DROP_PROCESSOR)
 
 
-def _interpret_extracted(v, ctx: GoalCtx) -> Hint:
-    """Second evaluation: the extracted value becomes an actual hint."""
+def _interpret_extracted(v, ctx: GoalCtx, tr) -> Hint:
+    """Second evaluation: the extracted value becomes an actual hint.
+
+    A quoted keyword list evaluates to the list, so it goes straight to
+    parse_hint_with, whose terms are translated through tr; any other
+    value is translated and evaluated as a computed hint.
+    """
     if is_nil(v):
         return Hint()
+    if isinstance(v, Pair) and v.car == QUOTE and isinstance(v.cdr, Pair) and is_nil(v.cdr.cdr):
+        quoted = v.cdr.car
+        if isinstance(quoted, Pair) and isinstance(quoted.car, Keyword) and is_proper_list(quoted):
+            return parse_hint_with(quoted, ctx.world, tr)
     ch = ComputedHint(expr=translate_hint_expr(v, ctx.world))
     hint = eval_computed_hint(ch, ctx)
     return hint if hint is not None else Hint()
+
+
+def _read_hint(t, ctx: GoalCtx) -> Hint:
+    """Read the hint term t back and interpret it against ctx.
+
+    Each (HQ u) reads as unparse(u), and the translator the hint's terms
+    go through is told that this very cell translates to u, so a goal
+    term carried into the hint is not translated back from its text.
+    """
+    built = {}
+    v = keyword_fixup(_process(t, built))
+    tr = Translator(ctx.world.macro_env, ctx.world.arity)
+    for h, cell in built.items():
+        if h.fn == "HQ":
+            tr.done[id(cell)] = (cell, h.args[0])
+    return _interpret_extracted(v, ctx, tr)
 
 
 def find_hint(ctx: GoalCtx):
@@ -143,14 +168,13 @@ def find_hint(ctx: GoalCtx):
         first, rest = carried.args
         if isinstance(rest, App) and rest.fn == "HIDE":
             rest = rest.args[0]
-        base = _interpret_extracted(keyword_fixup(process_termhint(first)), ctx)
+        base = _read_hint(first, ctx)
         stage2 = replace(_hyp_hint(rest, ctx.world),
                          display=from_list([Symbol("USE-TERMHINT"), unparse(rest)]))
         hint = _with_drop(base)
         return replace(hint, replacement=(hint.replacement or ()) + (stage2,))
 
-    v = keyword_fixup(process_termhint(carried))
-    return _with_drop(_interpret_extracted(v, ctx))
+    return _with_drop(_read_hint(carried, ctx))
 
 
 def clause_labels(clause):

@@ -199,6 +199,13 @@ def test_closed_stdout_ends_without_a_traceback():
     assert proc.returncode not in (0, 1)
 
 
+def test_dotted_list_in_a_statement_names_the_theorem(tmp_path, capsys):
+    path = evfile(tmp_path, "(defstub g 1)(defstub f 1)(defthm r (implies (g . x) (f x)))")
+    assert main([path]) == 2
+    err = capsys.readouterr().err
+    assert f"ERROR {path}: in R: improper list where a proper list was expected" in err
+
+
 def test_deep_term_in_file_is_file_error(tmp_path, capsys):
     deep = "(car " * 600 + "x" + ")" * 600
     path = evfile(tmp_path, f"(defthm deep (equal {deep} y) :rule-classes nil)")
@@ -258,6 +265,30 @@ def test_long_quoted_list_proves(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out.count("THEOREM SAME PROVED") == 2
     assert "ERROR" not in err
+
+
+def _car_nested(depth):
+    """A constant nested `depth` levels deep in the car direction: ((((A))))."""
+    return "(" * depth + "a" + ")" * depth
+
+
+def test_deep_quoted_constant_proves(tmp_path, capsys):
+    # Interning the constant hashes it; the hash walks nested cars on a stack.
+    path = evfile(tmp_path, f"(defthm d (consp '{_car_nested(5000)}) :rule-classes nil)")
+    assert main([path]) == 0
+    out, err = capsys.readouterr()
+    assert "THEOREM D PROVED" in out and err == ""
+
+
+def test_two_deep_copies_of_a_constant_are_equal(tmp_path, capsys):
+    # The second copy is read apart from the first, so interning it
+    # compares the two cell by cell, on a stack.
+    deep = _car_nested(5000)
+    path = evfile(tmp_path, f"(defthm e (equal '{deep} '{deep}) :rule-classes nil)")
+    assert main([path]) == 0
+    out, err = capsys.readouterr()
+    assert "THEOREM E PROVED" in out and err == ""
+
 
 def test_register_hint_fn_runs_per_goal(tmp_path):
     path = evfile(tmp_path, """

@@ -8,11 +8,18 @@ import gc
 import random
 import time
 
+import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from hintprover import term
-from hintprover.sexpr import Pair, QUOTE, Keyword, Symbol, from_list, is_nil, print_sexpr
-from hintprover.term import App, Const, LamApp, Var, free_vars, make_lamapp, unparse
+from hintprover.sexpr import (
+    NIL, Pair, QUOTE, Keyword, Symbol, T, from_list, is_nil, parse_one, print_sexpr,
+)
+from hintprover.term import (
+    App, Const, LamApp, TranslateError, Var, free_vars, make_lamapp, translate, unparse,
+)
+from hintprover.world import World
+from hintprover.termhint import SEQ_FN, install_prelude
 from hintprover.rewrite import find_split_test
 from hintprover.cli import format_report, main, run
 
@@ -154,8 +161,9 @@ def test_cached_forms_match_plain_references(n):
 
 def _named(fragment):
     """Live App and Var nodes whose name contains fragment."""
-    return [t for t in list(term._TABLE.values())
-            if fragment in getattr(t, "fn", getattr(t, "name", ""))]
+    live = [r() for r in list(term._TABLE.values())]
+    return [t for t in live
+            if t is not None and fragment in getattr(t, "fn", getattr(t, "name", ""))]
 
 
 def test_intern_table_drops_terms_once_a_run_is_released(tmp_path):
@@ -175,6 +183,120 @@ def test_intern_table_drops_terms_once_a_run_is_released(tmp_path):
     gc.collect()
     assert _named("ZQ-") == []
     assert len(term._TABLE) <= before
+
+
+def test_a_late_callback_leaves_the_node_filed_after_it():
+    key = ("ZQ-STALE", ())
+    t = App(*key)
+    old = term._TABLE[key]
+    callback = old.__callback__
+    del t
+    gc.collect()
+    assert key not in term._TABLE
+    t = App(*key)
+    new = term._TABLE[key]
+    assert new is not old and new() is t
+    callback(old)  # the dead node's callback, run once more after the new filing
+    assert term._TABLE[key] is new
+    assert App(*key) is t
+
+
+# ---------------------------------------------------------------------------
+# Rendering, and translating a rendering back
+
+def _ref_print(t):
+    """The text of a term, printed straight from the term."""
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Const):
+        return "(QUOTE " + _plain_print(t.value) + ")"
+    if isinstance(t, App):
+        return "(" + " ".join([t.fn] + [_ref_print(a) for a in t.args]) + ")"
+    lam = "(LAMBDA (" + " ".join(t.formals) + ") " + _ref_print(t.body) + ")"
+    return "(" + " ".join([lam] + [_ref_print(a) for a in t.actuals]) + ")"
+
+
+def _random_value(rng, depth):
+    """A quoted value: atoms, strings with quotes and backslashes, conses
+    with proper or dotted tails."""
+    k = rng.randrange(8 if depth else 6)
+    if k == 0:
+        return rng.choice(['say "hi"', "back\\slash", 'a\\"b', "", "plain"])
+    if k == 1:
+        return rng.randrange(-1000, 1000)
+    if k == 2:
+        return Keyword(rng.choice(["USE", "EXPAND", "K"]))
+    if k == 3:
+        return rng.choice([NIL, T])
+    if k in (4, 5):
+        return Symbol(rng.choice(["A", "B", "FOO-BAR"]))
+    items = [_random_value(rng, depth - 1) for _ in range(rng.randrange(1, 4))]
+    tail = _random_value(rng, 0) if k == 6 else NIL
+    return from_list(items, tail)
+
+
+# Functions the random terms call, over a world that knows them
+_FNS = {"CONS": 2, "CAR": 1, "EQUAL": 2, "IF": 3, "NOT": 1, "BINARY-APPEND": 2,
+        "HIDE": 1, "HQ": 1, "ZQ-F": 1, "ZQ-G": 3, "ZQ-K": 0}
+
+
+def _round_trip_world():
+    w = World()
+    install_prelude(w)
+    w.add_stub("ZQ-F", 1)
+    w.add_stub("ZQ-G", 3)
+    w.add_stub("ZQ-K", 0)
+    return w
+
+
+def _random_lambda_free(rng, depth):
+    k = rng.randrange(5 if depth else 2)
+    if k == 0:
+        return Var(rng.choice(["X", "Y", "Z"]))
+    if k == 1:
+        return Const(_random_value(rng, 2))
+    if k == 2:  # TERMHINT-SEQ is also a macro, which keeps its second argument hidden
+        return App(SEQ_FN, (_random_lambda_free(rng, depth - 1),
+                            App("HIDE", (_random_lambda_free(rng, depth - 1),))))
+    fn = rng.choice(sorted(_FNS))
+    return App(fn, tuple(_random_lambda_free(rng, depth - 1) for _ in range(_FNS[fn])))
+
+
+def _random_printed_term(rng, depth):
+    if depth and rng.random() < 0.2:
+        formals = rng.sample(["X", "Y", "Z"], rng.randrange(1, 3))
+        return LamApp(tuple(formals), _random_printed_term(rng, depth - 1),
+                      tuple(_random_printed_term(rng, depth - 1) for _ in formals))
+    t = _random_lambda_free(rng, min(depth, 1))
+    if depth and isinstance(t, App):
+        t = App(t.fn, tuple(_random_printed_term(rng, depth - 1) for _ in t.args))
+    return t
+
+
+@seed(14)
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_printed_rendering_matches_the_term(n):
+    t = _random_printed_term(random.Random(n), 4)
+    want = _ref_print(t)
+    assert print_sexpr(unparse(t)) == want
+    assert print_sexpr(unparse(t)) == want  # every text kept from the first print
+
+
+@seed(15)
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_a_rendering_translates_back_to_its_term(n):
+    w = _round_trip_world()
+    t = _random_lambda_free(random.Random(n), 4)
+    assert translate(unparse(t), w) is t
+    assert translate(parse_one(print_sexpr(unparse(t))), w) is t
+
+
+def test_a_rendering_with_an_unknown_function_does_not_translate():
+    t = App("ZQ-UNKNOWN", (Var("X"),))
+    with pytest.raises(TranslateError, match="unknown function: ZQ-UNKNOWN"):
+        translate(unparse(t), _round_trip_world())
 
 
 # ---------------------------------------------------------------------------

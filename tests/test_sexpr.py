@@ -187,6 +187,52 @@ def test_pair_equality_and_hash_are_structural():
     assert len({from_list([1, 2], 3), from_list([1, 2], 3), from_list([1, 2])}) == 2
 
 
+class _Hashed:
+    """Stands for a nested list in a cars tuple: hashes to the given value."""
+
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def _recursive_hash(e):
+    """A list's hash by its plain recursive definition: hash((cars, tail))."""
+    cars = []
+    while isinstance(e, Pair):
+        cars.append(_Hashed(_recursive_hash(e.car)) if isinstance(e.car, Pair) else e.car)
+        e = e.cdr
+    return hash((tuple(cars), e))
+
+
+def test_pair_hash_keeps_its_recursive_definition():
+    rng = random.Random(14)
+    shared = from_list([1, from_list([2])])
+    for _ in range(300):
+        e = _random_sexpr(rng, 5)
+        if isinstance(e, Pair):
+            assert hash(e) == _recursive_hash(e)
+    e = Pair(shared, Pair(shared, from_list([shared], 3)))
+    assert hash(e) == _recursive_hash(e)
+
+
+def test_deep_car_nesting_compares_and_hashes_without_recursion():
+    def nested(depth, leaf):
+        e = leaf
+        for _ in range(depth):
+            e = Pair(e, NIL)
+        return e
+
+    n = 20_000
+    a, b = nested(n, Symbol("A")), nested(n, Symbol("A"))
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != nested(n, Symbol("B")) and a != nested(n - 1, Symbol("A"))
+    assert a == parse_one("(" * n + "a" + ")" * n)
+    assert len({a, b, nested(n, 1)}) == 2
+
+
 def test_long_lists_compare_and_hash_without_recursion():
     n = 10_000
     a, b = from_list(list(range(n))), from_list(list(range(n)))

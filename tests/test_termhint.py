@@ -6,13 +6,14 @@ from hintprover.sexpr import (
     NIL, Keyword, Pair, Symbol, T, from_list, is_proper_list, parse_one,
     print_sexpr, to_list,
 )
+from hintprover import termhint
 from hintprover.term import (
-    App, CONST_NIL, Const, TranslateError, Var, ground_eval, translate, unparse,
+    App, CONST_NIL, Const, TranslateError, Translator, Var, ground_eval, translate, unparse,
 )
 from hintprover.world import World
 from hintprover.rewrite import StepBudget
 from hintprover.hints import (
-    ComputedHint, GoalCtx, Hint, UseInstance, apply_hint, eval_computed_hint,
+    ComputedHint, GoalCtx, Hint, HintError, UseInstance, apply_hint, eval_computed_hint,
     parse_hint, prove_clause, render_hint, translate_hint_expr,
 )
 from hintprover.termhint import (
@@ -358,3 +359,51 @@ def test_prelude_waterfall_round_trip():
     assert fired[0][0] == "Goal"
     assert fired[1] == ("Subgoal 1", "(:EXPAND ((D P Q)) :CLAUSE-PROCESSOR DROP-TERMHINT-HYP)")
     assert r.events[-1] == ("Subgoal 1.1", "PROVED", T)
+
+
+# ---------------------------------------------------------------------------
+# An extracted quoted keyword list is parsed without being evaluated
+
+@pytest.mark.parametrize("text, evaluations_wanted", [
+    ("'nil", 1),
+    ("'(:expand ((d x y)))", 0),
+    ("'(:use ((:instance use-termhint-hyp-is-true (x (d y z)))))", 0),
+    ("''(:use use-termhint-hyp-is-true)", 1),
+    ("'(a b)", 1),
+])
+def test_quoted_hint_value_reads_as_its_evaluation(text, evaluations_wanted, monkeypatch):
+    w = _dworld()
+    ctx = GoalCtx((tr("(d x y)", w),), "Goal", True, w)
+    v = parse_one(text)
+
+    def outcome(run):
+        try:
+            return run()
+        except HintError as e:
+            return f"HintError: {e}"
+
+    def evaluated():
+        hint = eval_computed_hint(ComputedHint(expr=translate_hint_expr(v, w)), ctx)
+        return hint if hint is not None else Hint()
+
+    want = outcome(evaluated)
+    evaluations = []
+    monkeypatch.setattr(termhint, "eval_computed_hint",
+                        lambda ch, c: evaluations.append(ch) or eval_computed_hint(ch, c))
+    got = outcome(lambda: termhint._interpret_extracted(v, ctx, Translator(w.macro_env, w.arity)))
+    assert got == want
+    assert len(evaluations) == evaluations_wanted  # a quoted keyword list skips it
+
+
+def test_a_carried_goal_term_is_not_translated_back(monkeypatch):
+    w = _dworld()
+    u = tr("(d (d x y) (car z))", w)
+    target = App("CONS", (App("HQ", (u,)), CONST_NIL))
+    carried = App("CONS", (Const(Keyword("EXPAND")), App("CONS", (target, CONST_NIL))))
+    ctx = GoalCtx((_hyp_lit(carried), tr("(d x y)", w)), "Goal", True, w)
+    forms = []
+    translate_form = Translator.tr
+    monkeypatch.setattr(Translator, "tr", lambda self, f: forms.append(f) or translate_form(self, f))
+    hint = find_hint(ctx)
+    assert hint.expand == (u,) and hint.expand[0] is u
+    assert forms == [unparse(u)]  # read from the translator's table, not rebuilt
