@@ -9,9 +9,9 @@ the theory, the world, the step budget and a memo table.
 
 The memo outlives the literal: the caller of simplify_clause owns one
 table per theory (`memos`), and every goal of a proof rewrites through
-it.  An entry records which assumption queries its rewrite asked and
-what they answered, and it is reused only where each of them answers
-the same, so a reused answer is the one a fresh rewrite would give.
+it.  An entry records which truth-table lookups its rewrite made and
+what they read, and it is reused only where each of them reads the
+same, so a reused answer is the one a fresh rewrite would give.
 
 Every term walked here is lambda-free.  The callers beta-reduce what
 they translate before it reaches a clause, a rule or a definition, and
@@ -81,48 +81,45 @@ class RewriteContext:
     the truth context from the other literals of the clause in play, and
     the memo table rewrite_term reads and fills.
 
-    `memo` maps (term, iff) to (result, steps charged, queries), where
-    queries holds the distinct (query, answer) pairs of every decide
-    call the rewrite made, those replayed from inner hits included.  A
-    table serves one theory and one world, but any number of truth
-    contexts: it may be shared by every literal of every goal of a proof
-    under that theory, and the world must not change while it is in use.
-    `log` is this context's record of its decide calls.
+    `truth` maps each other literal to False, then the argument of each
+    (NOT p) literal to True, so a term both assumed and denied reads True.
+    `memo` maps (term, iff) to (result, steps charged, lookups), where
+    lookups holds the distinct (term, truth.get(term)) pairs of every
+    lookup decide made for the rewrite, those replayed from inner hits
+    included.  A table serves one theory and one world, but any number of
+    truth contexts: it may be shared by every literal of every goal of a
+    proof under that theory, and the world must not change while it is in
+    use.  `log` is this context's record of its lookups.
     """
 
-    __slots__ = ("theory", "world", "budget", "false_terms", "true_terms", "memo", "log")
+    __slots__ = ("theory", "world", "budget", "truth", "memo", "log")
 
     def __init__(self, theory, world, budget, memo, false_literals=()):
         self.theory = theory
         self.world = world
         self.budget = budget
-        self.false_terms = set(false_literals)
-        self.true_terms = {
-            l.args[0]
-            for l in self.false_terms
-            if isinstance(l, App) and l.fn == "NOT"
-        }
+        truth = self.truth = dict.fromkeys(false_literals, False)
+        for l in false_literals:
+            if isinstance(l, App) and l.fn == "NOT":
+                truth[l.args[0]] = True
         self.memo = memo
         self.log = []
 
-    def answer(self, q):
-        """True, False, or None when the context says nothing about q."""
-        if q in self.true_terms:
-            return True
-        if q in self.false_terms:
-            return False
-        if isinstance(q, App) and q.fn == "NOT":
-            p = q.args[0]
-            if p in self.true_terms:
-                return False
-            if p in self.false_terms:
-                return True
-        return None
-
     def decide(self, q):
-        """answer(q), recorded in the log for the memo entries being built."""
-        a = self.answer(q)
-        self.log.append((q, a))
+        """True, False, or None when the context says nothing about q.
+
+        A (NOT p) the table does not hold is answered from p.  Each lookup
+        is logged for the memo entries being built.
+        """
+        truth, log = self.truth, self.log
+        a = truth.get(q)
+        log.append((q, a))
+        if a is None and isinstance(q, App) and q.fn == "NOT":
+            p = q.args[0]
+            a = truth.get(p)
+            log.append((p, a))
+            if a is not None:
+                return not a
         return a
 
 
@@ -162,14 +159,18 @@ def rewrite_term(t, ctx, iff=False):
     arguments of NOT and IFF are rewritten that way, no others.
 
     Calls are memoized per (t, iff) in ctx.memo.  An entry is reused
-    only if every query its rewrite asked of decide answers the same in
-    ctx; rewrite_term reads ctx only through decide, so the entry is then
-    what a fresh rewrite would return.  A reuse charges the recorded steps
-    again, so the budget reads (and runs out) as if the work were redone,
-    and adds the entry's queries to ctx.log, since the enclosing entries
-    depend on them too.  A stale entry is recomputed and overwritten.  The
-    lookup is at the entry and the store at the one exit below: a wrapper
-    would cost a stack frame per nesting level.
+    only if every lookup its rewrite made in the truth table reads the
+    same in ctx; rewrite_term asks ctx only through decide, so the entry
+    is then what a fresh rewrite would return.  A reuse charges the
+    recorded steps again, so the budget reads (and runs out) as if the
+    work were redone, and adds the entry's lookups to ctx.log, since the
+    enclosing entries depend on them too.  A stale entry is recomputed and
+    overwritten.  The lookup is at the entry and the store at the one exit
+    below: a wrapper would cost a stack frame per nesting level.
+
+    A call's node goes to _finish only where one of its steps can act: an
+    IF, an iff context, EQUAL or IFF, a head with rules, or a foldable head
+    with constant arguments.  Any other node is its own result.
     """
     if isinstance(t, Var):
         if iff:
@@ -186,22 +187,23 @@ def rewrite_term(t, ctx, iff=False):
     budget = ctx.budget
     log = ctx.log
     if hit is not None:
-        out, steps, queries = hit
-        answer = ctx.answer
-        for q, a in queries:
-            if answer(q) is not a:
+        out, steps, lookups = hit
+        get = ctx.truth.get
+        for q, a in lookups:
+            if get(q) is not a:
                 break
         else:
             if steps:
                 budget.take(steps)
-            log.extend(queries)
+            log.extend(lookups)
             return out
     used = budget.used
     start = len(log)
 
-    if t.fn == "HIDE":
+    fn = t.fn
+    if fn == "HIDE":
         out = t
-    elif t.fn == "IF":
+    elif fn == "IF":
         test = rewrite_term(t.args[0], ctx, True)
         d = truthy(test.value) if isinstance(test, Const) else ctx.decide(test)
         if d is not None:
@@ -210,9 +212,21 @@ def rewrite_term(t, ctx, iff=False):
             args = (test, rewrite_term(t.args[1], ctx, iff), rewrite_term(t.args[2], ctx, iff))
             out = _finish(t if args == t.args else App("IF", args), ctx, iff)
     else:
-        arg_iff = t.fn == "NOT" or t.fn == "IFF"
-        args = tuple([rewrite_term(a, ctx, arg_iff) for a in t.args])
-        out = _finish(t if args == t.args else App(t.fn, args), ctx, iff)
+        arg_iff = fn == "NOT" or fn == "IFF"
+        args = []
+        changed = False
+        consts = True
+        for a in t.args:
+            b = rewrite_term(a, ctx, arg_iff)
+            if b is not a:
+                changed = True
+            if consts and not isinstance(b, Const):
+                consts = False
+            args.append(b)
+        out = App(fn, tuple(args)) if changed else t
+        if (iff or fn == "EQUAL" or fn == "IFF" or fn in ctx.world.rules_by_fn
+                or (consts and fn in FOLDABLE)):
+            out = _finish(out, ctx, iff)
 
     ctx.memo[key] = (out, budget.used - used,
                      frozenset(log[start:]) if len(log) > start else ())
@@ -223,8 +237,12 @@ def _finish(u, ctx, iff):
     """Post-child steps at one node: fold, settle, then fire the first
     enabled rule on u's head symbol, in install order (opened definitions
     included).  A rule whose lhs has another head can never match u."""
-    if u.fn in FOLDABLE and all(isinstance(a, Const) for a in u.args):
-        return Const(apply_builtin(u.fn, [a.value for a in u.args]))
+    if u.fn in FOLDABLE:
+        for a in u.args:
+            if not isinstance(a, Const):
+                break
+        else:
+            return Const(apply_builtin(u.fn, [a.value for a in u.args]))
     if u.fn in ("EQUAL", "IFF") and u.args[0] == u.args[1]:
         return CONST_T
     if iff:

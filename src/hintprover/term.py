@@ -403,10 +403,16 @@ def _union(parts):
 
 
 def make_lamapp(formals, body, actuals):
-    """Build a LamApp, closing the body by passing extra free vars through."""
+    """Build a LamApp, closing the body by passing extra free vars through.
+
+    One binder list binds each variable once; LET* and B* rebind through
+    nested LETs instead."""
     if len(formals) != len(actuals):
         raise TranslateError("binder/actual count mismatch")
     bound = set(formals)
+    if len(bound) != len(formals):
+        dup = next(n for i, n in enumerate(formals) if n in formals[:i])
+        raise TranslateError(f"duplicate binder: {dup}")
     extras = [n for n in free_vars(body) if n not in bound]
     return LamApp(
         tuple(formals) + tuple(extras),

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -142,6 +143,27 @@ def test_bad_hint_entry_names_the_theorem(tmp_path, capsys, entry, message):
     assert f"ERROR {path}: in BAD: {message}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [
+    "(let ((x 1) (x 2)) (equal x 2))",
+    "(equal ((lambda (x x) x) y y) y)",
+])
+def test_duplicate_binder_is_a_file_error(tmp_path, capsys, body):
+    # one binder list binds a variable once; the last binding never wins
+    path = evfile(tmp_path, f"(defthm a {body} :rule-classes nil)")
+    assert main([path]) == 2
+    assert f"ERROR {path}: in A: duplicate binder: X\n" in capsys.readouterr().err
+
+
+def test_sequential_binders_may_rebind(tmp_path):
+    path = evfile(tmp_path, """
+      (defthm s (let* ((x 1) (x (cons x x))) (equal x '(1 . 1))) :rule-classes nil)
+      (defthm b (b* ((x 1) (x (cons x x))) (equal x '(1 . 1))) :rule-classes nil)
+    """)
+    report = run([path])
+    assert report.exit_code == 0
+    assert [t.proved for t in report.files[0].theorems] == [True, True]
+
+
 def test_file_error_aborts_rest_of_file(tmp_path):
     path = evfile(tmp_path, """
       (defthm ok (equal (cons x y) (cons x y)) :rule-classes nil)
@@ -237,9 +259,10 @@ def test_stack_overflow_is_a_named_depth_error(tmp_path, capsys):
     assert f"ERROR {bad}: nesting depth exceeded" in err
     assert "maximum recursion depth" not in err
 
-    # Each definition opens inside the last: the rewriter nests four frames
-    # per level.  Run as the command line does, so the stack starts at a
-    # known depth: 246 openings fit, as before the rewrite memo.
+    # Each definition opens inside the last: the rewriter nests three frames
+    # per level (the call, _finish, the opened body).  Run as the command
+    # line does, so the stack starts at a known depth: 328 openings fit on
+    # Python 3.10 and 3.11, 329 on 3.12.
     chain = ["(defun g0 (x) (cons x 'nil))"] + [
         f"(defun g{i} (x) (cons (g{i - 1} x) 'nil))" for i in range(1, 400)]
     goal = evfile(tmp_path, "\n".join(chain) + """
@@ -251,7 +274,23 @@ def test_stack_overflow_is_a_named_depth_error(tmp_path, capsys):
     assert f"ERROR {goal} DEEP: nesting depth exceeded" in done.stderr
     assert "maximum recursion depth" not in done.stderr
     steps = int(re.search(r"THEOREM DEEP FAILED steps=(\d+)", done.stdout).group(1))
-    assert steps >= 246
+    assert steps >= 328
+
+
+# `prover --trace --checkpoints corpus/*.lisp` from the repository root.  A
+# change that means to keep the prover's behaviour keeps these bytes.
+CORPUS_TRACE_SHA256 = "7e67fd5238f6d8a975662d4f388e4fb5e98e46c1b7d20b84028412a14d3e5af1"
+
+
+def test_corpus_trace_is_pinned():
+    root = Path(__file__).resolve().parent.parent
+    files = sorted(p.relative_to(root).as_posix() for p in (root / "corpus").glob("*.lisp"))
+    done = subprocess.run(
+        [sys.executable, "-m", "hintprover.cli", "--trace", "--checkpoints", *files],
+        cwd=root, capture_output=True, timeout=120, env=_child_env())
+    assert done.returncode == 1
+    assert done.stderr == b""
+    assert hashlib.sha256(done.stdout).hexdigest() == CORPUS_TRACE_SHA256
 
 
 def test_long_quoted_list_proves(tmp_path, capsys):

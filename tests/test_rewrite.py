@@ -5,7 +5,8 @@ import pytest
 
 from hintprover.sexpr import NIL, Symbol, T, from_list, parse_one, print_sexpr
 from hintprover.term import (
-    App, CONST_NIL, CONST_T, Const, Var, beta_reduce, translate, unparse,
+    App, CONST_NIL, CONST_T, FOLDABLE, Const, Var, apply_builtin, beta_reduce,
+    substitute, translate, truthy, unparse,
 )
 from hintprover.world import RewriteRule, World
 from hintprover.rewrite import (
@@ -379,6 +380,162 @@ def test_shared_memo_answers_as_a_fresh_context_random():
                 if limit == 10000:
                     assert seen[0] == (want, full)
     assert hits > 1000 and stale > 20  # both ways of a lookup were exercised
+
+
+class _Spec:
+    """The rewriter as specified, for the oracle below: inside out, no memo,
+    and every call node after its arguments goes through fold, settle,
+    decide and then the rules in install order.  The context answers from
+    two sets, the other literals and the arguments of their NOTs, with a
+    term that is both read as true."""
+
+    def __init__(self, theory, world, budget, false_literals):
+        self.theory, self.world, self.budget = theory, world, budget
+        self.false = set(false_literals)
+        self.true = {l.args[0] for l in self.false if isinstance(l, App) and l.fn == "NOT"}
+
+    def answer(self, q):
+        if q in self.true:
+            return True
+        if q in self.false:
+            return False
+        if isinstance(q, App) and q.fn == "NOT":
+            if q.args[0] in self.true:
+                return False
+            if q.args[0] in self.false:
+                return True
+        return None
+
+    def rewrite(self, t, iff):
+        if isinstance(t, Var):
+            return self.decided(t) if iff else t
+        if isinstance(t, Const) or t.fn == "HIDE":
+            return t
+        if t.fn == "IF":
+            test = self.rewrite(t.args[0], True)
+            d = truthy(test.value) if isinstance(test, Const) else self.answer(test)
+            if d is not None:
+                return self.rewrite(t.args[1] if d else t.args[2], iff)
+            u = App("IF", (test, self.rewrite(t.args[1], iff), self.rewrite(t.args[2], iff)))
+        else:
+            arg_iff = t.fn in ("NOT", "IFF")
+            u = App(t.fn, tuple(self.rewrite(a, arg_iff) for a in t.args))
+        return self.finish(u, iff)
+
+    def decided(self, u):
+        d = self.answer(u)
+        return u if d is None else (CONST_T if d else CONST_NIL)
+
+    def finish(self, u, iff):
+        if u.fn in FOLDABLE and all(isinstance(a, Const) for a in u.args):
+            return Const(apply_builtin(u.fn, [a.value for a in u.args]))
+        if u.fn in ("EQUAL", "IFF") and u.args[0] is u.args[1]:
+            return CONST_T
+        if iff and self.answer(u) is not None:
+            return self.decided(u)
+        for rule in self.world.rule_order:
+            if rule.name not in self.theory or (rule.equiv == "IFF" and not iff):
+                continue
+            subst = match(rule.lhs, u)
+            if subst is None:
+                continue
+            self.budget.take()
+            for h in rule.hyps:
+                if self.rewrite(substitute(h, subst), True) is not CONST_T:
+                    break
+            else:
+                return self.rewrite(substitute(rule.rhs, subst), iff)
+        return u
+
+
+def _spec_world(rule_on_equal):
+    """Definitions and rules on several heads: EQUAL and IFF rules, with and
+    without hypotheses, one of them on EQUAL itself if rule_on_equal, and
+    two kept out of the theory."""
+    w = _oracle_world()
+    w.add_stub("G", 1)
+    rules = [
+        ("G-NOT", "(g x)", "(not (f x))", ["(consp x)"], "IFF"),
+        ("G-CONS", "(g (cons x y))", "x", [], "EQUAL"),
+        ("EQUAL-G", "(equal (g x) 'k)", "(f x)", ["(not (f (car x)))"], "IFF"),
+        ("F-K", "(f 'k)", "'nil", [], "EQUAL"),
+        ("CAR-G", "(car (g x))", "(g (car x))", [], "EQUAL"),
+    ]
+    for name, lhs, rhs, hyps, equiv in rules:
+        if name == "EQUAL-G" and not rule_on_equal:
+            continue
+        w.add_rule(name, RewriteRule(name, tr(lhs, w), tr(rhs, w),
+                                     tuple(tr(h, w) for h in hyps), equiv))
+    w.add_definition("E", ("X",), tr("(cons (g x) (d x))", w))
+    return w, w.theory() - {"F-K", "E"}
+
+
+def _spec_term(rng, depth):
+    if depth <= 0 or rng.random() < 0.3:
+        if rng.random() < 0.5:
+            return Var(rng.choice(["X", "Y", "Z"]))
+        return Const(rng.choice([NIL, T, 3, Symbol("K"), from_list([1])]))
+    fn, arity = rng.choice([("CONS", 2), ("CAR", 1), ("CONSP", 1), ("NOT", 1),
+                            ("EQUAL", 2), ("IFF", 2), ("IF", 3), ("IF", 3), ("F", 1),
+                            ("G", 1), ("D", 1), ("E", 1), ("HIDE", 1)])
+    args = [_spec_term(rng, depth - 1) for _ in range(arity)]
+    if arity == 2 and rng.random() < 0.3:
+        args[1] = args[0]  # for the equalities to settle
+    return App(fn, tuple(args))
+
+
+def _subterms(t):
+    yield t
+    if isinstance(t, App):
+        for a in t.args:
+            yield from _subterms(a)
+
+
+def test_rewrite_term_agrees_with_the_plain_inside_out_spec():
+    # one shared table per term, and contexts that hold (NOT p) literals and
+    # literals that contradict each other; limits with room, exact and short
+    worlds = [_spec_world(True), _spec_world(False)]
+    rng = random.Random(2718)
+    shown = hits = contradictions = 0
+    for n in range(300):
+        w, theory = worlds[n % 2]
+        t = _spec_term(rng, 5)
+        memo = {}
+        # literals drawn mostly from t's own subterms, so that they settle
+        # something, HIDE calls included (only decide can settle those)
+        pool = list(_subterms(t)) + [_spec_term(rng, 2) for _ in range(3)]
+        for _ in range(5):
+            assume = [rng.choice(pool) for _ in range(rng.randrange(4))]
+            assume += [negate_term(rng.choice(pool)) for _ in range(rng.randrange(3))]
+            if assume and rng.random() < 0.3:
+                assume.append(negate_term(rng.choice(assume)))
+                contradictions += 1
+            rng.shuffle(assume)
+            iff = rng.random() < 0.5
+            spec = _Spec(theory, w, StepBudget(10000), assume)
+            want = spec.rewrite(t, iff)
+            full = spec.budget.used
+            for limit in (10000, full, full - 1):
+                if limit < 0:
+                    continue
+                seen = []
+                for got_by in ("spec", "fresh", "shared"):
+                    budget = StepBudget(limit)
+                    hits += got_by == "shared" and (t, iff) in memo
+                    try:
+                        if got_by == "spec":
+                            out = _Spec(theory, w, budget, assume).rewrite(t, iff)
+                        else:
+                            table = memo if got_by == "shared" else {}
+                            out = rewrite_term(t, RewriteContext(theory, w, budget, table, assume), iff)
+                    except ResourceError as e:
+                        out = str(e)
+                    seen.append((out, budget.used))
+                assert seen[0] == seen[1] == seen[2], (t, assume, iff, limit, seen)
+                if limit == 10000:
+                    assert seen[0] == (want, full)
+                shown += want is not t and full > 0
+    assert shown > 100 and hits > 500 and contradictions > 50
 
 
 def test_one_memos_dict_serves_two_theories_as_fresh_tables_would():

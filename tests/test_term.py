@@ -153,6 +153,14 @@ def test_make_lamapp_arity_mismatch():
         make_lamapp(["A"], Var("A"), [])
 
 
+def test_duplicate_binder_is_rejected():
+    with pytest.raises(TranslateError, match="duplicate binder: A"):
+        make_lamapp(["A", "B", "A"], Var("A"), [Const(1), Const(2), Const(3)])
+    for text in ["(let ((x '1) (y '2) (x '3)) x)", "((lambda (x x) x) y y)"]:
+        with pytest.raises(TranslateError, match="duplicate binder: X"):
+            tr(text)
+
+
 def test_builtin_completion_semantics():
     # car/cdr of a non-pair fall back to nil
     assert is_nil(apply_builtin("CAR", [NIL]))
