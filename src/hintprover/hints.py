@@ -65,13 +65,15 @@ class GoalCtx:
     `in` and `[]` answer for CLAUSE, ID and STABLE-UNDER-SIMPLIFICATIONP.
     The clause's s-expression is rendered on the first read of `sexpr`
     (or CLAUSE) and kept, so a goal renders its clause at most once
-    however many hints, trace events and checkpoints use it.
+    however many hints, trace events and checkpoints use it.  `reading`
+    is set while a hint carried by the clause is evaluated against it.
     """
     clause: tuple
     goal_name: str
     stable: bool
     world: object
     _sexpr: object = field(default=None, init=False, repr=False, compare=False)
+    reading: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def sexpr(self):
@@ -158,15 +160,15 @@ def _parse_in_theory(value):
     return (), tuple(names)
 
 
-def parse_hint(form, world) -> Hint:
-    """Parse a keyword hint list, optionally headed by a replacement clause."""
-    return parse_hint_with(form, world, Translator(world.macro_env, world.arity))
+def parse_hint(form, world, tr=None) -> Hint:
+    """Parse a keyword hint list, optionally headed by a replacement clause.
 
-
-def parse_hint_with(form, world, tr) -> Hint:
-    """parse_hint, translating every term of the hint through tr, a
-    Translator under the world's own macros and arities.  A caller that
-    already knows the term of some form may file it in tr.done."""
+    Every term of the hint is translated through tr, a Translator under
+    the world's own macros and arities (a fresh one if tr is None).  A
+    caller that already knows the term of some form may file it in tr.done.
+    """
+    if tr is None:
+        tr = Translator(world.macro_env, world.arity)
     items = to_list(form)
     replacement = None
     if items and items[0] == _CHR:
@@ -266,7 +268,9 @@ def eval_hint_expr(t, ctx: GoalCtx):
         raise HintError(f"in hint expression: {e}")
 
 
-def _interpret_hint_value(v, world):
+def read_hint_value(v, world, tr=None):
+    """The one reader of hint values: a Hint, NIL (None, no hint), or a
+    keyword list, quoted or not, parsed by parse_hint through tr."""
     if v is None or isinstance(v, Hint):
         return v
     if is_nil(v):
@@ -278,10 +282,10 @@ def _interpret_hint_value(v, world):
             if is_nil(quoted):
                 return None
             if is_proper_list(quoted) and isinstance(quoted.car, Keyword):
-                return parse_hint(quoted, world)
+                return parse_hint(quoted, world, tr)
         raise HintError(f"quoted hint value is not a keyword list: {print_sexpr(v)}")
     if is_proper_list(v) and isinstance(v.car, Keyword):
-        return parse_hint(v, world)
+        return parse_hint(v, world, tr)
     shown = print_sexpr(v) if isinstance(v, (Pair, Symbol, Keyword, int, str)) else repr(v)
     raise HintError(
         f"hint value is neither NIL, a keyword list, nor a quoted keyword list: {shown}"
@@ -290,7 +294,7 @@ def _interpret_hint_value(v, world):
 
 def eval_computed_hint(ch: ComputedHint, ctx: GoalCtx):
     """Run one computed hint; None means it declined to fire."""
-    return _interpret_hint_value(eval_hint_expr(ch.expr, ctx), ctx.world)
+    return read_hint_value(eval_hint_expr(ch.expr, ctx), ctx.world)
 
 
 # ---------------------------------------------------------------------------

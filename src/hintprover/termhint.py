@@ -24,7 +24,7 @@ from .term import App, Const, TranslateError, Translator, Var, translate, unpars
 from .world import HintFn, World
 from .hints import (
     ComputedHint, GoalCtx, Hint, UseInstance,
-    eval_computed_hint, parse_hint_with, translate_hint_expr,
+    eval_computed_hint, read_hint_value, translate_hint_expr,
 )
 
 HYP_FN = "USE-TERMHINT-HYP"
@@ -40,15 +40,17 @@ class ProcessError(ProverError):
     pass
 
 
-def _is_hyp_literal(lit) -> bool:
-    return (
-        isinstance(lit, App) and lit.fn == "NOT"
-        and isinstance(lit.args[0], App) and lit.args[0].fn == HYP_FN
-    )
+def _carried(lit, fn):
+    """The argument a of a carrier literal (NOT (fn a)), else None."""
+    if isinstance(lit, App) and lit.fn == "NOT":
+        inner = lit.args[0]
+        if isinstance(inner, App) and inner.fn == fn:
+            return inner.args[0]
+    return None
 
 
 def drop_termhint_hyp(clause):
-    return tuple(l for l in clause if not _is_hyp_literal(l))
+    return tuple(l for l in clause if _carried(l, HYP_FN) is None)
 
 
 def process_termhint(t):
@@ -95,12 +97,15 @@ def keyword_fixup(v):
     return v
 
 
+# find_hint reads the goal's terms, so the finder runs with 'nil for CLAUSE
+# and renders no clause; traces show it as users write it.
 _FIND_DISPLAY = parse_one(f"(and stable-under-simplificationp ({FIND_FN} clause))")
+_FIND_EXPR = parse_one(f"(and stable-under-simplificationp ({FIND_FN} 'nil))")
 
 
 def _hyp_hint(term, world: World) -> Hint:
     """Install term as a dummy hypothesis and arm the extractor."""
-    finder = ComputedHint(expr=translate_hint_expr(_FIND_DISPLAY, world), display=_FIND_DISPLAY)
+    finder = ComputedHint(expr=translate_hint_expr(_FIND_EXPR, world), display=_FIND_DISPLAY)
     return Hint(use=(UseInstance(HYP_THEOREM, (("X", term),)),), replacement=(finder,))
 
 
@@ -116,38 +121,32 @@ def _with_drop(hint: Hint) -> Hint:
     return replace(hint, clause_processor=DROP_PROCESSOR)
 
 
-def _interpret_extracted(v, ctx: GoalCtx, tr) -> Hint:
-    """Second evaluation: the extracted value becomes an actual hint.
-
-    A quoted keyword list evaluates to the list, so it goes straight to
-    parse_hint_with, whose terms are translated through tr; any other
-    value is translated and evaluated as a computed hint.
-    """
-    if is_nil(v):
-        return Hint()
-    if isinstance(v, Pair) and v.car == QUOTE and isinstance(v.cdr, Pair) and is_nil(v.cdr.cdr):
-        quoted = v.cdr.car
-        if isinstance(quoted, Pair) and isinstance(quoted.car, Keyword) and is_proper_list(quoted):
-            return parse_hint_with(quoted, ctx.world, tr)
-    ch = ComputedHint(expr=translate_hint_expr(v, ctx.world))
-    hint = eval_computed_hint(ch, ctx)
-    return hint if hint is not None else Hint()
-
-
 def _read_hint(t, ctx: GoalCtx) -> Hint:
     """Read the hint term t back and interpret it against ctx.
 
-    Each (HQ u) reads as unparse(u), and the translator the hint's terms
-    go through is told that this very cell translates to u, so a goal
-    term carried into the hint is not translated back from its text.
+    A quoted value is read by read_hint_value as what it evaluates to;
+    any other value is evaluated as a computed hint, which may not run
+    the finder on ctx again.  Each (HQ u) reads as unparse(u), and the
+    translator the hint's terms go through is told that this very cell
+    translates to u, so a goal term carried into the hint is not
+    translated back from its text.
     """
     built = {}
     v = keyword_fixup(_process(t, built))
-    tr = Translator(ctx.world.macro_env, ctx.world.arity)
-    for h, cell in built.items():
-        if h.fn == "HQ":
-            tr.done[id(cell)] = (cell, h.args[0])
-    return _interpret_extracted(v, ctx, tr)
+    if isinstance(v, Pair) and v.car == QUOTE and isinstance(v.cdr, Pair) and is_nil(v.cdr.cdr):
+        tr = Translator(ctx.world.macro_env, ctx.world.arity)
+        for h, cell in built.items():
+            if h.fn == "HQ":
+                tr.done[id(cell)] = (cell, h.args[0])
+        return read_hint_value(v.cdr.car, ctx.world, tr) or Hint()
+    if ctx.reading:
+        raise ProcessError(f"the hint extracted on {ctx.goal_name} calls {FIND_FN} on it again")
+    ch = ComputedHint(expr=translate_hint_expr(v, ctx.world))
+    ctx.reading = True
+    try:
+        return eval_computed_hint(ch, ctx) or Hint()
+    finally:
+        ctx.reading = False
 
 
 def find_hint(ctx: GoalCtx):
@@ -156,12 +155,11 @@ def find_hint(ctx: GoalCtx):
     The extracted hint is evaluated against ctx, the goal searched, so a
     clause rendering it already holds is reused.
     """
-    carried = None
     for lit in ctx.clause:
-        if _is_hyp_literal(lit):
-            carried = lit.args[0].args[0]
+        carried = _carried(lit, HYP_FN)
+        if carried is not None:
             break
-    if carried is None:
+    else:
         return None
 
     if isinstance(carried, App) and carried.fn == SEQ_FN:
@@ -181,11 +179,8 @@ def clause_labels(clause):
     """Marker labels smuggled into the clause via MARK-CLAUSE hypotheses."""
     labels = []
     for lit in clause:
-        if (
-            isinstance(lit, App) and lit.fn == "NOT"
-            and isinstance(lit.args[0], App) and lit.args[0].fn == MARK_FN
-        ):
-            arg = lit.args[0].args[0]
+        arg = _carried(lit, MARK_FN)
+        if arg is not None:
             shown = print_sexpr(arg.value) if isinstance(arg, Const) else print_sexpr(unparse(arg))
             labels.append(shown)
     return labels
@@ -212,9 +207,4 @@ def install_prelude(world: World):
     world.add_theorem(HYP_THEOREM, App(HYP_FN, (Var("X"),)))
     world.add_theorem(MARK_THEOREM, App(MARK_FN, (Var("X"),)))
     world.add_clause_processor(DROP_PROCESSOR, drop_termhint_hyp)
-
-    def run_find(args, ctx):
-        found = find_hint(ctx)
-        return NIL if found is None else found
-
-    world.add_hint_fn(HintFn(FIND_FN, 1, run_find))
+    world.add_hint_fn(HintFn(FIND_FN, 1, lambda args, ctx: find_hint(ctx) or NIL))

@@ -6,8 +6,8 @@ from hintprover.world import HintFn, RewriteRule, World
 from hintprover.rewrite import StepBudget, negate_term
 from hintprover.hints import (
     ComputedHint, GoalCtx, Hint, HintError, UseInstance,
-    _interpret_hint_value, apply_hint, clause_sexpr, clausify, eval_computed_hint,
-    eval_hint_expr, parse_hint, prove_clause, render_hint, translate_hint_expr,
+    apply_hint, clause_sexpr, clausify, eval_computed_hint, eval_hint_expr,
+    parse_hint, prove_clause, read_hint_value, render_hint, translate_hint_expr,
 )
 from hintprover.termhint import install_prelude
 from hintprover.cli import render_event
@@ -197,7 +197,7 @@ def test_interpret_hint_values():
     w = _use_world()
 
     def outcome(value):
-        return _interpret_hint_value(value, w)
+        return read_hint_value(value, w)
 
     assert outcome(None) is None
     assert outcome(NIL) is None

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -21,7 +22,7 @@ from hintprover.termhint import (
     ProcessError, clause_labels, drop_termhint_hyp, find_hint, install_prelude,
     keyword_fixup, process_termhint, use_termhint,
 )
-from hintprover.cli import render_event
+from hintprover.cli import main, render_event
 
 
 def _world():
@@ -362,14 +363,16 @@ def test_prelude_waterfall_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# An extracted quoted keyword list is parsed without being evaluated
+# An extracted quoted value is read without being evaluated
 
 @pytest.mark.parametrize("text, evaluations_wanted", [
-    ("'nil", 1),
+    ("'nil", 0),
     ("'(:expand ((d x y)))", 0),
     ("'(:use ((:instance use-termhint-hyp-is-true (x (d y z)))))", 0),
-    ("''(:use use-termhint-hyp-is-true)", 1),
-    ("'(a b)", 1),
+    ("''(:use use-termhint-hyp-is-true)", 0),
+    ("'(a b)", 0),
+    ("(:in-theory (enable d))", 0),
+    ("nil", 1),
 ])
 def test_quoted_hint_value_reads_as_its_evaluation(text, evaluations_wanted, monkeypatch):
     w = _dworld()
@@ -383,16 +386,16 @@ def test_quoted_hint_value_reads_as_its_evaluation(text, evaluations_wanted, mon
             return f"HintError: {e}"
 
     def evaluated():
-        hint = eval_computed_hint(ComputedHint(expr=translate_hint_expr(v, w)), ctx)
+        hint = eval_computed_hint(ComputedHint(expr=translate_hint_expr(keyword_fixup(v), w)), ctx)
         return hint if hint is not None else Hint()
 
     want = outcome(evaluated)
     evaluations = []
     monkeypatch.setattr(termhint, "eval_computed_hint",
                         lambda ch, c: evaluations.append(ch) or eval_computed_hint(ch, c))
-    got = outcome(lambda: termhint._interpret_extracted(v, ctx, Translator(w.macro_env, w.arity)))
+    got = outcome(lambda: termhint._read_hint(Const(v), ctx))
     assert got == want
-    assert len(evaluations) == evaluations_wanted  # a quoted keyword list skips it
+    assert len(evaluations) == evaluations_wanted  # a quoted value skips it
 
 
 def test_a_carried_goal_term_is_not_translated_back(monkeypatch):
@@ -407,3 +410,49 @@ def test_a_carried_goal_term_is_not_translated_back(monkeypatch):
     hint = find_hint(ctx)
     assert hint.expand == (u,) and hint.expand[0] is u
     assert forms == [unparse(u)]  # read from the translator's table, not rebuilt
+
+
+# ---------------------------------------------------------------------------
+# What extraction says when a carried value is no hint
+
+_NEITHER = "hint value is neither NIL, a keyword list, nor a quoted keyword list: "
+
+
+@pytest.mark.parametrize("hint_term, error", [
+    ("'\"str\"", _NEITHER + '"str"'),
+    ("''7", _NEITHER + "7"),
+    ("''(a b)", _NEITHER + "(A B)"),
+    ("'':use", _NEITHER + ":USE"),
+    ("'(quote)", "malformed quote"),
+    ("'(quote a b)", "malformed quote"),
+    ("'(:use . x)", "cannot translate: (:USE . X)"),
+    ("(cons (hq x) 'nil)", "unknown function: X"),
+    ("'''(a b)", "quoted hint value is not a keyword list: (QUOTE (A B))"),
+])
+def test_extraction_error_texts(hint_term, error, tmp_path, capsys):
+    path = tmp_path / "bad.lisp"
+    path.write_text(f"(defthm c (consp x) :hints ((use-termhint {hint_term})))")
+    assert main([str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "THEOREM C FAILED" in out
+    assert err == f"ERROR {path} C: {error}\n"
+
+
+@pytest.mark.parametrize("events", [
+    "(defthm c1 (consp x) :hints ((use-termhint '(use-termhint-find-hint clause))))",
+    """(register-hint-fn again (use-termhint-find-hint clause))
+       (defthm c1 (consp x) :hints ((use-termhint '(again))))""",
+    """(defstub p 1)
+       (register-hint-fn again (use-termhint-find-hint clause))
+       (defthm c1 (consp x)
+         :hints ((use-termhint (if (p x) '(again) ''(:in-theory (enable))))))""",
+])
+def test_an_extracted_hint_cannot_reenter_the_finder(events, tmp_path, capsys):
+    path = tmp_path / "again.lisp"
+    path.write_text(events)
+    assert main([str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "THEOREM C1 FAILED" in out
+    assert re.fullmatch(
+        rf"ERROR {re.escape(str(path))} C1: the hint extracted on Subgoal [.\d]+ "
+        rf"calls {FIND_FN} on it again\n", err)
