@@ -7,11 +7,11 @@ settle IF tests and propositional subterms, nothing else.  Each literal
 is rewritten under one RewriteContext, which holds them together with
 the theory, the world, the step budget and a memo table.
 
-The memo outlives the literal: the caller of simplify_clause owns one
-table per theory (`memos`), and every goal of a proof rewrites through
-it.  An entry records which truth-table lookups its rewrite made and
-what they read, and it is reused only where each of them reads the
-same, so a reused answer is the one a fresh rewrite would give.
+A rewrite whose computation never read the truth table is a function
+of (term, iff), the theory and the world, so it outlives the literal:
+the caller of simplify_clause owns one table per theory (`memos`), and
+every goal of a proof shares it.  A rewrite that did read the truth
+table is kept only by the context that computed it.
 
 Every term walked here is lambda-free.  The callers beta-reduce what
 they translate before it reaches a clause, a rule or a definition, and
@@ -79,20 +79,20 @@ def is_false_const(t) -> bool:
 class RewriteContext:
     """Everything one literal's rewrite holds fixed: theory, world, budget,
     the truth context from the other literals of the clause in play, and
-    the memo table rewrite_term reads and fills.
+    the memo tables rewrite_term reads and fills.
 
     `truth` maps each other literal to False, then the argument of each
     (NOT p) literal to True, so a term both assumed and denied reads True.
-    `memo` maps (term, iff) to (result, steps charged, lookups), where
-    lookups holds the distinct (term, truth.get(term)) pairs of every
-    lookup decide made for the rewrite, those replayed from inner hits
-    included.  A table serves one theory and one world, but any number of
-    truth contexts: it may be shared by every literal of every goal of a
-    proof under that theory, and the world must not change while it is in
-    use.  `log` is this context's record of its lookups.
+    `reads` counts the calls to decide.  Both tables map (term, iff) to
+    (result, steps charged).  `memo` holds the rewrites that never read
+    the truth table; it serves one theory and one world, but any number
+    of truth contexts: it may be shared by every literal of every goal of
+    a proof under that theory, and the world must not change while it is
+    in use.  `local` holds the rewrites that did read it, and lives as
+    long as this context, whose truth never changes.
     """
 
-    __slots__ = ("theory", "world", "budget", "truth", "memo", "log")
+    __slots__ = ("theory", "world", "budget", "truth", "memo", "local", "reads")
 
     def __init__(self, theory, world, budget, memo, false_literals=()):
         self.theory = theory
@@ -103,21 +103,20 @@ class RewriteContext:
             if isinstance(l, App) and l.fn == "NOT":
                 truth[l.args[0]] = True
         self.memo = memo
-        self.log = []
+        self.local = {}
+        self.reads = 0
 
     def decide(self, q):
         """True, False, or None when the context says nothing about q.
 
-        A (NOT p) the table does not hold is answered from p.  Each lookup
-        is logged for the memo entries being built.
+        A (NOT p) the table does not hold is answered from p.  Each call
+        counts as a read of the context.
         """
-        truth, log = self.truth, self.log
+        self.reads += 1
+        truth = self.truth
         a = truth.get(q)
-        log.append((q, a))
         if a is None and isinstance(q, App) and q.fn == "NOT":
-            p = q.args[0]
-            a = truth.get(p)
-            log.append((p, a))
+            a = truth.get(q.args[0])
             if a is not None:
                 return not a
         return a
@@ -158,19 +157,19 @@ def rewrite_term(t, ctx, iff=False):
     admits IFF rules and lets the context settle whole subterms.  The
     arguments of NOT and IFF are rewritten that way, no others.
 
-    Calls are memoized per (t, iff) in ctx.memo.  An entry is reused
-    only if every lookup its rewrite made in the truth table reads the
-    same in ctx; rewrite_term asks ctx only through decide, so the entry
-    is then what a fresh rewrite would return.  A reuse charges the
+    Calls are memoized per (t, iff).  rewrite_term asks ctx only through
+    decide, so a call during which ctx.reads did not move is a function
+    of (t, iff), the theory and the world, and goes to ctx.memo; any
+    other goes to ctx.local.  A hit in ctx.local counts as a read, since
+    the enclosing call depends on the context too.  A hit charges the
     recorded steps again, so the budget reads (and runs out) as if the
-    work were redone, and adds the entry's lookups to ctx.log, since the
-    enclosing entries depend on them too.  A stale entry is recomputed and
-    overwritten.  The lookup is at the entry and the store at the one exit
-    below: a wrapper would cost a stack frame per nesting level.
+    work were redone.  The lookup is at the entry and the store at the
+    one exit below: a wrapper would cost a stack frame per nesting level.
 
-    A call's node goes to _finish only where one of its steps can act: an
-    IF, an iff context, EQUAL or IFF, a head with rules, or a foldable head
-    with constant arguments.  Any other node is its own result.
+    A foldable head with constant arguments folds here.  Any other call's
+    node goes to _finish only where one of its steps can act: an IF, an
+    iff context, EQUAL or IFF, or a head with rules.  Any other node is
+    its own result.
     """
     if isinstance(t, Var):
         if iff:
@@ -184,21 +183,18 @@ def rewrite_term(t, ctx, iff=False):
         return t
     key = (t, iff)
     hit = ctx.memo.get(key)
+    if hit is None:
+        hit = ctx.local.get(key)
+        if hit is not None:
+            ctx.reads += 1
     budget = ctx.budget
-    log = ctx.log
     if hit is not None:
-        out, steps, lookups = hit
-        get = ctx.truth.get
-        for q, a in lookups:
-            if get(q) is not a:
-                break
-        else:
-            if steps:
-                budget.take(steps)
-            log.extend(lookups)
-            return out
+        out, steps = hit
+        if steps:
+            budget.take(steps)
+        return out
     used = budget.used
-    start = len(log)
+    reads = ctx.reads
 
     fn = t.fn
     if fn == "HIDE":
@@ -223,26 +219,22 @@ def rewrite_term(t, ctx, iff=False):
             if consts and not isinstance(b, Const):
                 consts = False
             args.append(b)
-        out = App(fn, tuple(args)) if changed else t
-        if (iff or fn == "EQUAL" or fn == "IFF" or fn in ctx.world.rules_by_fn
-                or (consts and fn in FOLDABLE)):
-            out = _finish(out, ctx, iff)
+        if consts and fn in FOLDABLE:
+            out = Const(apply_builtin(fn, [b.value for b in args]))
+        else:
+            out = App(fn, tuple(args)) if changed else t
+            if iff or fn == "EQUAL" or fn == "IFF" or fn in ctx.world.rules_by_fn:
+                out = _finish(out, ctx, iff)
 
-    ctx.memo[key] = (out, budget.used - used,
-                     frozenset(log[start:]) if len(log) > start else ())
+    (ctx.memo if ctx.reads == reads else ctx.local)[key] = (out, budget.used - used)
     return out
 
 
 def _finish(u, ctx, iff):
-    """Post-child steps at one node: fold, settle, then fire the first
-    enabled rule on u's head symbol, in install order (opened definitions
-    included).  A rule whose lhs has another head can never match u."""
-    if u.fn in FOLDABLE:
-        for a in u.args:
-            if not isinstance(a, Const):
-                break
-        else:
-            return Const(apply_builtin(u.fn, [a.value for a in u.args]))
+    """Post-child steps at one node whose fold rewrite_term has ruled out:
+    settle, then fire the first enabled rule on u's head symbol, in
+    install order (opened definitions included).  A rule whose lhs has
+    another head can never match u."""
     if u.fn in ("EQUAL", "IFF") and u.args[0] == u.args[1]:
         return CONST_T
     if iff:
@@ -366,7 +358,7 @@ def simplify_clause(clause, theory, world, budget, memos) -> SimplifyOutcome:
 
     memos maps a theory to its memo table (see RewriteContext) and is
     filled here.  prove_clause passes one dict to every goal of a proof,
-    so later goals reuse earlier rewrites.
+    so later goals reuse earlier rewrites that read no assumption.
     """
     memo = memos.setdefault(theory, {})
     lits = list(clause)

@@ -263,7 +263,7 @@ def test_memo_hit_charges_the_steps_of_a_fresh_rewrite():
     shared = {}
     rewrite_term(t, ctx(memo=shared))
     filled = dict(shared)
-    assert filled[(t, False)] == (want, 7, ())  # no assumption was consulted
+    assert filled[(t, False)] == (want, 7)  # no assumption was consulted
     # (steps already used, limit): room to spare, the exact limit, one short
     for used, limit in [(0, 100), (0, 7), (3, 10), (0, 6), (3, 9), (0, 0), (5, 5)]:
         seen = []
@@ -316,19 +316,19 @@ def test_memo_entry_is_recomputed_when_an_assumption_changes():
         c = RewriteContext(theory, w, StepBudget(100), memo, false_literals)
         return rewrite_term(t, c), c.budget.used
 
-    # (p x) true: the entry records that it asked about (p x) and heard True
+    d1, d2 = (tr("(d1 a)", w), False), (tr("(d2 a)", w), False)
+    # (p x) true: t's rewrite asked about (p x), so only its context keeps
+    # it; the branch it took never asked, and is shared
     assert run([negate_term(p)]) == (tr("(cons (cons a a) c)"), 1)
-    assert memo[(t, False)][2] == frozenset({(p, True)})
-    # (p x) false: the entry is stale, so the other branch is rewritten
+    assert (t, False) not in memo and memo[d1] == (tr("(cons a a)"), 1)
+    # (p x) false: t is rewritten afresh, and takes the other branch
     assert run([p]) == (tr("(cons (cons (cons a a) (cons a a)) c)"), 3)
-    assert memo[(t, False)][2] == frozenset({(p, False)})
+    assert (t, False) not in memo and memo[d2] == (tr("(cons (cons a a) (cons a a))"), 3)
     # nothing known about (p x): the IF stays, both branches rewritten
     assert run([]) == (tr("(cons (if (p x) (cons a a) (cons (cons a a) (cons a a))) c)", w), 4)
-    assert memo[(t, False)][2] == frozenset({(p, None)})
-    # an assumption the entry never asked about does not make it stale
-    again = memo[(t, False)]
+    # an assumption t never asks about gives the same answer
     assert run([tr("(p y)", w)]) == (tr("(cons (if (p x) (cons a a) (cons (cons a a) (cons a a))) c)", w), 4)
-    assert memo[(t, False)] is again
+    assert (t, False) not in memo and set(memo) >= {d1, d2}
 
 
 def _oracle_world():
@@ -343,15 +343,20 @@ def _oracle_world():
     return w
 
 
+def _oracle_pool(w):
+    """Literals for random contexts: some settle what _oracle_world rewrites."""
+    return [tr(s, w) for s in ["x", "(not x)", "y", "(f x)", "(not (f y))", "(f (car z))",
+                               "(equal x y)", "(not (equal y 'k))", "(car x)", "(f '3)"]]
+
+
 def test_shared_memo_answers_as_a_fresh_context_random():
     # one table per term, shared by contexts drawn from a small pool of
     # literals, under limits with room, exact and short
     w = _oracle_world()
-    pool = [tr(s, w) for s in ["x", "(not x)", "y", "(f x)", "(not (f y))", "(f (car z))",
-                               "(equal x y)", "(not (equal y 'k))", "(car x)", "(f '3)"]]
+    pool = _oracle_pool(w)
     theory = w.theory()
     rng = random.Random(4113)
-    hits = stale = 0
+    hits = filed = kept = 0
     for _ in range(150):
         memo = {}
         t = _random_rw_term(rng, 4)
@@ -371,15 +376,41 @@ def test_shared_memo_answers_as_a_fresh_context_random():
                     except ResourceError as e:
                         out = str(e)
                     seen.append((out, c.budget.used))
-                    if entry is not None and not isinstance(out, str):
-                        if table.get((t, iff)) is entry:
+                    if table is memo and not isinstance(out, str):
+                        if entry is not None:
                             hits += 1
+                        elif (t, iff) in memo:
+                            filed += 1  # its rewrite never read the context
                         else:
-                            stale += 1
+                            kept += 1  # it did, so the context kept it
                 assert seen[0] == seen[1], (t, assume, iff, limit)
                 if limit == 10000:
                     assert seen[0] == (want, full)
-    assert hits > 1000 and stale > 20  # both ways of a lookup were exercised
+    # hits, and both ways of filing the top term: counted 764, 68 and 2,410
+    assert hits > 700 and filed > 50 and kept > 2000
+
+
+def test_shared_memo_holds_only_what_any_context_computes_random():
+    # fill one table from random terms under random contexts; then each
+    # entry must be what a fresh table gives under some other context
+    w = _oracle_world()
+    pool = _oracle_pool(w)
+    theory = w.theory()
+    rng = random.Random(6029)
+    memo = {}
+    for _ in range(200):
+        t = _random_rw_term(rng, 4)
+        for _ in range(3):
+            c = RewriteContext(theory, w, StepBudget(10000), memo,
+                               rng.sample(pool, rng.randrange(4)))
+            rewrite_term(t, c, rng.random() < 0.5)
+    for (t, iff), (out, steps) in memo.items():
+        assume = rng.sample(pool, rng.randrange(1, 4))
+        c = RewriteContext(theory, w, StepBudget(10000), {}, assume)
+        assert (rewrite_term(t, c, iff), c.budget.used) == (out, steps), (t, iff, assume)
+    # counted 249 entries, 110 of them rewritten and 1 charging steps
+    assert len(memo) > 200 and sum(out is not t for (t, _), (out, _) in memo.items()) > 100
+    assert any(steps for _, steps in memo.values())
 
 
 class _Spec:
@@ -535,7 +566,7 @@ def test_rewrite_term_agrees_with_the_plain_inside_out_spec():
                 if limit == 10000:
                     assert seen[0] == (want, full)
                 shown += want is not t and full > 0
-    assert shown > 100 and hits > 500 and contradictions > 50
+    assert shown > 100 and hits > 400 and contradictions > 50  # hits: 465 counted
 
 
 def test_one_memos_dict_serves_two_theories_as_fresh_tables_would():
