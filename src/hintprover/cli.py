@@ -101,17 +101,13 @@ def _parse_declare(decl) -> bool:
 
 
 def _do_defun(world: World, items, max_steps: int):
-    if len(items) == 5:
-        normalize = _parse_declare(items[3])
-        body_form = items[4]
-    elif len(items) == 4:
-        normalize = True
-        body_form = items[3]
-    else:
+    if len(items) not in (4, 5):
         raise EventError("defun expects a name, formals, and one body form")
-
     name = _want_symbol(items[1], "function name")
+    world.claim_name(name)
+    normalize = _parse_declare(items[3]) if len(items) == 5 else True
     formals = _formal_names(items[2])
+    body_form = items[-1]
 
     def arity(f):  # the body may call the function being defined
         return len(formals) if f == name else world.arity(f)
@@ -131,7 +127,9 @@ def _do_defun(world: World, items, max_steps: int):
 def _do_defstub(world: World, items, max_steps: int):
     if len(items) != 3 or not isinstance(items[2], int) or items[2] < 0:
         raise EventError("defstub expects a name and an arity")
-    world.add_stub(_want_symbol(items[1], "stub name"), items[2])
+    name = _want_symbol(items[1], "stub name")
+    world.claim_name(name)
+    world.add_stub(name, items[2])
 
 
 def _do_in_theory(world: World, items, max_steps: int):
@@ -208,6 +206,7 @@ def _do_defthm(world: World, items, max_steps: int) -> TheoremOutcome:
     if len(items) < 3:
         raise EventError("defthm expects a name and a body")
     name = _want_symbol(items[1], "theorem name")
+    world.claim_name(name)  # a failed proof claims nothing
     body = items[2]
 
     rule_classes = "REWRITE"

@@ -349,18 +349,16 @@ def _flatten_and(form):
 
 
 def peel_implies(form):
-    """Split a statement into its hypothesis forms and its conclusion form.
+    """Split a translated statement into its hypothesis forms and its
+    conclusion form; translation has checked each IMPLIES' arity.
 
     Nested IMPLIES are peeled from the outside in, and an AND hypothesis
     contributes each conjunct.
     """
     hyps = []
     while isinstance(form, Pair) and form.car == Symbol("IMPLIES"):
-        args = to_list(form.cdr)
-        if len(args) != 2:
-            raise HintError("IMPLIES expects two arguments")
-        hyps.extend(_flatten_and(args[0]))
-        form = args[1]
+        hyp, form = to_list(form.cdr)
+        hyps.extend(_flatten_and(hyp))
     return hyps, form
 
 
@@ -373,9 +371,9 @@ def clausify(form, world):
     from the translator's table of the call forms it has translated, so
     no part of the statement is translated twice.
     """
-    hyp_forms, concl_form = peel_implies(form)
     tr = Translator(world.macro_env, world.arity)
     body = beta_reduce(tr.tr(form))
+    hyp_forms, concl_form = peel_implies(form)
     parts = [beta_reduce(tr.done[id(f)][1] if isinstance(f, Pair) else tr.tr(f))
              for f in hyp_forms + [concl_form]]
     return tuple(parts[:-1]), parts[-1], body, concl_form

@@ -63,12 +63,16 @@ class World:
     priority.  rules_by_fn holds the same rules keyed by the function
     symbol of their lhs, each list in install order; it is what the
     rewriter reads, since a rule can only match a call of its own head.
-    A non-recursive definition installs as the EQUAL rule
-    (name formals...) = body; a recursive one opens only by :EXPAND."""
+    rules is the set of rule names.  A non-recursive definition installs
+    as the EQUAL rule (name formals...) = body; a recursive one opens
+    only by :EXPAND.
+
+    An event calls claim_name before any work; the add_ methods only
+    store, so they trust that the name was claimed."""
 
     functions: dict = field(default_factory=dict)
     definitions: dict = field(default_factory=dict)
-    rules: dict = field(default_factory=dict)
+    rules: set = field(default_factory=set)
     rule_order: list = field(default_factory=list)
     rules_by_fn: dict = field(default_factory=dict)
     theorems: dict = field(default_factory=dict)
@@ -83,18 +87,18 @@ class World:
             return a
         return self.functions.get(name)
 
-    def _claim_name(self, name: str):
+    def claim_name(self, name: str):
+        """Refuse a name that is built in or already names a function or
+        theorem.  Every rule is a theorem, so this covers rules too."""
         if name in BUILTIN_ARITY or name == "APPEND":
             raise WorldError(f"{name} is built in")
-        if name in self.functions or name in self.rules or name in self.theorems:
+        if name in self.functions or name in self.theorems:
             raise WorldError(f"duplicate name: {name}")
 
     def add_stub(self, name: str, arity: int):
-        self._claim_name(name)
         self.functions[name] = arity
 
     def add_definition(self, name: str, formals, body, enabled: bool = True):
-        self._claim_name(name)
         self.functions[name] = len(formals)
         self.definitions[name] = Definition(name, tuple(formals), body)
         if not _calls(body, name, set()):
@@ -104,9 +108,7 @@ class World:
             self.enabled.add(name)
 
     def add_rule(self, name: str, rule: RewriteRule):
-        if name in self.rules:
-            raise WorldError(f"duplicate rule: {name}")
-        self.rules[name] = rule
+        self.rules.add(name)
         self._install(rule)
         self.enabled.add(name)
 
@@ -115,8 +117,6 @@ class World:
         self.rules_by_fn.setdefault(rule.lhs.fn, []).append(rule)
 
     def add_theorem(self, name: str, body):
-        if name in self.theorems or name in self.functions:
-            raise WorldError(f"duplicate name: {name}")
         self.theorems[name] = body
 
     def add_hint_fn(self, fn: HintFn):

@@ -418,16 +418,73 @@ def test_failed_theorem_is_not_usable_later(tmp_path):
     assert not t2.proved and "FAILING" in t2.error
 
 
-def test_proved_rewrite_theorem_becomes_a_rule(tmp_path):
+@pytest.mark.parametrize("body", ["(equal x x)", "(equal x y)"])  # proves, fails
+@pytest.mark.parametrize("before, name, message", [
+    ("(defthm a (equal y y) :rule-classes nil)", "a", "duplicate name: A"),
+    ("(defstub a 1)", "a", "duplicate name: A"),
+    ("", "use-termhint-hyp-is-true", "duplicate name: USE-TERMHINT-HYP-IS-TRUE"),
+    ("", "car", "CAR is built in"),
+])
+def test_theorem_name_is_claimed_before_its_proof(tmp_path, capsys, monkeypatch,
+                                                  before, name, message, body):
+    import hintprover.cli as cli_mod
+
+    path = evfile(tmp_path, before)
+    main(["--trace", path])
+    want = capsys.readouterr().out
+    proofs = []
+    real = cli_mod.prove_clause
+
+    def counted(*args):
+        proofs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli_mod, "prove_clause", counted)
+    path = evfile(tmp_path, f"{before}\n(defthm {name} {body} :rule-classes nil)")
+    assert main(["--trace", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == want  # no THEOREM line and no events for the rejected theorem
+    assert err == f"ERROR {path}: {message}\n"
+    assert len(proofs) == before.count("defthm")
+
+
+def test_a_failed_theorem_claims_no_name(tmp_path):
+    # as in ACL2, a name whose proof failed may be tried again
     path = evfile(tmp_path, """
-      (defund d (x) (cons x x))
-      (defthm d-opens (equal (d a) (cons a a))
-        :hints ((:in-theory (enable d))))
-      (defthm uses-rule (equal (d q) (cons q q)) :rule-classes nil)
+      (defthm a (equal x y) :rule-classes nil)
+      (defthm a (equal x x) :rule-classes nil)
     """)
     report = run([path])
-    assert report.exit_code == 0
-    assert report.files[0].theorems[1].steps == 1   # one rule application
+    assert report.exit_code == 1
+    text = format_report(report)
+    assert "THEOREM A FAILED steps=0\nTHEOREM A PROVED steps=0\n" in text
+
+
+def test_proved_rewrite_theorem_becomes_a_rule(tmp_path):
+    for rule_classes in ("", ":rule-classes :rewrite"):  # the default, spelled out
+        path = evfile(tmp_path, f"""
+          (defund d (x) (cons x x))
+          (defthm d-opens (equal (d a) (cons a a))
+            {rule_classes} :hints ((:in-theory (enable d))))
+          (defthm uses-rule (equal (d q) (cons q q)) :rule-classes nil)
+        """)
+        report = run([path])
+        assert report.exit_code == 0
+        assert report.files[0].theorems[1].steps == 1   # one rule application
+
+
+def test_hidden_literal_meets_its_negation(tmp_path, capsys):
+    # the clause is ((not (hide (f a))) (g a)); (g a) opens to (hide (f a)),
+    # which no truth lookup sees through HIDE, so the clause's test for a
+    # literal beside its negation proves it
+    path = evfile(tmp_path, """
+      (defstub f 1)
+      (defun g (x) (hide (f x)))
+      (defthm h (implies (hide (f a)) (g a)) :rule-classes nil)
+    """)
+    assert main(["--trace", path]) == 0
+    assert capsys.readouterr().out == (
+        f"FILE {path}\nEVENT Goal PROVED T\nTHEOREM H PROVED steps=1\nPROVED 1/1\n")
 
 
 def test_max_steps_exhaustion(tmp_path, capsys):

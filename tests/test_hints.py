@@ -298,8 +298,12 @@ def test_clausify_shapes():
     assert got == (tr("(not (f x))", w), tr("(not (f y))", w), tr("(f z)", w))
     got = _clause("(implies (and (f x) (and (f y) (f q))) (f z))", w)
     assert len(got) == 4
-    with pytest.raises(HintError):
+    with pytest.raises(TranslateError, match="IMPLIES expects two arguments"):
         _clause("(implies (f x))", w)
+    # the statement is translated before it is split, so the leftmost
+    # error wins, as in AND, OR and COND
+    with pytest.raises(TranslateError, match="unknown function: UNDEFINED"):
+        _clause("(implies (undefined x) (implies y))", w)
 
 
 def test_clausify_beta_reduces():
