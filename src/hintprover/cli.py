@@ -27,7 +27,7 @@ from .term import (
 from .world import RewriteRule, HintFn, World
 from .rewrite import ResourceError, StepBudget, negate_term, normalize_definition
 from .hints import (
-    ComputedHint, GoalCtx, HintError,
+    HINT_EXPR_BUILTINS, ComputedHint, GoalCtx, HintError,
     _parse_in_theory, clause_sexpr, clausify, eval_hint_expr, parse_hint,
     prove_clause, render_hint, translate_hint_expr,
 )
@@ -146,6 +146,8 @@ def _do_register_hint_fn(world: World, items, max_steps: int):
     if len(items) != 3:
         raise EventError("register-hint-fn expects a name and an expression")
     name = _want_symbol(items[1], "hint function name")
+    if name in HINT_EXPR_BUILTINS or name in world.macro_env:
+        raise EventError(f"{name} is built in")  # no call could reach it
     expr = translate_hint_expr(items[2], world)
     world.add_hint_fn(HintFn(name, 0, lambda args, ctx: eval_hint_expr(expr, ctx)))
 

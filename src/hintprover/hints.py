@@ -10,9 +10,10 @@ runs only inside named hint functions.
 
 Goals are named "Goal", "Subgoal 1", "Subgoal 1.2", ... in creation
 order.  Each goal tries hints on arrival, then simplifies; a goal that
-is stable under simplification offers itself to the pending hints once
-more before it becomes a checkpoint.  Each step is recorded as an event
-that keeps terms; a report renders an event only when it prints it.
+is stable under simplification (the pass returns its clause unchanged
+and finds no split) offers itself to the pending hints once more before
+it becomes a checkpoint.  Each step is recorded as an event that keeps
+terms; a report renders an event only when it prints it.
 """
 
 from __future__ import annotations
@@ -259,6 +260,8 @@ def eval_hint_expr(t, ctx: GoalCtx):
         if hint_fn is not None:
             return hint_fn.run(args, ctx)
         if fn in BUILTIN_ARITY:
+            if any(isinstance(a, Hint) for a in args):
+                raise EvalError(f"{fn} applied to a hint")
             return apply_builtin(fn, args)
         raise HintError(f"unknown function in hint expression: {fn}")
 
@@ -300,7 +303,7 @@ def eval_computed_hint(ch: ComputedHint, ctx: GoalCtx):
 # ---------------------------------------------------------------------------
 # Applying a fired hint
 
-def apply_hint(hint: Hint, clause, theory, world, warn=_warn_stderr):
+def apply_hint(hint: Hint, clause, theory, world):
     """Transform the clause and theory; processor, then :USE, :EXPAND, :IN-THEORY."""
     if hint.clause_processor is not None:
         proc = world.clause_processors.get(hint.clause_processor)
@@ -316,11 +319,11 @@ def apply_hint(hint: Hint, clause, theory, world, warn=_warn_stderr):
         subst = {}
         for var, t in inst.bindings:
             if var not in thm_vars:
-                warn(f":USE binding for {var} names no variable of {inst.name}; ignored")
+                _warn_stderr(f":USE binding for {var} names no variable of {inst.name}; ignored")
                 continue
             subst[var] = t
         for left in sorted(thm_vars - set(subst)):
-            warn(f":USE of {inst.name} leaves {left} uninstantiated")
+            _warn_stderr(f":USE of {inst.name} leaves {left} uninstantiated")
         instantiated = beta_reduce(substitute(body, subst))
         clause = clause + (negate_term(instantiated),)
 
@@ -437,14 +440,17 @@ def prove_clause(clause, pending, world, budget) -> ProofResult:
         found = _first_firing(pending, ctx)
         if found is None:
             out = simplify_clause(clause, theory, world, budget, memos)
-            if out.proved:
+            if out is None:
                 events.append((name, "PROVED", T))
                 continue
-            if out.changed:
-                events.append((name, "SIMPLIFY", out.rewritten))
-                if out.split_test is not None:
-                    events.append((name, "SPLIT", out.split_test))
-                _push_subgoals(todo, name, out.clauses, pending, theory, budget)
+            rewritten, split = out
+            if split is not None or rewritten != clause:  # not stable
+                events.append((name, "SIMPLIFY", rewritten))
+                children = [rewritten]
+                if split is not None:
+                    events.append((name, "SPLIT", split[0]))
+                    children = split[1]
+                _push_subgoals(todo, name, children, pending, theory, budget)
                 continue
             ctx.stable = True
             events.append((name, "SIMPLIFY", ctx))

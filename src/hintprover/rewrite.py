@@ -24,8 +24,6 @@ rules to it, and IF splitting ignores tests under it.  Only an explicit
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .sexpr import ProverError, is_nil
 from .term import (
     App, Const, Var, CONST_NIL, CONST_T, FOLDABLE,
@@ -335,15 +333,6 @@ def split_ifs(clause):
 # ---------------------------------------------------------------------------
 # One simplification pass over a clause
 
-@dataclass
-class SimplifyOutcome:
-    clauses: list
-    changed: bool
-    rewritten: object  # clause after rewriting, before any split
-    split_test: object
-    proved: bool
-
-
 def _has_complementary_pair(lits) -> bool:
     present = set(lits)
     return any(
@@ -352,9 +341,13 @@ def _has_complementary_pair(lits) -> bool:
     )
 
 
-def simplify_clause(clause, theory, world, budget, memos) -> SimplifyOutcome:
+def simplify_clause(clause, theory, world, budget, memos):
     """One pass: rewrite each literal assuming the others false, drop
-    false literals, then split the first splittable IF.
+    false literals, then look for a split.
+
+    Returns None when the clause proved, otherwise (rewritten, split):
+    the tuple of surviving literals and what split_ifs returns for it.
+    Whether the goal is stable is the caller's to decide.
 
     memos maps a theory to its memo table (see RewriteContext) and is
     filled here.  prove_clause passes one dict to every goal of a proof,
@@ -362,30 +355,17 @@ def simplify_clause(clause, theory, world, budget, memos) -> SimplifyOutcome:
     """
     memo = memos.setdefault(theory, {})
     lits = list(clause)
-    changed = False
     for i in range(len(lits)):
         ctx = RewriteContext(theory, world, budget, memo,
                              [l for j, l in enumerate(lits) if j != i])
-        new = rewrite_term(lits[i], ctx, True)
-        if new != lits[i]:
-            changed = True
-            lits[i] = new
+        lits[i] = rewrite_term(lits[i], ctx, True)
 
     if any(is_true_const(l) for l in lits):
-        return SimplifyOutcome([], True, None, None, True)
-    kept = [l for l in lits if not is_false_const(l)]
-    if len(kept) != len(lits):
-        changed = True
-        lits = kept
-    if _has_complementary_pair(lits):
-        return SimplifyOutcome([], True, None, None, True)
-
-    result = tuple(lits)
-    split = split_ifs(result)
-    if split is not None:
-        test, clauses = split
-        return SimplifyOutcome(clauses, True, result, test, False)
-    return SimplifyOutcome([result], changed, result, None, False)
+        return None
+    rewritten = tuple([l for l in lits if not is_false_const(l)])
+    if _has_complementary_pair(rewritten):
+        return None
+    return rewritten, split_ifs(rewritten)
 
 
 # ---------------------------------------------------------------------------

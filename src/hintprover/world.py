@@ -88,9 +88,10 @@ class World:
         return self.functions.get(name)
 
     def claim_name(self, name: str):
-        """Refuse a name that is built in or already names a function or
-        theorem.  Every rule is a theorem, so this covers rules too."""
-        if name in BUILTIN_ARITY or name == "APPEND":
+        """Refuse a name that is built in (a macro included) or already
+        names a function or theorem.  Every rule is a theorem, so this
+        covers rules too."""
+        if name in BUILTIN_ARITY or name == "APPEND" or name in self.macro_env:
             raise WorldError(f"{name} is built in")
         if name in self.functions or name in self.theorems:
             raise WorldError(f"duplicate name: {name}")

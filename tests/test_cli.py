@@ -448,6 +448,90 @@ def test_theorem_name_is_claimed_before_its_proof(tmp_path, capsys, monkeypatch,
     assert len(proofs) == before.count("defthm")
 
 
+@pytest.mark.parametrize("events, name", [
+    ("(defun and (x y) (cons x y))\n(defthm a (equal (and x y) (cons x y)) :rule-classes nil)",
+     "AND"),
+    ("(defstub implies 2)", "IMPLIES"),
+    ("(defstub let 2)\n(defthm a (equal (let x y) (let x y)) :rule-classes nil)", "LET"),
+], ids=["defun", "defstub", "defstub-then-use"])
+def test_macro_names_are_built_in(tmp_path, capsys, events, name):
+    # a function named after a macro could never be called
+    path = evfile(tmp_path, events)
+    assert main(["--trace", path]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"ERROR {path}: {name} is built in\n"
+    assert "THEOREM" not in out
+
+
+@pytest.mark.parametrize("name", ["cons", "if", "member-equal", "equal", "not", "and",
+                                  "let", "termhint-seq"])
+def test_hint_function_names_are_not_built_in(tmp_path, capsys, name):
+    # refused before the expression, which names no function, is translated
+    path = evfile(tmp_path, f"(register-hint-fn {name} (nonesuch))")
+    assert main([path]) == 2
+    assert capsys.readouterr().err == f"ERROR {path}: {name.upper()} is built in\n"
+
+
+def test_hint_function_cannot_shadow_a_builtin_in_later_hints(tmp_path, capsys):
+    # hint expressions translate CONS as the builtin; a hint function of
+    # that name would have run in its place when evaluated
+    path = evfile(tmp_path, """
+      (defstub p 1)
+      (register-hint-fn cons '(:expand ((p a))))
+      (register-hint-fn h (if (equal (cons 'a 'b) '(a . b)) 'nil '(:in-theory (enable))))
+      (defthm x (p a) :rule-classes nil :hints (h))
+    """)
+    assert main(["--trace", path]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"ERROR {path}: CONS is built in\n"
+    assert "EVENT" not in out
+
+
+def test_hint_inside_a_builtin_fails_the_theorem(tmp_path, capsys):
+    path = evfile(tmp_path, """
+      (defstub p 1)
+      (register-hint-fn h (cons (use-termhint-find-hint clause) 'nil))
+      (defthm x (implies (p a) (p b)) :rule-classes nil
+        :hints ((use-termhint '(:in-theory (enable))) h))
+    """)
+    assert main([path]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"ERROR {path} X: in hint expression: CONS applied to a hint\n"
+    assert "THEOREM X FAILED" in out
+
+
+_ERROR_TEXTS = [  # (events, exit code, what follows "ERROR <path>")
+    *[(f"(defun f (x) {body})", 2, f": {text}") for body, text in [
+        ("(let ((y)) x)", "malformed LET binding: (Y)"),
+        ("(let ((y x)))", "LET expects a binding list and one body form"),
+        ("(let* ((y x)))", "LET* expects a binding list and one body form"),
+        ("(b* ((y x)))", "B* expects a binder list and one body form"),
+        ("(cond ((consp x) x x))", "malformed COND clause: ((CONSP X) X X)"),
+        ("(quasiquote a b)", "QUASIQUOTE expects one argument"),
+        ("`(a (unquote x x))", "malformed unquote"),
+        ("`(a ((unquote-splicing x x)))", "malformed unquote-splicing"),
+        (",x", "UNQUOTE outside quasiquote"),
+        ("((foo) x)", "bad application head: (FOO)"),
+        ("((lambda (1) x) x)", "lambda formals must be symbols"),
+    ]],
+    ("(defthm a (consp x) :hints ((:use 7)))", 2, ": in A: bad :USE value: 7"),
+    ("(register-hint-fn h 'nil)\n(register-hint-fn h 'nil)", 2,
+     ": duplicate hint function: H"),
+    (". a", 2, ": symbol name may not contain a dot: . (line 1)"),
+    ("(register-hint-fn h (termhint-seq 'a 'b))\n(defstub p 1)\n"
+     "(defthm x (p a) :rule-classes nil :hints (h))", 1,
+     " X: unknown function in hint expression: TERMHINT-SEQ"),
+]
+
+
+@pytest.mark.parametrize("events, code, text", _ERROR_TEXTS,
+                         ids=[text.strip(" :") for _, _, text in _ERROR_TEXTS])
+def test_error_texts(tmp_path, capsys, events, code, text):
+    path = evfile(tmp_path, events)
+    assert main([path]) == code
+    assert capsys.readouterr().err == f"ERROR {path}{text}\n"
+
+
 def test_a_failed_theorem_claims_no_name(tmp_path):
     # as in ACL2, a name whose proof failed may be tried again
     path = evfile(tmp_path, """

@@ -1,5 +1,6 @@
 import pytest
 
+import hintprover.hints as hints_mod
 from hintprover.sexpr import NIL, T, Keyword, Symbol, parse_one, print_sexpr
 from hintprover.term import App, CONST_T, Const, TranslateError, Var, translate
 from hintprover.world import HintFn, RewriteRule, World
@@ -217,16 +218,17 @@ def test_interpret_hint_values():
 def test_apply_use_instantiates_and_appends():
     w = _use_world()
     h = ph("(:use (:instance my-eq (x (cons a b))))", w)
-    clause, theory = apply_hint(h, (Var("G"),), w.theory(), w, warn=lambda m: None)
+    clause, theory = apply_hint(h, (Var("G"),), w.theory(), w)
     assert clause == (Var("G"), tr("(not (equal (f (cons a b)) '3))", w))
     assert theory == w.theory()
 
 
-def test_apply_use_warnings():
+def test_apply_use_warnings(capsys):
     w = _use_world()
-    warnings = []
     h = ph("(:use (:instance my-eq (z 'nil)))", w)
-    clause, _ = apply_hint(h, (), w.theory(), w, warn=warnings.append)
+    clause, _ = apply_hint(h, (), w.theory(), w)
+    warnings = capsys.readouterr().err.splitlines()
+    assert all(m.startswith("WARNING: :USE ") for m in warnings)
     # Z names no variable of MY-EQ, and X is never bound
     assert any("Z" in m for m in warnings)
     assert any("uninstantiated" in m and "X" in m for m in warnings)
@@ -259,7 +261,7 @@ def test_apply_in_theory():
         apply_hint(ph("(:in-theory (enable nonesuch))", w), (), theory, w)
 
 
-def test_apply_processor_runs_first():
+def test_apply_processor_runs_first(monkeypatch):
     w = _use_world()
     order = []
 
@@ -269,7 +271,8 @@ def test_apply_processor_runs_first():
 
     w.add_clause_processor("P", proc)
     h = ph("(:use my-eq :clause-processor p)", w)
-    clause, _ = apply_hint(h, (Var("G"),), w.theory(), w, warn=lambda m: order.append("warn"))
+    monkeypatch.setattr(hints_mod, "_warn_stderr", lambda m: order.append("warn"))
+    clause, _ = apply_hint(h, (Var("G"),), w.theory(), w)
     assert order[0] == "processor"
     assert clause[0] == Var("G")
     assert clause[1] == Var("MARKER")        # processor output precedes :USE

@@ -741,7 +741,7 @@ def test_split_ifs_preserves_truth_tables():
 
 def test_simplify_true_literal_proves():
     out = simplify_clause((tr("(equal x x)"),), frozenset(), World(), StepBudget(10), {})
-    assert out.proved and out.clauses == []
+    assert out is None
 
 
 def test_simplify_drops_false_literals():
@@ -749,8 +749,7 @@ def test_simplify_drops_false_literals():
     w.add_stub("F", 1)
     out = simplify_clause((tr("(consp '7)"), tr("(f x)", w)),
                           frozenset(), w, StepBudget(10), {})
-    assert not out.proved and out.changed
-    assert out.clauses == [(tr("(f x)", w),)]
+    assert out == ((tr("(f x)", w),), None)
 
 
 def test_simplify_complementary_pair_proves():
@@ -758,7 +757,7 @@ def test_simplify_complementary_pair_proves():
     w.add_stub("F", 1)
     lit = tr("(f x)", w)
     out = simplify_clause((lit, negate_term(lit)), frozenset(), w, StepBudget(10), {})
-    assert out.proved
+    assert out is None
 
 
 def test_simplify_assumptions_between_literals():
@@ -766,7 +765,7 @@ def test_simplify_assumptions_between_literals():
     # second literal is decided false under the first literal's negation
     clause = (tr("(not (consp x))", w), tr("(if (consp x) (equal 'a 'a) 'nil)", w))
     out = simplify_clause(clause, frozenset(), w, StepBudget(10), {})
-    assert out.proved
+    assert out is None
 
 
 def test_simplify_splits_and_reports():
@@ -774,12 +773,12 @@ def test_simplify_splits_and_reports():
     w.add_stub("F", 1)
     clause = (tr("(if (f x) (equal a b) (equal c d))", w),)
     out = simplify_clause(clause, frozenset(), w, StepBudget(10), {})
-    assert out.changed and not out.proved
-    assert out.split_test == tr("(f x)", w)
-    assert len(out.clauses) == 2
-    assert out.rewritten == clause
-    assert out.clauses[0] == (tr("(not (f x))", w), tr("(equal a b)"))
-    assert out.clauses[1] == (tr("(f x)", w), tr("(equal c d)"))
+    rewritten, (test, clauses) = out
+    assert test == tr("(f x)", w)
+    assert len(clauses) == 2
+    assert rewritten == clause
+    assert clauses[0] == (tr("(not (f x))", w), tr("(equal a b)"))
+    assert clauses[1] == (tr("(f x)", w), tr("(equal c d)"))
 
 
 def test_simplify_stable_fixpoint():
@@ -794,14 +793,14 @@ def test_simplify_stable_fixpoint():
                 break
             c = frontier.pop()
             out = simplify_clause(c, frozenset(), w, StepBudget(10000), {})
-            if out.proved:
+            if out is None:
                 continue
-            if out.changed:
-                frontier.extend(tuple(x) for x in out.clauses)
+            rewritten, split = out
+            if split is not None or rewritten != c:
+                frontier.extend(split[1] if split is not None else [rewritten])
                 continue
             again = simplify_clause(c, frozenset(), w, StepBudget(10000), {})
-            assert not again.changed and not again.proved
-            assert again.clauses == [tuple(c)]
+            assert again == (c, None)
         assert not frontier
 
 
