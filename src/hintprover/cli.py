@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .sexpr import (
     Keyword, Pair, ParseError, ProverError, Symbol,
@@ -40,25 +39,31 @@ class EventError(ProverError):
     pass
 
 
-@dataclass
 class TheoremOutcome:
-    name: str
-    proved: bool
-    steps: int
-    events: list = field(default_factory=list)  # ProofResult.events
-    error: str = None
+    __slots__ = ("name", "proved", "steps", "events", "error")
+
+    def __init__(self, name: str, proved: bool, steps: int):
+        self.name = name
+        self.proved = proved
+        self.steps = steps
+        self.events = []  # ProofResult.events
+        self.error = None
 
 
-@dataclass
 class FileOutcome:
-    path: str
-    theorems: list = field(default_factory=list)
-    error: str = None
+    __slots__ = ("path", "theorems", "error")
+
+    def __init__(self, path: str):
+        self.path = path
+        self.theorems = []
+        self.error = None
 
 
-@dataclass
 class RunReport:
-    files: list = field(default_factory=list)
+    __slots__ = ("files",)
+
+    def __init__(self, files: list):
+        self.files = files
 
     @property
     def exit_code(self) -> int:
@@ -379,13 +384,13 @@ def main(argv=None) -> int:
                          "the per-definition bound on IF lifts when normalizing")
     ap.add_argument("--stop-on-failure", action="store_true",
                     help="stop at the first failed theorem")
-    args = ap.parse_args(argv)
+    args = ap.parse_intermixed_args(argv)
     if args.max_steps < 0:
         ap.error(f"--max-steps must not be negative: {args.max_steps}")
 
     # each file's block goes out when that file is done, so a hang or a
     # kill keeps what finished; the whole is what format_report prints
-    report = RunReport()
+    report = RunReport([])
     for outcome in iter_files(args.files, args.max_steps, args.stop_on_failure):
         report.files.append(outcome)
         sys.stdout.write(format_file(outcome, args.trace, args.checkpoints))

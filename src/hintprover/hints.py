@@ -19,7 +19,6 @@ terms; a report renders an event only when it prints it.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 
 from .sexpr import (
     NIL, Keyword, Pair, ProverError, Symbol, T, QUOTE,
@@ -36,30 +35,47 @@ class HintError(ProverError):
     pass
 
 
-@dataclass(frozen=True)
-class UseInstance:
-    name: str
-    bindings: tuple  # ((var, Term), ...)
+class _Fields:
+    """Equality field by field over __slots__, for records compared by value."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
-@dataclass(frozen=True)
-class Hint:
-    use: tuple = ()
-    expand: tuple = ()
-    enable: tuple = ()
-    disable: tuple = ()
-    clause_processor: str = None
-    replacement: tuple = None  # entries to splice in, None = just retire
-    display: object = None     # SExpr shown when rendered as a replacement
+class UseInstance(_Fields):
+    __slots__ = ("name", "bindings")
+
+    def __init__(self, name: str, bindings: tuple):
+        self.name = name
+        self.bindings = bindings  # ((var, Term), ...)
 
 
-@dataclass
-class ComputedHint:
-    expr: object = None     # Term over CLAUSE / ID / STABLE-UNDER-SIMPLIFICATIONP
-    display: object = None  # SExpr shown when rendered as a replacement
+class Hint(_Fields):
+    __slots__ = ("use", "expand", "enable", "disable", "clause_processor", "replacement",
+                 "display")
+
+    def __init__(self, use=(), expand=(), enable=(), disable=(), clause_processor=None,
+                 replacement=None, display=None):
+        self.use = use
+        self.expand = expand
+        self.enable = enable
+        self.disable = disable
+        self.clause_processor = clause_processor
+        self.replacement = replacement  # entries to splice in, None = just retire
+        self.display = display          # SExpr shown when rendered as a replacement
 
 
-@dataclass
+class ComputedHint(_Fields):
+    __slots__ = ("expr", "display")
+
+    def __init__(self, expr=None, display=None):
+        self.expr = expr        # Term over CLAUSE / ID / STABLE-UNDER-SIMPLIFICATIONP
+        self.display = display  # SExpr shown when rendered as a replacement
+
+
 class GoalCtx:
     """One goal as computed hints see it, and their variable environment.
 
@@ -69,12 +85,15 @@ class GoalCtx:
     however many hints, trace events and checkpoints use it.  `reading`
     is set while a hint carried by the clause is evaluated against it.
     """
-    clause: tuple
-    goal_name: str
-    stable: bool
-    world: object
-    _sexpr: object = field(default=None, init=False, repr=False, compare=False)
-    reading: bool = field(default=False, init=False, repr=False, compare=False)
+    __slots__ = ("clause", "goal_name", "stable", "world", "_sexpr", "reading")
+
+    def __init__(self, clause: tuple, goal_name: str, stable: bool, world):
+        self.clause = clause
+        self.goal_name = goal_name
+        self.stable = stable
+        self.world = world
+        self._sexpr = None
+        self.reading = False
 
     @property
     def sexpr(self):
@@ -385,7 +404,6 @@ def clausify(form, world):
 # ---------------------------------------------------------------------------
 # The waterfall
 
-@dataclass
 class ProofResult:
     """The verdict and the waterfall's (goal, kind, data) events.
 
@@ -393,8 +411,11 @@ class ProofResult:
     CHANGED), the goal's GoalCtx (SIMPLIFY when STABLE, and CHECKPOINT:
     a checkpoint is its event), the test term (SPLIT) or the Hint (HINT).
     """
-    proved: bool
-    events: list = field(default_factory=list)
+    __slots__ = ("proved", "events")
+
+    def __init__(self, proved: bool):
+        self.proved = proved
+        self.events = []
 
 
 def _child_name(parent: str, i: int) -> str:

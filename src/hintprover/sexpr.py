@@ -8,7 +8,6 @@ so `foo` and `FOO` read as the same symbol.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 
 class ProverError(Exception):
@@ -19,17 +18,32 @@ class ParseError(ProverError):
     pass
 
 
-@dataclass(frozen=True)
-class Symbol:
-    name: str
+class _Name:
+    """A named atom.  Atoms of one class are equal when their names are,
+    so Symbol("X") == Symbol("X") but Symbol("X") != Keyword("X")."""
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.name)
+
+
+class Symbol(_Name):
+    __slots__ = ()
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Keyword:
-    name: str
+class Keyword(_Name):
+    __slots__ = ()
 
     def __repr__(self):
         return ":" + self.name

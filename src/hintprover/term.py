@@ -12,7 +12,6 @@ every variable of the body.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 
 from .sexpr import (
     NIL, Keyword, Pair, ProverError, Symbol, T,
@@ -432,7 +431,6 @@ def translate(form, world, arity=None):
     return Translator(world.macro_env, world.arity if arity is None else arity).tr(form)
 
 
-@dataclass
 class Translator:
     """One translation's macros and function arities; `tr` is its entry.
 
@@ -442,9 +440,12 @@ class Translator:
     alive: macros build and drop forms during a translation, and a dropped
     form's id could name a new one.
     """
-    env: dict
-    arity_of: object
-    done: dict = field(default_factory=dict)
+    __slots__ = ("env", "arity_of", "done")
+
+    def __init__(self, env: dict, arity_of):
+        self.env = env
+        self.arity_of = arity_of
+        self.done = {}
 
     def tr(self, f):
         if not isinstance(f, Pair):
@@ -639,11 +640,13 @@ def ground_eval(t, world, fuel: int = 1000):
         raise EvalError("evaluation nested too deeply") from None
 
 
-@dataclass
 class _GroundCalls:
     """The `call` of one ground evaluation: builtins, then definitions while fuel lasts."""
-    world: object
-    fuel: int
+    __slots__ = ("world", "fuel")
+
+    def __init__(self, world, fuel: int):
+        self.world = world
+        self.fuel = fuel
 
     def call(self, fn, args):
         if fn in BUILTIN_ARITY:

@@ -14,8 +14,6 @@ while keeping h2, protected by HIDE, for the next stable goal.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .sexpr import (
     NIL, Keyword, Pair, ProverError, Symbol, QUOTE,
     from_list, is_nil, is_proper_list, parse_one, print_sexpr, to_list,
@@ -103,22 +101,27 @@ _FIND_DISPLAY = parse_one(f"(and stable-under-simplificationp ({FIND_FN} clause)
 _FIND_EXPR = parse_one(f"(and stable-under-simplificationp ({FIND_FN} 'nil))")
 
 
-def _hyp_hint(term, world: World) -> Hint:
+def _hyp_hint(term, world: World, display=None) -> Hint:
     """Install term as a dummy hypothesis and arm the extractor."""
     finder = ComputedHint(expr=translate_hint_expr(_FIND_EXPR, world), display=_FIND_DISPLAY)
-    return Hint(use=(UseInstance(HYP_THEOREM, (("X", term),)),), replacement=(finder,))
+    return Hint(use=(UseInstance(HYP_THEOREM, (("X", term),)),), replacement=(finder,),
+                display=display)
 
 
 def use_termhint(form, world: World) -> Hint:
     return _hyp_hint(translate(form, world), world)
 
 
-def _with_drop(hint: Hint) -> Hint:
+def _with_drop(hint: Hint, more=()) -> Hint:
+    """hint with the dummy hypothesis dropped and the entries `more`
+    appended to its replacement."""
     if hint.clause_processor is not None:
         raise ProcessError(
             f"extracted hint already names a clause processor: {hint.clause_processor}"
         )
-    return replace(hint, clause_processor=DROP_PROCESSOR)
+    replacement = (hint.replacement or ()) + more if more else hint.replacement
+    return Hint(hint.use, hint.expand, hint.enable, hint.disable, DROP_PROCESSOR,
+                replacement, hint.display)
 
 
 def _read_hint(t, ctx: GoalCtx) -> Hint:
@@ -167,10 +170,8 @@ def find_hint(ctx: GoalCtx):
         if isinstance(rest, App) and rest.fn == "HIDE":
             rest = rest.args[0]
         base = _read_hint(first, ctx)
-        stage2 = replace(_hyp_hint(rest, ctx.world),
-                         display=from_list([Symbol("USE-TERMHINT"), unparse(rest)]))
-        hint = _with_drop(base)
-        return replace(hint, replacement=(hint.replacement or ()) + (stage2,))
+        stage2 = _hyp_hint(rest, ctx.world, from_list([Symbol("USE-TERMHINT"), unparse(rest)]))
+        return _with_drop(base, (stage2,))
 
     return _with_drop(_read_hint(carried, ctx))
 

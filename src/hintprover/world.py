@@ -8,8 +8,6 @@ rules and theorems hold lambda-free terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .sexpr import ProverError
 from .term import BUILTIN_ARITY, App, Var, builtin_macro_env
 
@@ -18,27 +16,33 @@ class WorldError(ProverError):
     pass
 
 
-@dataclass(frozen=True)
 class Definition:
-    name: str
-    formals: tuple
-    body: object
+    __slots__ = ("name", "formals", "body")
+
+    def __init__(self, name: str, formals: tuple, body):
+        self.name = name
+        self.formals = formals
+        self.body = body
 
 
-@dataclass(frozen=True)
 class RewriteRule:
-    name: str
-    lhs: object
-    rhs: object
-    hyps: tuple
-    equiv: str  # "EQUAL" or "IFF"
+    __slots__ = ("name", "lhs", "rhs", "hyps", "equiv")
+
+    def __init__(self, name: str, lhs, rhs, hyps: tuple, equiv: str):
+        self.name = name
+        self.lhs = lhs
+        self.rhs = rhs
+        self.hyps = hyps
+        self.equiv = equiv  # "EQUAL" or "IFF"
 
 
-@dataclass(frozen=True)
 class HintFn:
-    name: str
-    arity: int
-    run: object  # callable(args, ctx) -> hint value
+    __slots__ = ("name", "arity", "run")
+
+    def __init__(self, name: str, arity: int, run):
+        self.name = name
+        self.arity = arity
+        self.run = run  # callable(args, ctx) -> hint value
 
 
 def _calls(t, name: str, clean: set) -> bool:
@@ -57,7 +61,6 @@ def _calls(t, name: str, clean: set) -> bool:
     return False
 
 
-@dataclass
 class World:
     """rule_order lists every RewriteRule in install order, which is rule
     priority.  rules_by_fn holds the same rules keyed by the function
@@ -70,16 +73,20 @@ class World:
     An event calls claim_name before any work; the add_ methods only
     store, so they trust that the name was claimed."""
 
-    functions: dict = field(default_factory=dict)
-    definitions: dict = field(default_factory=dict)
-    rules: set = field(default_factory=set)
-    rule_order: list = field(default_factory=list)
-    rules_by_fn: dict = field(default_factory=dict)
-    theorems: dict = field(default_factory=dict)
-    macro_env: dict = field(default_factory=builtin_macro_env)
-    hint_fns: dict = field(default_factory=dict)
-    clause_processors: dict = field(default_factory=dict)
-    enabled: set = field(default_factory=set)
+    __slots__ = ("functions", "definitions", "rules", "rule_order", "rules_by_fn",
+                 "theorems", "macro_env", "hint_fns", "clause_processors", "enabled")
+
+    def __init__(self):
+        self.functions = {}
+        self.definitions = {}
+        self.rules = set()
+        self.rule_order = []
+        self.rules_by_fn = {}
+        self.theorems = {}
+        self.macro_env = builtin_macro_env()
+        self.hint_fns = {}
+        self.clause_processors = {}
+        self.enabled = set()
 
     def arity(self, name: str):
         a = BUILTIN_ARITY.get(name)

@@ -754,6 +754,22 @@ def test_main_smoke(tmp_path, capsys):
     assert "EVENT Goal PROVED T" in capsys.readouterr().out
 
 
+def test_options_may_come_before_between_or_after_the_files(capsys):
+    # robust_member fails its last theorem, so --stop-on-failure skips
+    # smoke, and --trace adds EVENT lines: each option shows in stdout
+    member, smoke = (str(Path(__file__).resolve().parent.parent / "corpus" / name)
+                     for name in ("robust_member.lisp", "smoke.lisp"))
+    opts = ["--trace", "--stop-on-failure", "--max-steps", "5000"]
+    seen = []
+    for argv in (opts + [member, smoke], [member] + opts + [smoke], [member, smoke] + opts,
+                 [opts[0], member, *opts[1:], smoke]):
+        code = main(argv)
+        seen.append((code, capsys.readouterr().out))
+    code, out = seen[0]
+    assert code == 1 and "\nEVENT " in out and out.endswith("PROVED 1/2\n")
+    assert seen == [seen[0]] * len(seen)
+
+
 def test_max_steps_must_not_be_negative(tmp_path, capsys):
     path = evfile(tmp_path,
                   "(defthm ok (equal (cons a b) (cons a b)) :rule-classes nil)")

@@ -1,11 +1,13 @@
 """Source hygiene: every name a module imports from the package is used,
 every exception class the package defines derives from ProverError, no
-module builds a self-referencing closure, and the proof core never names
-LamApp."""
+module builds a self-referencing closure, the proof core never names
+LamApp, and importing the command line loads no heavy stdlib module."""
 
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import hintprover
@@ -120,3 +122,24 @@ def test_proof_core_never_names_lamapp():
 def test_a_named_lamapp_is_reported():
     src = "from .term import App, LamApp\n\nx = isinstance(t, term.LamApp)\n"
     assert _names_of(src, "LamApp") == [1, 3]
+
+
+# Each of these costs milliseconds to import, and dataclasses brings
+# inspect, ast, dis and tokenize; a prover run pays for every one.
+_HEAVY_MODULES = {"dataclasses", "inspect", "typing", "ast"}
+
+_NEW_MODULES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import hintprover.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    done = subprocess.run([sys.executable, "-E", "-s", "-c", _NEW_MODULES, str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(done.stdout.split())
+    assert "hintprover.cli" in loaded
+    assert sorted(loaded & _HEAVY_MODULES) == []
