@@ -9,15 +9,13 @@ Exit status: 0 when every theorem proved, 1 when some proof failed or
 ran out of steps, 2 on malformed input or bad events.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys
 
 from .sexpr import (
     Keyword, Pair, ParseError, ProverError, Symbol,
-    from_list, is_nil, is_proper_list, parse, print_sexpr, to_list,
+    from_list, is_nil, is_proper_list, parse, print_capped, print_sexpr, to_list,
 )
 from .term import (
     App, CONST_NIL, CONST_T, TranslateError,
@@ -80,7 +78,7 @@ class RunReport:
 
 def _want_symbol(x, what: str) -> str:
     if not isinstance(x, Symbol):
-        raise EventError(f"{what} must be a symbol: {print_sexpr(x)}")
+        raise EventError(f"{what} must be a symbol: {print_capped(x)}")
     return x.name
 
 
@@ -88,7 +86,7 @@ def _formal_names(form) -> list:
     names = []
     for s in to_list(form):
         if not isinstance(s, Symbol):
-            raise EventError(f"formal must be a symbol: {print_sexpr(s)}")
+            raise EventError(f"formal must be a symbol: {print_capped(s)}")
         if s.name in names:
             raise EventError(f"duplicate formal: {s.name}")
         names.append(s.name)
@@ -102,7 +100,7 @@ def _parse_declare(decl) -> bool:
         xargs = to_list(spec[1])
         if xargs[:2] == [Symbol("XARGS"), Keyword("NORMALIZE")] and len(xargs) == 3:
             return not is_nil(xargs[2])
-    raise EventError(f"unsupported declare form: {print_sexpr(decl)}")
+    raise EventError(f"unsupported declare form: {print_capped(decl)}")
 
 
 def _do_defun(world: World, items, max_steps: int):
@@ -206,7 +204,7 @@ def _parse_hint_entry(entry, world: World):
             if len(args) != 1:
                 raise EventError("use-termhint expects one form")
             return use_termhint(args[0], world)
-    raise EventError(f"unrecognized hint entry: {print_sexpr(entry)}")
+    raise EventError(f"unrecognized hint entry: {print_capped(entry)}")
 
 
 def _do_defthm(world: World, items, max_steps: int) -> TheoremOutcome:
@@ -229,13 +227,13 @@ def _do_defthm(world: World, items, max_steps: int) -> TheoremOutcome:
                 elif v == Keyword("REWRITE"):
                     rule_classes = "REWRITE"
                 else:
-                    raise EventError(f"unsupported rule-classes: {print_sexpr(v)}")
+                    raise EventError(f"unsupported rule-classes: {print_capped(v)}")
             elif k == Keyword("HINTS"):
                 if not is_proper_list(v):
                     raise EventError(f"bad :HINTS value in {name}")
                 pending = [_parse_hint_entry(e, world) for e in to_list(v)]
             else:
-                raise EventError(f"unknown defthm keyword: {print_sexpr(k)}")
+                raise EventError(f"unknown defthm keyword: {print_capped(k)}")
         hyps, concl, body_term, concl_form = clausify(body, world)
         rule = convert_rule(name, hyps, concl, concl_form) if rule_classes == "REWRITE" else None
     except (ParseError, TranslateError, HintError) as e:
@@ -293,7 +291,7 @@ def process_file(path: str, max_steps: int, stop_on_failure: bool) -> FileOutcom
             forms = parse(f.read())
         for form in forms:
             if not (isinstance(form, Pair) and isinstance(form.car, Symbol)):
-                raise EventError(f"not an event: {print_sexpr(form)}")
+                raise EventError(f"not an event: {print_capped(form)}")
             handler = EVENT_HANDLERS.get(form.car.name)
             if handler is None:
                 raise EventError(f"unknown event: {form.car.name}")

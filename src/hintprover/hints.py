@@ -16,13 +16,11 @@ it becomes a checkpoint.  Each step is recorded as an event that keeps
 terms; a report renders an event only when it prints it.
 """
 
-from __future__ import annotations
-
 import sys
 
 from .sexpr import (
     NIL, Keyword, Pair, ProverError, Symbol, T, QUOTE,
-    from_list, is_nil, is_proper_list, print_sexpr, to_list,
+    from_list, is_nil, is_proper_list, print_capped, to_list,
 )
 from .term import (
     BUILTIN_ARITY, EvalError, Translator,
@@ -136,12 +134,12 @@ def _parse_instance(form, tr):
         return UseInstance(form.name, ())
     items = to_list(form) if isinstance(form, Pair) else None
     if not items or items[0] != _INSTANCE or len(items) < 2 or not isinstance(items[1], Symbol):
-        raise HintError(f"malformed :USE instance: {print_sexpr(form)}")
+        raise HintError(f"malformed :USE instance: {print_capped(form)}")
     bindings = []
     for b in items[2:]:
         pair = to_list(b) if isinstance(b, Pair) else None
         if not pair or len(pair) != 2 or not isinstance(pair[0], Symbol):
-            raise HintError(f"malformed instance binding: {print_sexpr(b)}")
+            raise HintError(f"malformed instance binding: {print_capped(b)}")
         bindings.append((pair[0].name, tr.tr(pair[1])))
     return UseInstance(items[1].name, tuple(bindings))
 
@@ -153,7 +151,7 @@ def _parse_use(value, tr):
         if value.car == _INSTANCE:
             return (_parse_instance(value, tr),)
         return tuple(_parse_instance(e, tr) for e in to_list(value))
-    raise HintError(f"bad :USE value: {print_sexpr(value)}")
+    raise HintError(f"bad :USE value: {print_capped(value)}")
 
 
 def _parse_expand(value, tr):
@@ -162,18 +160,18 @@ def _parse_expand(value, tr):
     elif isinstance(value, Pair):
         forms = to_list(value)
     else:
-        raise HintError(f"bad :EXPAND value: {print_sexpr(value)}")
+        raise HintError(f"bad :EXPAND value: {print_capped(value)}")
     return tuple(tr.tr(f) for f in forms)
 
 
 def _parse_in_theory(value):
     items = to_list(value) if isinstance(value, Pair) else None
     if not items or items[0] not in (_ENABLE, _DISABLE):
-        raise HintError(f"bad :IN-THEORY value: {print_sexpr(value)}")
+        raise HintError(f"bad :IN-THEORY value: {print_capped(value)}")
     names = []
     for s in items[1:]:
         if not isinstance(s, Symbol):
-            raise HintError(f"bad :IN-THEORY name: {print_sexpr(s)}")
+            raise HintError(f"bad :IN-THEORY name: {print_capped(s)}")
         names.append(s.name)
     if items[0] == _ENABLE:
         return tuple(names), ()
@@ -200,12 +198,12 @@ def parse_hint(form, world, tr=None) -> Hint:
         )
         items = items[2:]
     if len(items) % 2 != 0:
-        raise HintError(f"hint keyword list has odd length: {print_sexpr(form)}")
+        raise HintError(f"hint keyword list has odd length: {print_capped(form)}")
 
     use, expand, enable, disable, processor = (), (), (), (), None
     for k, v in zip(items[::2], items[1::2]):
         if not isinstance(k, Keyword):
-            raise HintError(f"expected a hint keyword, got: {print_sexpr(k)}")
+            raise HintError(f"expected a hint keyword, got: {print_capped(k)}")
         if k == Keyword("USE"):
             use = use + _parse_use(v, tr)
         elif k == Keyword("EXPAND"):
@@ -215,10 +213,10 @@ def parse_hint(form, world, tr=None) -> Hint:
             enable, disable = enable + en, disable + dis
         elif k == Keyword("CLAUSE-PROCESSOR"):
             if not isinstance(v, Symbol):
-                raise HintError(f"bad :CLAUSE-PROCESSOR value: {print_sexpr(v)}")
+                raise HintError(f"bad :CLAUSE-PROCESSOR value: {print_capped(v)}")
             processor = v.name
         else:
-            raise HintError(f"unknown hint keyword: {print_sexpr(k)}")
+            raise HintError(f"unknown hint keyword: {print_capped(k)}")
     return Hint(use, expand, enable, disable, processor, replacement)
 
 
@@ -305,10 +303,10 @@ def read_hint_value(v, world, tr=None):
                 return None
             if is_proper_list(quoted) and isinstance(quoted.car, Keyword):
                 return parse_hint(quoted, world, tr)
-        raise HintError(f"quoted hint value is not a keyword list: {print_sexpr(v)}")
+        raise HintError(f"quoted hint value is not a keyword list: {print_capped(v)}")
     if is_proper_list(v) and isinstance(v.car, Keyword):
         return parse_hint(v, world, tr)
-    shown = print_sexpr(v) if isinstance(v, (Pair, Symbol, Keyword, int, str)) else repr(v)
+    shown = print_capped(v) if isinstance(v, (Pair, Symbol, Keyword, int, str)) else repr(v)
     raise HintError(
         f"hint value is neither NIL, a keyword list, nor a quoted keyword list: {shown}"
     )

@@ -22,8 +22,6 @@ rules to it, and IF splitting ignores tests under it.  Only an explicit
 (HIDE ...) expansion target peels it off.
 """
 
-from __future__ import annotations
-
 from .sexpr import ProverError, is_nil
 from .term import (
     App, Const, Var, CONST_NIL, CONST_T, FOLDABLE,

@@ -5,8 +5,6 @@ Symbols and keywords are canonicalized to uppercase by the reader,
 so `foo` and `FOO` read as the same symbol.
 """
 
-from __future__ import annotations
-
 import re
 
 
@@ -19,24 +17,24 @@ class ParseError(ProverError):
 
 
 class _Name:
-    """A named atom.  Atoms of one class are equal when their names are,
-    so Symbol("X") == Symbol("X") but Symbol("X") != Keyword("X")."""
+    """A named atom, one live atom per name in each class: == and hash are
+    identity, so Symbol("X") is Symbol("X") but Symbol("X") != Keyword("X")."""
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        self.name = name
+    def __new__(cls, name: str):
+        atom = cls._atoms.get(name)
+        if atom is None:
+            atom = cls._atoms[name] = object.__new__(cls)
+            atom.name = name
+        return atom
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.name)
+    def __reduce__(self):  # a copy is the atom itself
+        return self.__class__, (self.name,)
 
 
 class Symbol(_Name):
     __slots__ = ()
+    _atoms = {}
 
     def __repr__(self):
         return self.name
@@ -44,6 +42,7 @@ class Symbol(_Name):
 
 class Keyword(_Name):
     __slots__ = ()
+    _atoms = {}
 
     def __repr__(self):
         return ":" + self.name
@@ -341,3 +340,86 @@ def print_sexpr(e) -> str:
     if isinstance(e, str):
         return '"' + _escape_string(e) + '"'
     raise TypeError(f"not an s-expression: {e!r}")
+
+
+# The most characters of a form an error message shows
+ERROR_FORM_CHARS = 1000
+
+
+def print_capped(e, cap: int = ERROR_FORM_CHARS) -> str:
+    """print_sexpr's text of e cut to its first cap characters, followed
+    by "... (N more characters)" when there is more.
+
+    Error messages show forms through this.  A form built by rewriting or
+    evaluation may share its cells, and its text can then be exponentially
+    longer than the form, so the text past the cap is never built: only
+    its length is counted, once per cell.
+    """
+    parts, size = [], 0
+    for piece in _pieces(e):
+        parts.append(piece)
+        size += len(piece)
+        if size > cap:
+            more = _text_length(e) - cap
+            return "".join(parts)[:cap] + f"... ({more} more characters)"
+    return "".join(parts)
+
+
+def _pieces(e):
+    """The text of e as print_sexpr writes it, in order, a piece at a time.
+    The rest of each open list waits on an explicit stack."""
+    rests = []
+    while True:
+        if isinstance(e, Pair) and e._text is None:
+            yield "("
+            rests.append(e.cdr)
+            e = e.car
+            continue
+        yield print_sexpr(e)  # an atom, or a cell whose text is kept
+        while rests:
+            rest = rests.pop()
+            if isinstance(rest, Pair):
+                yield " "
+                rests.append(rest.cdr)
+                e = rest.car
+                break
+            yield ")" if rest is NIL else " . " + print_sexpr(rest) + ")"
+        else:
+            return
+
+
+def _text_length(root) -> int:
+    """len(print_sexpr(root)), counted without building the text.
+
+    Each cell's length is counted once, after the lists nested in its
+    cars, from an explicit stack, as _hash_cells hashes them.
+    """
+    if not isinstance(root, Pair):
+        return len(print_sexpr(root))
+    known = {}  # id(cell) -> the length of its text; root keeps the cells alive
+    todo = [root]
+    while todo:
+        p = todo[-1]
+        if id(p) in known:
+            todo.pop()
+            continue
+        n, inner, cur = 1, [], p  # 1 for "("
+        while isinstance(cur, Pair):
+            a = cur.car
+            if isinstance(a, Pair) and a._text is None:
+                k = known.get(id(a))
+                if k is None:
+                    inner.append(a)
+                    k = 0
+            else:
+                k = len(print_sexpr(a))
+            n += k + 1  # the space after the element, or the ")"
+            cur = cur.cdr
+        if cur is not NIL:
+            n += 3 + len(print_sexpr(cur))  # " . " and the tail
+        if inner:
+            todo.extend(inner)
+        else:
+            todo.pop()
+            known[id(p)] = n
+    return known[id(root)]

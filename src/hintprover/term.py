@@ -9,13 +9,11 @@ a pass-through formal, so evaluate, which binds only the formals, finds
 every variable of the body.
 """
 
-from __future__ import annotations
-
 import weakref
 
 from .sexpr import (
-    NIL, Keyword, Pair, ProverError, Symbol, T,
-    from_list, is_nil, print_sexpr, to_list,
+    NIL, Keyword, Pair, ParseError, ProverError, Symbol, T,
+    from_list, is_nil, is_proper_list, print_capped, to_list,
     QUASIQUOTE, QUOTE, UNQUOTE, UNQUOTE_SPLICING,
 )
 
@@ -67,7 +65,7 @@ class _Term:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self):
-        return print_sexpr(unparse(self))
+        return print_capped(unparse(self))
 
 
 def _file(t, key):
@@ -111,7 +109,7 @@ class Const(_Term):
         return t
 
     def __repr__(self):
-        return "'" + print_sexpr(self.value)
+        return "'" + print_capped(self.value)
 
 
 class App(_Term):
@@ -231,7 +229,7 @@ def _binding_pairs(form, what):
     for b in to_list(form):
         items = to_list(b) if isinstance(b, Pair) else None
         if not items or len(items) != 2 or not isinstance(items[0], Symbol):
-            raise TranslateError(f"malformed {what} binding: {print_sexpr(b)}")
+            raise TranslateError(f"malformed {what} binding: {print_capped(b)}")
         out.append((items[0].name, items[1]))
     return out
 
@@ -272,7 +270,7 @@ def _macro_bstar(form, tr):
         elif len(head) == 2 and head[0] == Symbol("UNLESS"):
             frames.append(([Symbol("IF"), head[1]], [items[1]]))
         else:
-            raise TranslateError(f"malformed B* binder: {print_sexpr(b)}")
+            raise TranslateError(f"malformed B* binder: {print_capped(b)}")
     out = args[1]
     for before, after in reversed(frames):
         out = from_list(before + [out] + after)
@@ -309,7 +307,7 @@ def _macro_cond(form, tr):
     for c in to_list(form.cdr):
         items = to_list(c) if isinstance(c, Pair) else None
         if not items or len(items) not in (1, 2):
-            raise TranslateError(f"malformed COND clause: {print_sexpr(c)}")
+            raise TranslateError(f"malformed COND clause: {print_capped(c)}")
         test = tr(items[0])
         arms.append((test, tr(items[1]) if len(items) == 2 else test))
     out = CONST_NIL
@@ -448,53 +446,56 @@ class Translator:
         self.done = {}
 
     def tr(self, f):
+        """The term of form f.  A call is translated here, one frame per level:
+        its argument list's shape, its arguments, then its arity, in that order."""
         if not isinstance(f, Pair):
-            if is_nil(f):
+            if f is NIL:
                 return CONST_NIL
             if isinstance(f, Symbol):
-                return CONST_T if f == T else Var(f.name)
+                return CONST_T if f is T else Var(f.name)
             if isinstance(f, (int, str, Keyword)):
                 return Const(f)
-            raise TranslateError(f"cannot translate: {print_sexpr(f)}")
+            raise TranslateError(f"cannot translate: {print_capped(f)}")
         hit = self.done.get(id(f))
         if hit is not None:
             return hit[1]
-        head = f.car
-        if head == QUOTE:
-            args = to_list(f.cdr)
+        head, rest = f.car, f.cdr
+        if head is QUOTE:
+            args = to_list(rest)
             if len(args) != 1:
                 raise TranslateError("malformed quote")
             out = Const(args[0])
-        elif head in (UNQUOTE, UNQUOTE_SPLICING):
-            raise TranslateError(f"{print_sexpr(head)} outside quasiquote")
+        elif head is UNQUOTE or head is UNQUOTE_SPLICING:
+            raise TranslateError(f"{head.name} outside quasiquote")
         elif isinstance(head, Symbol):
             expander = self.env.get(head.name)
             if expander is not None:
                 out = expander(f, self.tr)
+            elif not is_proper_list(rest):
+                raise ParseError("improper list where a proper list was expected")
             else:
-                out = self.tr_app(head.name, f.cdr)
+                args = []
+                while rest is not NIL:
+                    args.append(self.tr(rest.car))
+                    rest = rest.cdr
+                name = "BINARY-APPEND" if head.name == "APPEND" else head.name
+                n = self.arity_of(name)
+                if n is None:
+                    raise TranslateError(f"unknown function: {name}")
+                if n != len(args):
+                    raise TranslateError(f"{name} expects {n} arguments, got {len(args)}")
+                out = App(name, tuple(args))
         elif isinstance(head, Pair):
-            out = self.tr_lambda(head, f.cdr)
+            out = self.tr_lambda(head, rest)
         else:
-            raise TranslateError(f"cannot translate: {print_sexpr(f)}")
+            raise TranslateError(f"cannot translate: {print_capped(f)}")
         self.done[id(f)] = (f, out)
         return out
-
-    def tr_app(self, name, args_form):
-        args = [self.tr(a) for a in to_list(args_form)]
-        if name == "APPEND":
-            name = "BINARY-APPEND"
-        n = self.arity_of(name)
-        if n is None:
-            raise TranslateError(f"unknown function: {name}")
-        if n != len(args):
-            raise TranslateError(f"{name} expects {n} arguments, got {len(args)}")
-        return App(name, tuple(args))
 
     def tr_lambda(self, head, args_form):
         items = to_list(head)
         if len(items) != 3 or items[0] != Symbol("LAMBDA"):
-            raise TranslateError(f"bad application head: {print_sexpr(head)}")
+            raise TranslateError(f"bad application head: {print_capped(head)}")
         formals = []
         for s in to_list(items[1]):
             if not isinstance(s, Symbol):
@@ -504,9 +505,6 @@ class Translator:
         if len(actuals) != len(formals):
             raise TranslateError("lambda applied to wrong number of arguments")
         return make_lamapp(formals, self.tr(items[2]), actuals)
-
-
-_FN_SYMBOLS = {}  # function name -> the Symbol unparse heads its calls with
 
 
 def unparse(t):
@@ -524,10 +522,7 @@ def unparse(t):
             for a in reversed(t.args):
                 s = a._sexpr
                 out = Pair(unparse(a) if s is None else s, out)
-            head = _FN_SYMBOLS.get(t.fn)
-            if head is None:
-                head = _FN_SYMBOLS[t.fn] = Symbol(t.fn)
-            out = Pair(head, out)
+            out = Pair(Symbol(t.fn), out)
         elif isinstance(t, Var):
             out = Symbol(t.name)
         elif isinstance(t, Const):

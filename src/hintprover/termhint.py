@@ -12,11 +12,9 @@ the extracted hint unevaluated, and (termhint-seq h1 h2) applies h1 now
 while keeping h2, protected by HIDE, for the next stable goal.
 """
 
-from __future__ import annotations
-
 from .sexpr import (
     NIL, Keyword, Pair, ProverError, Symbol, QUOTE,
-    from_list, is_nil, is_proper_list, parse_one, print_sexpr, to_list,
+    from_list, is_nil, is_proper_list, parse_one, print_capped, print_sexpr, to_list,
 )
 from .term import App, Const, TranslateError, Translator, Var, translate, unparse
 from .world import HintFn, World
@@ -76,7 +74,7 @@ def _process(t, done):
                 head = _process(t.args[0], done)
                 if not is_proper_list(head):
                     raise ProcessError(
-                        f"spliced hint segment is not a proper list: {print_sexpr(head)}"
+                        f"spliced hint segment is not a proper list: {print_capped(head)}"
                     )
                 out = from_list(to_list(head), _process(t.args[1], done))
             else:

@@ -6,8 +6,6 @@ set and is refined per goal by :IN-THEORY hints.  Definition bodies,
 rules and theorems hold lambda-free terms.
 """
 
-from __future__ import annotations
-
 from .sexpr import ProverError
 from .term import BUILTIN_ARITY, App, Var, builtin_macro_env
 

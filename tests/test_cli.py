@@ -229,7 +229,7 @@ def test_dotted_list_in_a_statement_names_the_theorem(tmp_path, capsys):
 
 
 def test_deep_term_in_file_is_file_error(tmp_path, capsys):
-    deep = "(car " * 600 + "x" + ")" * 600
+    deep = "(car " * 2000 + "x" + ")" * 2000
     path = evfile(tmp_path, f"(defthm deep (equal {deep} y) :rule-classes nil)")
     assert main([path]) == 2  # returned, not raised: no traceback
     assert f"ERROR {path}: " in capsys.readouterr().err
@@ -251,8 +251,40 @@ def test_deep_goal_and_wide_conjunction_prove(tmp_path, capsys):
     assert err == ""
 
 
-def test_stack_overflow_is_a_named_depth_error(tmp_path, capsys):
+def test_deep_term_proves_from_the_command_line(tmp_path):
+    # The translator takes one frame per nesting level, so a 600-deep
+    # term fits the stack of the command line's own start.
     deep = "(car " * 600 + "x" + ")" * 600
+    goal = evfile(tmp_path, f"(defthm deep (equal {deep} {deep}) :rule-classes nil)")
+    done = subprocess.run([sys.executable, "-m", "hintprover.cli", goal],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "THEOREM DEEP PROVED" in done.stdout
+
+
+def test_error_line_prints_a_capped_form(tmp_path, capsys):
+    # The extracted hint value shares each binding twice, so its text
+    # doubles per binding: 12.6 MB at n = 22.  The ERROR line shows its
+    # first characters and the count of the rest.
+    n = 22
+    binds = ["(v0 (cons 'a 'nil))"] + [
+        f"(v{i} (cons v{i - 1} (cons v{i - 1} 'nil)))" for i in range(1, n)]
+    path = evfile(tmp_path, f"""
+      (defstub p 1)
+      (defthm a (p x) :rule-classes nil
+        :hints ((use-termhint (let* ({" ".join(binds)}) (cons v{n - 1} 'nil)))))
+    """)
+    start = time.perf_counter()
+    assert main([path]) == 1
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"ERROR {path} A: bad application head: ((((")
+    assert err.endswith(" more characters)\n") and len(err) < 4096
+    assert elapsed < 1.0
+
+
+def test_stack_overflow_is_a_named_depth_error(tmp_path, capsys):
+    deep = "(car " * 2000 + "x" + ")" * 2000
     bad = evfile(tmp_path, f"(defthm deep (equal {deep} y) :rule-classes nil)", "deep.lisp")
     assert main([bad]) == 2
     err = capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from hintprover.sexpr import (
     NIL, Keyword, Nil, Pair, ParseError, Symbol, T, QUOTE, QUASIQUOTE, UNQUOTE,
     UNQUOTE_SPLICING, from_list, is_nil, is_proper_list, parse, parse_one,
-    print_sexpr, to_list,
+    print_capped, print_sexpr, to_list,
 )
 
 
@@ -20,6 +20,16 @@ def test_atoms():
     assert is_nil(parse_one("nil"))
     assert is_nil(parse_one("NIL"))
     assert parse_one("t") == T
+
+
+def test_atoms_are_interned_per_class():
+    assert Symbol("X") is Symbol("X") and parse_one("x") is Symbol("X")
+    assert parse_one(":k") is Keyword("K")
+    assert Symbol("X") != Keyword("X") and Symbol("X") is not Keyword("X")
+    assert copy.copy(Symbol("X")) is Symbol("X") and copy.deepcopy(Keyword("X")) is Keyword("X")
+    # pairs read from separate texts are separate cells, still equal by structure
+    a, b = parse_one("(f x (g :k) . y)"), parse_one("(F X (G :K) . Y)")
+    assert a is not b and a == b and hash(a) == hash(b)
 
 
 def test_lists_and_dots():
@@ -240,3 +250,35 @@ def test_long_lists_compare_and_hash_without_recursion():
     assert hash(a) == hash(b)
     assert a != from_list(list(range(n - 1)) + [-1])
     assert a != from_list(list(range(n)), 0)
+
+
+def test_capped_print_elides_past_the_cap():
+    short = parse_one("(a (b . c) \"s\" :k 7)")
+    assert print_capped(short) == print_sexpr(short)
+    assert print_capped(short, len(print_sexpr(short))) == print_sexpr(short)
+    rng = random.Random(21)
+    for _ in range(300):
+        e = _random_sexpr(rng, 5)
+        if rng.random() < 0.3:
+            e = from_list([e, e, Pair(e, e)])
+        cap = rng.randrange(40)
+        if rng.random() < 0.5:
+            print_sexpr(e)  # cells whose text is kept print the same
+        got, full = print_capped(e, cap), print_sexpr(e)
+        if len(full) <= cap:
+            assert got == full
+        else:
+            assert got == f"{full[:cap]}... ({len(full) - cap} more characters)"
+
+
+def test_capped_print_never_builds_a_shared_form_s_text():
+    # x0 = (A), x(i+1) = (xi xi): 2^n leaves in n + 1 cells, and a text of
+    # 3 * 2^(n+1) - 3 characters, too long to build at n = 200.
+    e, n = from_list([Symbol("A")]), 200
+    for _ in range(n):
+        e = from_list([e, e])
+    got = print_capped(e, 30)
+    more = 3 * 2 ** (n + 1) - 3 - 30
+    assert got == "(" * 30 + f"... ({more} more characters)"
+    deep = parse_one("(" * 5000 + "a" + ")" * 5000)
+    assert print_capped(deep, 4) == f"((((... ({10001 - 4} more characters)"

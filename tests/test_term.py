@@ -4,7 +4,7 @@ import pytest
 
 from hintprover.sexpr import (
     NIL, Keyword, Pair, Symbol, T, QUOTE, UNQUOTE, UNQUOTE_SPLICING,
-    from_list, is_nil, parse_one, print_sexpr, to_list,
+    ParseError, from_list, is_nil, parse_one, print_sexpr, to_list,
 )
 from hintprover.term import (
     App, CONST_NIL, CONST_T, Const, EvalError, LamApp, TranslateError, Var,
@@ -41,6 +41,21 @@ def test_translate_applications():
         tr("(no-such-fn x)", w)
     w.add_stub("F", 1)
     assert tr("(f x)", w) == App("F", (Var("X"),))
+
+
+def test_translate_error_precedence():
+    w = World()
+    # the argument list is checked before any argument is translated
+    for text in ["(cons (no-such-fn x) . y)", "(cons ((foo) x) y . z)", "(no-such-fn . x)"]:
+        with pytest.raises(ParseError, match="^improper list where a proper list was expected$"):
+            tr(text, w)
+    # the arguments' own errors come before the call's arity
+    with pytest.raises(TranslateError, match="^unknown function: NO-SUCH-FN$"):
+        tr("(car (no-such-fn x) y)", w)
+    with pytest.raises(TranslateError, match="^bad application head: \\(FOO\\)$"):
+        tr("(zzz ((foo) x))", w)
+    with pytest.raises(TranslateError, match="^CAR expects 1 arguments, got 2$"):
+        tr("(car x y)", w)
 
 
 def test_translate_let_is_closed_lambda():
@@ -227,6 +242,14 @@ def test_ground_eval_if_is_lazy():
     # the untaken branch would be an unbound-variable error if evaluated
     v = ground_eval(tr("(if 't '1 oops)", w), w)
     assert v == 1
+
+
+def test_unparse_heads_calls_with_the_reader_s_symbol():
+    w = World()
+    w.add_stub("FOO-BAR", 1)
+    form = parse_one("(foo-bar (car x))")
+    out = unparse(translate(form, w))
+    assert out.car is form.car and out.cdr.car.car is parse_one("car")
 
 
 def test_unparse_renders_constants_quoted():

@@ -16,7 +16,7 @@ import time
 from hypothesis import given, seed, settings, strategies as st
 
 from hintprover.sexpr import (
-    NIL, T, Pair, Symbol, from_list, is_proper_list, print_sexpr, to_list,
+    NIL, T, Pair, Symbol, from_list, is_proper_list, print_capped, to_list,
 )
 from hintprover.term import (
     App, CONST_NIL, CONST_T, Const, LamApp, Var,
@@ -134,7 +134,7 @@ def _ref_process(t):
             head = _ref_process(t.args[0])
             if not is_proper_list(head):
                 raise ProcessError(
-                    f"spliced hint segment is not a proper list: {print_sexpr(head)}")
+                    f"spliced hint segment is not a proper list: {print_capped(head)}")
             return from_list(to_list(head), _ref_process(t.args[1]))
         raise ProcessError(f"residual call in hint term: {t.fn}")
     raise ProcessError(f"residual variable in hint term: {t.name}")
