@@ -235,12 +235,9 @@ def render_hint(hint: Hint):
         ])]
     if hint.expand:
         out += [Keyword("EXPAND"), from_list([unparse(t) for t in hint.expand])]
-    if hint.enable:
-        out += [Keyword("IN-THEORY"),
-                from_list([_ENABLE] + [Symbol(n) for n in hint.enable])]
-    if hint.disable:
-        out += [Keyword("IN-THEORY"),
-                from_list([_DISABLE] + [Symbol(n) for n in hint.disable])]
+    for head, names in ((_ENABLE, hint.enable), (_DISABLE, hint.disable)):
+        if names:
+            out += [Keyword("IN-THEORY"), from_list([head] + [Symbol(n) for n in names])]
     if hint.clause_processor is not None:
         out += [Keyword("CLAUSE-PROCESSOR"), Symbol(hint.clause_processor)]
     return from_list(out)

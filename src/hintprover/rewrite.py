@@ -422,9 +422,11 @@ def _expand(t, targets, world, done):
 def normalize_definition(body, budget: StepBudget):
     """Lift IFs out of argument positions until none remain buried.
 
-    Applies to every function including HIDE; opacity matters when
-    rewriting, not when a definition is installed.  Each lift takes one
-    step from budget, since k IF-valued arguments need 2^k - 1 lifts.
+    The one rule: an IF lifts out of an argument position, and an IF's
+    branches are not argument positions, so only its test is.  Applies to
+    every function including HIDE; opacity matters when rewriting, not
+    when a definition is installed.  Each lift takes one step from budget,
+    since k IF-valued arguments need 2^k - 1 lifts.
 
     A shared node is normalized once.  Its entry keeps the steps that took,
     and each reuse takes them again, so the budget runs out where a walk
@@ -454,18 +456,8 @@ def _lift_ifs(fn, args, budget):
     Every subterm of a normalized term is normalized, so the pieces of a
     lifted IF are never walked again.
     """
-    if fn == "IF":
-        test = args[0]
-        if isinstance(test, App) and test.fn == "IF":
-            budget.take()
-            a, b, c = test.args
-            return _lift_ifs("IF", [
-                a,
-                _lift_ifs("IF", [b, args[1], args[2]], budget),
-                _lift_ifs("IF", [c, args[1], args[2]], budget),
-            ], budget)
-        return App("IF", tuple(args))
-    for i, a in enumerate(args):
+    for i in (0,) if fn == "IF" else range(len(args)):
+        a = args[i]
         if isinstance(a, App) and a.fn == "IF":
             budget.take()
             test, yes, no = a.args

@@ -113,31 +113,41 @@ class Pair:
         return print_sexpr(self)
 
 
-def _hash_cells(root):
-    """Hash root, and first every unhashed list nested in its cars.
-
-    A list's hash is hash((cars, tail)).  The lists in its cars are hashed
-    before it, from an explicit stack, so hashing the cars tuple only
-    reads their kept hashes and never recurses.
-    """
+def _lists_inside_out(root, finished):
+    """Yield root and each unfinished list in its cars, each after the lists
+    in its own cars, from one explicit stack: nesting costs no recursion.
+    The caller finishes each list it is given before it asks for the next."""
     todo = [root]
     while todo:
         p = todo[-1]
-        if p._hash is not None:
+        if finished(p):
             todo.pop()
             continue
-        cars, inner, cur = [], [], p
+        inner, cur = [], p
         while isinstance(cur, Pair):
-            a = cur.car
-            if isinstance(a, Pair) and a._hash is None:
-                inner.append(a)
-            cars.append(a)
+            if isinstance(cur.car, Pair) and not finished(cur.car):
+                inner.append(cur.car)
             cur = cur.cdr
         if inner:
             todo.extend(inner)
         else:
             todo.pop()
-            p._hash = hash((tuple(cars), cur))
+            yield p
+
+
+def _hash_cells(root):
+    """Hash root, and first every unhashed list nested in its cars.
+
+    A list's hash is hash((cars, tail)).  The lists in its cars are hashed
+    before it, so hashing the cars tuple only reads their kept hashes and
+    never recurses.
+    """
+    for p in _lists_inside_out(root, lambda p: p._hash is not None):
+        cars, cur = [], p
+        while isinstance(cur, Pair):
+            cars.append(cur.car)
+            cur = cur.cdr
+        p._hash = hash((tuple(cars), cur))
     return root._hash
 
 
@@ -392,34 +402,20 @@ def _text_length(root) -> int:
     """len(print_sexpr(root)), counted without building the text.
 
     Each cell's length is counted once, after the lists nested in its
-    cars, from an explicit stack, as _hash_cells hashes them.
+    cars, as _hash_cells hashes them.
     """
-    if not isinstance(root, Pair):
+    if not isinstance(root, Pair) or root._text is not None:
         return len(print_sexpr(root))
     known = {}  # id(cell) -> the length of its text; root keeps the cells alive
-    todo = [root]
-    while todo:
-        p = todo[-1]
-        if id(p) in known:
-            todo.pop()
-            continue
-        n, inner, cur = 1, [], p  # 1 for "("
+    for p in _lists_inside_out(root, lambda p: p._text is not None or id(p) in known):
+        n, cur = 1, p  # 1 for "("
         while isinstance(cur, Pair):
-            a = cur.car
-            if isinstance(a, Pair) and a._text is None:
-                k = known.get(id(a))
-                if k is None:
-                    inner.append(a)
-                    k = 0
-            else:
-                k = len(print_sexpr(a))
+            k = known.get(id(cur.car))  # no other live object shares a cell's id
+            if k is None:
+                k = len(print_sexpr(cur.car))
             n += k + 1  # the space after the element, or the ")"
             cur = cur.cdr
         if cur is not NIL:
             n += 3 + len(print_sexpr(cur))  # " . " and the tail
-        if inner:
-            todo.extend(inner)
-        else:
-            todo.pop()
-            known[id(p)] = n
+        known[id(p)] = n
     return known[id(root)]

@@ -16,7 +16,7 @@ from .sexpr import (
     NIL, Keyword, Pair, ProverError, Symbol, QUOTE,
     from_list, is_nil, is_proper_list, parse_one, print_capped, print_sexpr, to_list,
 )
-from .term import App, Const, TranslateError, Translator, Var, translate, unparse
+from .term import CONST_NIL, App, Const, TranslateError, Translator, Var, translate, unparse
 from .world import HintFn, World
 from .hints import (
     ComputedHint, GoalCtx, Hint, UseInstance,
@@ -93,24 +93,25 @@ def keyword_fixup(v):
     return v
 
 
+# The one extractor, (and stable-under-simplificationp (use-termhint-find-hint 'nil)).
 # find_hint reads the goal's terms, so the finder runs with 'nil for CLAUSE
 # and renders no clause; traces show it as users write it.
-_FIND_DISPLAY = parse_one(f"(and stable-under-simplificationp ({FIND_FN} clause))")
-_FIND_EXPR = parse_one(f"(and stable-under-simplificationp ({FIND_FN} 'nil))")
+_FINDER = ComputedHint(
+    App("IF", (Var("STABLE-UNDER-SIMPLIFICATIONP"), App(FIND_FN, (CONST_NIL,)), CONST_NIL)),
+    parse_one(f"(and stable-under-simplificationp ({FIND_FN} clause))"))
 
 
-def _hyp_hint(term, world: World, display=None) -> Hint:
+def _hyp_hint(term, display=None) -> Hint:
     """Install term as a dummy hypothesis and arm the extractor."""
-    finder = ComputedHint(expr=translate_hint_expr(_FIND_EXPR, world), display=_FIND_DISPLAY)
-    return Hint(use=(UseInstance(HYP_THEOREM, (("X", term),)),), replacement=(finder,),
+    return Hint(use=(UseInstance(HYP_THEOREM, (("X", term),)),), replacement=(_FINDER,),
                 display=display)
 
 
 def use_termhint(form, world: World) -> Hint:
-    return _hyp_hint(translate(form, world), world)
+    return _hyp_hint(translate(form, world))
 
 
-def _with_drop(hint: Hint, more=()) -> Hint:
+def _with_drop(hint: Hint, more) -> Hint:
     """hint with the dummy hypothesis dropped and the entries `more`
     appended to its replacement."""
     if hint.clause_processor is not None:
@@ -163,15 +164,13 @@ def find_hint(ctx: GoalCtx):
     else:
         return None
 
+    more = ()
     if isinstance(carried, App) and carried.fn == SEQ_FN:
-        first, rest = carried.args
+        carried, rest = carried.args
         if isinstance(rest, App) and rest.fn == "HIDE":
             rest = rest.args[0]
-        base = _read_hint(first, ctx)
-        stage2 = _hyp_hint(rest, ctx.world, from_list([Symbol("USE-TERMHINT"), unparse(rest)]))
-        return _with_drop(base, (stage2,))
-
-    return _with_drop(_read_hint(carried, ctx))
+        more = (_hyp_hint(rest, from_list([Symbol("USE-TERMHINT"), unparse(rest)])),)
+    return _with_drop(_read_hint(carried, ctx), more)
 
 
 def clause_labels(clause):

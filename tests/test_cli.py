@@ -262,6 +262,20 @@ def test_deep_term_proves_from_the_command_line(tmp_path):
     assert "THEOREM DEEP PROVED" in done.stdout
 
 
+def test_deep_term_is_reported_from_the_command_line(tmp_path):
+    # A 900-deep goal stays unproved: its trace and its checkpoint print the
+    # whole term, from the stack of the command line's own start.
+    deep = "(car " * 900 + "x" + ")" * 900
+    goal = evfile(tmp_path, f"(defstub p 1) (defthm deep (p {deep}) :rule-classes nil)")
+    done = subprocess.run([sys.executable, "-m", "hintprover.cli", "--trace", "--checkpoints",
+                           goal], capture_output=True, text=True, timeout=60, env=_child_env())
+    assert (done.returncode, done.stderr) == (1, "")
+    lines = done.stdout.splitlines()
+    assert "CHECKPOINT Goal" in lines
+    whole = "(P " + "(CAR " * 900 + "X" + ")" * 901
+    assert any(l.startswith("EVENT ") and whole in l for l in lines)
+
+
 def test_error_line_prints_a_capped_form(tmp_path, capsys):
     # The extracted hint value shares each binding twice, so its text
     # doubles per binding: 12.6 MB at n = 22.  The ERROR line shows its

@@ -291,6 +291,25 @@ def test_find_hint_seq_base_keeps_finder_replacement():
     assert len(h.replacement) == 1
 
 
+def test_one_extractor_is_armed_and_never_translated(monkeypatch):
+    w = _dworld()
+    calls = []
+    monkeypatch.setattr(termhint, "translate_hint_expr",
+                        lambda *a: calls.append(a) or translate_hint_expr(*a))
+    first = use_termhint(parse_one("'nil"), w)
+    carried = App(SEQ_FN, (
+        Const(parse_one("(:in-theory (enable d))")),
+        App("HIDE", (tr("''(:in-theory (disable d))", w),)),
+    ))
+    stage2 = find_hint(GoalCtx((_hyp_lit(carried),), "Goal", True, w)).replacement[0]
+    second = use_termhint(parse_one("''(:expand ((d a b)))"), w)
+    assert calls == []
+    finders = [h.replacement[0] for h in (first, stage2, second)]
+    assert all(f is finders[0] for f in finders)
+    written = "(and stable-under-simplificationp (use-termhint-find-hint 'nil))"
+    assert finders[0].expr is translate_hint_expr(parse_one(written), w)
+
+
 # ---------------------------------------------------------------------------
 # clause marking
 
