@@ -25,7 +25,7 @@ from .world import RewriteRule, HintFn, World
 from .rewrite import ResourceError, StepBudget, negate_term, normalize_definition
 from .hints import (
     HINT_EXPR_BUILTINS, ComputedHint, GoalCtx, HintError,
-    _parse_in_theory, clause_sexpr, clausify, eval_hint_expr, parse_hint,
+    clause_sexpr, clausify, eval_hint_expr, parse_hint, parse_in_theory,
     prove_clause, render_hint, translate_hint_expr,
 )
 from .termhint import clause_labels, install_prelude, use_termhint
@@ -44,7 +44,7 @@ class TheoremOutcome:
         self.name = name
         self.proved = proved
         self.steps = steps
-        self.events = []  # ProofResult.events
+        self.events = []  # the (goal, kind, data) events of prove_clause
         self.error = None
 
 
@@ -138,11 +138,8 @@ def _do_defstub(world: World, items, max_steps: int):
 def _do_in_theory(world: World, items, max_steps: int):
     if len(items) != 2:
         raise EventError("in-theory expects one ENABLE or DISABLE form")
-    enable, disable = _parse_in_theory(items[1])
-    for n in enable + disable:
-        if n not in world.rules and n not in world.definitions:
-            raise EventError(f"in-theory names unknown rule: {n}")
-    world.enabled = (world.enabled | set(enable)) - set(disable)
+    enable, disable = parse_in_theory(items[1])
+    world.enabled = world.refine_theory(world.enabled, enable, disable)
 
 
 def _do_register_hint_fn(world: World, items, max_steps: int):
@@ -243,9 +240,7 @@ def _do_defthm(world: World, items, max_steps: int) -> TheoremOutcome:
     budget = StepBudget(max_steps)
     outcome = TheoremOutcome(name, False, 0)
     try:
-        result = prove_clause(clause, pending, world, budget)
-        outcome.proved = result.proved
-        outcome.events = result.events
+        outcome.proved, outcome.events = prove_clause(clause, pending, world, budget)
     except (ProverError, RecursionError) as e:
         outcome.error = _error_text(e)
     outcome.steps = budget.used
@@ -322,7 +317,7 @@ def run(paths, max_steps: int = DEFAULT_MAX_STEPS, stop_on_failure: bool = False
 
 
 def render_event(kind: str, data):
-    """The s-expression a trace line shows for one event's data (see ProofResult)."""
+    """The s-expression a trace line shows for one event's data (see prove_clause)."""
     if kind == "SIMPLIFY":
         if isinstance(data, GoalCtx):
             return from_list([Symbol("STABLE"), data.sexpr])
@@ -337,22 +332,32 @@ def render_event(kind: str, data):
 
 
 def format_file(f: FileOutcome, trace: bool = False, checkpoints: bool = False) -> str:
-    """One file's block of the report: its FILE line, then its theorems."""
+    """One file's block of the report: its FILE line, then its theorems.
+
+    A theorem whose events hold a form nested too deep to print keeps
+    only its THEOREM line, and the depth becomes the file's error, which
+    is reported on stderr as process_file reports the others.
+    """
     lines = [f"FILE {f.path}"]
     for t in f.theorems:
-        if trace:
-            for goal, kind, data in t.events:
-                lines.append(f"EVENT {goal} {kind} {print_sexpr(render_event(kind, data))}")
+        events, marks = [], []
+        try:
+            if trace:
+                events = [f"EVENT {goal} {kind} {print_sexpr(render_event(kind, data))}"
+                          for goal, kind, data in t.events]
+            if checkpoints:
+                for ctx in [data for _, kind, data in t.events if kind == "CHECKPOINT"]:
+                    labels = clause_labels(ctx.clause)
+                    head = f"CHECKPOINT {ctx.goal_name}"
+                    if labels:
+                        head += " [" + " ".join(labels) + "]"
+                    marks += [head, "  " + print_sexpr(ctx.sexpr)]
+        except RecursionError as e:
+            events, marks = [], []
+            f.error = _error_text(e)
+            print(f"ERROR {f.path}: {f.error}", file=sys.stderr)
         status = "PROVED" if t.proved else "FAILED"
-        lines.append(f"THEOREM {t.name} {status} steps={t.steps}")
-        if checkpoints:
-            for ctx in [data for _, kind, data in t.events if kind == "CHECKPOINT"]:
-                labels = clause_labels(ctx.clause)
-                head = f"CHECKPOINT {ctx.goal_name}"
-                if labels:
-                    head += " [" + " ".join(labels) + "]"
-                lines.append(head)
-                lines.append("  " + print_sexpr(ctx.sexpr))
+        lines += events + [f"THEOREM {t.name} {status} steps={t.steps}"] + marks
     return "\n".join(lines) + "\n"
 
 

@@ -140,6 +140,8 @@ def _parse_instance(form, tr):
         pair = to_list(b) if isinstance(b, Pair) else None
         if not pair or len(pair) != 2 or not isinstance(pair[0], Symbol):
             raise HintError(f"malformed instance binding: {print_capped(b)}")
+        if any(var == pair[0].name for var, _ in bindings):
+            raise HintError(f"duplicate instance binding: {pair[0].name}")
         bindings.append((pair[0].name, tr.tr(pair[1])))
     return UseInstance(items[1].name, tuple(bindings))
 
@@ -164,7 +166,10 @@ def _parse_expand(value, tr):
     return tuple(tr.tr(f) for f in forms)
 
 
-def _parse_in_theory(value):
+def parse_in_theory(value):
+    """The (enable, disable) name tuples of (ENABLE names...) or
+    (DISABLE names...), as an :IN-THEORY hint or an in-theory event
+    writes it."""
     items = to_list(value) if isinstance(value, Pair) else None
     if not items or items[0] not in (_ENABLE, _DISABLE):
         raise HintError(f"bad :IN-THEORY value: {print_capped(value)}")
@@ -209,7 +214,7 @@ def parse_hint(form, world, tr=None) -> Hint:
         elif k == Keyword("EXPAND"):
             expand = expand + _parse_expand(v, tr)
         elif k == Keyword("IN-THEORY"):
-            en, dis = _parse_in_theory(v)
+            en, dis = parse_in_theory(v)
             enable, disable = enable + en, disable + dis
         elif k == Keyword("CLAUSE-PROCESSOR"):
             if not isinstance(v, Symbol):
@@ -345,10 +350,7 @@ def apply_hint(hint: Hint, clause, theory, world):
         clause = expand_calls(clause, hint.expand, world)
 
     if hint.enable or hint.disable:
-        for n in hint.enable + hint.disable:
-            if n not in world.rules and n not in world.definitions:
-                raise HintError(f":IN-THEORY names unknown rule: {n}")
-        theory = frozenset((set(theory) | set(hint.enable)) - set(hint.disable))
+        theory = world.refine_theory(theory, hint.enable, hint.disable)
 
     return clause, theory
 
@@ -399,20 +401,6 @@ def clausify(form, world):
 # ---------------------------------------------------------------------------
 # The waterfall
 
-class ProofResult:
-    """The verdict and the waterfall's (goal, kind, data) events.
-
-    `data` is unrendered: T (PROVED), the rewritten clause (SIMPLIFY,
-    CHANGED), the goal's GoalCtx (SIMPLIFY when STABLE, and CHECKPOINT:
-    a checkpoint is its event), the test term (SPLIT) or the Hint (HINT).
-    """
-    __slots__ = ("proved", "events")
-
-    def __init__(self, proved: bool):
-        self.proved = proved
-        self.events = []
-
-
 def _child_name(parent: str, i: int) -> str:
     return f"Subgoal {i}" if parent == "Goal" else f"{parent}.{i}"
 
@@ -436,18 +424,22 @@ def _push_subgoals(todo, parent, clauses, pending, theory, budget):
         todo.append((_child_name(parent, i), clauses[i - 1], pending, theory))
 
 
-def prove_clause(clause, pending, world, budget) -> ProofResult:
-    """Run the waterfall on one root clause named Goal.
+def prove_clause(clause, pending, world, budget):
+    """Run the waterfall on one root clause named Goal; answer (proved,
+    events), the verdict and the list of (goal, kind, data) events.
 
     Goals wait on an explicit stack of (name, clause, pending, theory)
     entries and are visited depth first, in creation order.  A goal
     proves, becomes a checkpoint, or yields subgoals: one per branch of
     a split or one for a fired hint, each charged to budget.take_goal().
-    Events keep terms (see ProofResult); only computed hints that read
-    CLAUSE render here, once per goal through its GoalCtx.
+
+    An event's data is unrendered: T (PROVED), the rewritten clause
+    (SIMPLIFY, CHANGED), the goal's GoalCtx (SIMPLIFY when STABLE, and
+    CHECKPOINT: a checkpoint is its event), the test term (SPLIT) or the
+    Hint (HINT).  Only computed hints that read CLAUSE render here, once
+    per goal through its GoalCtx.
     """
-    result = ProofResult(proved=True)
-    events = result.events
+    proved, events = True, []
     todo = [("Goal", tuple(clause), list(pending), world.theory())]
     memos = {}  # one rewrite memo table per theory, for this proof only
     while todo:
@@ -473,11 +465,11 @@ def prove_clause(clause, pending, world, budget) -> ProofResult:
             found = _first_firing(pending, ctx)
             if found is None:
                 events.append((name, "CHECKPOINT", ctx))
-                result.proved = False
+                proved = False
                 continue
         i, hint = found
         events.append((name, "HINT", hint))
         clause, theory = apply_hint(hint, clause, theory, world)
         _push_subgoals(todo, name, [clause], _splice(pending, i, hint), theory, budget)
 
-    return result
+    return proved, events

@@ -25,7 +25,7 @@ rules to it, and IF splitting ignores tests under it.  Only an explicit
 from .sexpr import ProverError, is_nil
 from .term import (
     App, Const, Var, CONST_NIL, CONST_T, FOLDABLE,
-    _set, apply_builtin, beta_reduce, substitute, truthy,
+    apply_builtin, beta_reduce, substitute, truthy,
 )
 
 
@@ -279,7 +279,7 @@ def find_split_test(t):
             else:
                 if t.fn == "IF" and not isinstance(t.args[0], Const):
                     r = True
-        _set(t, "_split", r)
+        object.__setattr__(t, "_split", r)  # terms are frozen
     return t if r is True else r
 
 
@@ -404,7 +404,7 @@ def _expand(t, targets, world, done):
             out = t.args[0]
         else:
             d = world.definitions[pat.fn]
-            out = substitute(d.body, dict(zip(d.formals, t.args)))
+            out = substitute(d.rhs, {v.name: a for v, a in zip(d.lhs.args, t.args)})
         break
     else:
         if t.fn == "HIDE":

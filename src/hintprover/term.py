@@ -652,4 +652,4 @@ class _GroundCalls:
         if self.fuel <= 0:
             raise EvalError("evaluation fuel exhausted")
         self.fuel -= 1
-        return evaluate(defn.body, dict(zip(defn.formals, args)), self.call)
+        return evaluate(defn.rhs, {v.name: a for v, a in zip(defn.lhs.args, args)}, self.call)

@@ -2,8 +2,9 @@
 
 One World is built per input file.  Rewriting consults a theory (a set of
 enabled rule and definition names) that usually starts from the ambient
-set and is refined per goal by :IN-THEORY hints.  Definition bodies,
-rules and theorems hold lambda-free terms.
+set and is refined by in-theory events and :IN-THEORY hints.  A
+definition is stored as its EQUAL rule (name formals...) = body.
+Definitions, rules and theorems hold lambda-free terms.
 """
 
 from .sexpr import ProverError
@@ -12,15 +13,6 @@ from .term import BUILTIN_ARITY, App, Var, builtin_macro_env
 
 class WorldError(ProverError):
     pass
-
-
-class Definition:
-    __slots__ = ("name", "formals", "body")
-
-    def __init__(self, name: str, formals: tuple, body):
-        self.name = name
-        self.formals = formals
-        self.body = body
 
 
 class RewriteRule:
@@ -64,9 +56,10 @@ class World:
     priority.  rules_by_fn holds the same rules keyed by the function
     symbol of their lhs, each list in install order; it is what the
     rewriter reads, since a rule can only match a call of its own head.
-    rules is the set of rule names.  A non-recursive definition installs
-    as the EQUAL rule (name formals...) = body; a recursive one opens
-    only by :EXPAND.
+    rules is the set of rule names.  definitions maps each defined
+    function to its EQUAL rule (name formals...) = body; a non-recursive
+    definition installs that very rule, and a recursive one opens only
+    by :EXPAND.
 
     An event calls claim_name before any work; the add_ methods only
     store, so they trust that the name was claimed."""
@@ -106,10 +99,10 @@ class World:
 
     def add_definition(self, name: str, formals, body, enabled: bool = True):
         self.functions[name] = len(formals)
-        self.definitions[name] = Definition(name, tuple(formals), body)
+        rule = self.definitions[name] = RewriteRule(
+            name, App(name, tuple(Var(f) for f in formals)), body, (), "EQUAL")
         if not _calls(body, name, set()):
-            lhs = App(name, tuple(Var(f) for f in formals))
-            self._install(RewriteRule(name, lhs, body, (), "EQUAL"))
+            self._install(rule)
         if enabled:
             self.enabled.add(name)
 
@@ -135,3 +128,11 @@ class World:
 
     def theory(self) -> frozenset:
         return frozenset(self.enabled)
+
+    def refine_theory(self, theory, enable, disable):
+        """(theory | enable) - disable, a set of theory's own kind, once
+        every name is known to be a rule or a definition."""
+        for n in enable + disable:
+            if n not in self.rules and n not in self.definitions:
+                raise WorldError(f":IN-THEORY names unknown rule: {n}")
+        return theory.union(enable).difference(disable)

@@ -70,14 +70,14 @@ def test_defun_and_defund_visibility(tmp_path):
 def test_defun_normalization_flag():
     w = World()
     _do_defun(w, to_list(parse_one("(defun n1 (p q) (cons (if p 'a 'b) q))")), 10000)
-    assert w.definitions["N1"].body == tr("(if p (cons 'a q) (cons 'b q))")
+    assert w.definitions["N1"].rhs == tr("(if p (cons 'a q) (cons 'b q))")
 
 
 def test_defun_normalize_nil_keeps_shape():
     w = World()
     _do_defun(w, to_list(parse_one(
         "(defun n2 (p q) (declare (xargs :normalize nil)) (cons (if p 'a 'b) q))")), 10000)
-    assert w.definitions["N2"].body == tr("(cons (if p 'a 'b) q)")
+    assert w.definitions["N2"].rhs == tr("(cons (if p 'a 'b) q)")
     with pytest.raises(EventError):
         _do_defun(w, to_list(parse_one(
             "(defun n3 (p) (declare (ignore p)) 'nil)")), 10000)
@@ -274,6 +274,32 @@ def test_deep_term_is_reported_from_the_command_line(tmp_path):
     assert "CHECKPOINT Goal" in lines
     whole = "(P " + "(CAR " * 900 + "X" + ")" * 901
     assert any(l.startswith("EVENT ") and whole in l for l in lines)
+
+
+@pytest.mark.parametrize("flags, theorem", [
+    # a quoted constant, printed by the trace and by the checkpoint
+    (["--trace", "--checkpoints"], "(defthm a (p '{d}) :rule-classes nil)"),
+    # a mark-clause label, printed in the checkpoint's head
+    (["--checkpoints"], "(defthm a (p x) :rule-classes nil\n"
+                        "  :hints ((:use ((:instance mark-clause-is-true (x '{d}))))))"),
+], ids=["quoted-constant", "mark-clause-label"])
+def test_form_too_deep_to_print_is_a_file_error(tmp_path, flags, theorem):
+    # The proof runs, but its report cannot print a form 1200 lists deep.
+    # The file keeps its FILE and THEOREM lines, reports the depth as its
+    # error, and the next file still runs.
+    d = "(" * 1200 + ")" * 1200
+    deep = evfile(tmp_path, "(defstub p 1) " + theorem.format(d=d), "deep.lisp")
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    done = subprocess.run(
+        [sys.executable, "-m", "hintprover.cli", *flags,
+         str(corpus / "smoke.lisp"), deep, str(corpus / "robust_member.lisp")],
+        capture_output=True, text=True, timeout=60, env=_child_env())
+    assert (done.returncode, done.stderr) == (2, f"ERROR {deep}: nesting depth exceeded\n")
+    lines = done.stdout.splitlines()
+    at = lines.index(f"FILE {deep}")
+    assert lines[at + 1:at + 3] == ["THEOREM A FAILED steps=0",
+                                    f"FILE {corpus / 'robust_member.lisp'}"]
+    assert lines[-1] == "PROVED 13/15"
 
 
 def test_error_line_prints_a_capped_form(tmp_path, capsys):
@@ -567,6 +593,18 @@ _ERROR_TEXTS = [  # (events, exit code, what follows "ERROR <path>")
     ("(register-hint-fn h (termhint-seq 'a 'b))\n(defstub p 1)\n"
      "(defthm x (p a) :rule-classes nil :hints (h))", 1,
      " X: unknown function in hint expression: TERMHINT-SEQ"),
+    # one check of :IN-THEORY names, whether an event or a hint names them
+    ("(in-theory (enable nonesuch))", 2, ": :IN-THEORY names unknown rule: NONESUCH"),
+    ("(defthm a (equal x x) :rule-classes nil :hints ((:in-theory (enable nonesuch))))", 1,
+     " A: :IN-THEORY names unknown rule: NONESUCH"),
+    # a variable bound twice in one :instance, as written and as extracted
+    ("(defun id (x) x)\n(defthm b (equal (id x) x) :rule-classes nil)\n"
+     "(defthm c (equal (id y) y) :hints ((:use (:instance b (x y) (x z)))))", 2,
+     ": in C: duplicate instance binding: X"),
+    ("(defstub f 1)\n(defun id (x) x)\n(defthm b (equal (id x) x) :rule-classes nil)\n"
+     "(defthm c (f y) :rule-classes nil\n"
+     "  :hints ((use-termhint ''(:use (:instance b (x y) (x z))))))", 1,
+     " C: duplicate instance binding: X"),
 ]
 
 

@@ -3,7 +3,7 @@ import pytest
 import hintprover.hints as hints_mod
 from hintprover.sexpr import NIL, T, Keyword, Symbol, parse_one, print_sexpr
 from hintprover.term import App, CONST_T, Const, TranslateError, Var, translate
-from hintprover.world import HintFn, RewriteRule, World
+from hintprover.world import HintFn, RewriteRule, World, WorldError
 from hintprover.rewrite import StepBudget, negate_term
 from hintprover.hints import (
     ComputedHint, GoalCtx, Hint, HintError, UseInstance,
@@ -81,6 +81,7 @@ def test_parse_hint_errors():
         "(foo bar)",                    # non-keyword key
         "(:use (:instance))",           # no theorem name
         "(:use (:instance my-eq (x)))", # binding is not a pair
+        "(:use (:instance my-eq (x a) (x b)))",  # x bound twice
         "(:in-theory (hyperreal d))",   # not enable/disable
         "(:in-theory (enable 'd))",     # not a symbol
         "(:clause-processor 'p)",
@@ -257,7 +258,7 @@ def test_apply_in_theory():
     w.add_rule("R1", RewriteRule("R1", tr("(f x)", w), CONST_T, (), "IFF"))
     _, got = apply_hint(ph("(:in-theory (disable r1))", w), (), w.theory(), w)
     assert "R1" not in got
-    with pytest.raises(HintError):
+    with pytest.raises(WorldError, match=r"^:IN-THEORY names unknown rule: NONESUCH$"):
         apply_hint(ph("(:in-theory (enable nonesuch))", w), (), theory, w)
 
 
@@ -329,19 +330,19 @@ def _enable_d_when_stable(world):
 
 def test_waterfall_proves_trivial_goal():
     w = World()
-    r = prove_clause((tr("(equal x x)"),), [], w, StepBudget(10))
-    assert r.proved
-    assert r.events == [("Goal", "PROVED", T)]
+    proved, events = prove_clause((tr("(equal x x)"),), [], w, StepBudget(10))
+    assert proved
+    assert events == [("Goal", "PROVED", T)]
 
 
 def test_waterfall_checkpoint_on_stuck_goal():
     w = _stub_f()
     clause = (tr("(f x)", w),)
-    r = prove_clause(clause, [], w, StepBudget(10))
-    assert not r.proved
-    kinds = [(name, kind) for name, kind, _ in r.events]
+    proved, events = prove_clause(clause, [], w, StepBudget(10))
+    assert not proved
+    kinds = [(name, kind) for name, kind, _ in events]
     assert kinds == [("Goal", "SIMPLIFY"), ("Goal", "CHECKPOINT")]
-    _, _, ctx = r.events[-1]
+    _, _, ctx = events[-1]
     assert ctx.goal_name == "Goal"
     assert ctx.clause == clause
 
@@ -349,34 +350,34 @@ def test_waterfall_checkpoint_on_stuck_goal():
 def test_waterfall_explicit_hint_fires_on_arrival():
     w = _use_world()
     pending = [ph("(:in-theory (enable d))", w)]
-    r = prove_clause((tr("(equal (d a) (cons a a))", w),), pending, w, StepBudget(10))
-    assert r.proved
-    assert [(n, k) for n, k, _ in r.events] == [
+    proved, events = prove_clause((tr("(equal (d a) (cons a a))", w),), pending, w, StepBudget(10))
+    assert proved
+    assert [(n, k) for n, k, _ in events] == [
         ("Goal", "HINT"), ("Subgoal 1", "PROVED")]
-    assert print_sexpr(render_event("HINT", r.events[0][2])) == "(:IN-THEORY (ENABLE D))"
+    assert print_sexpr(render_event("HINT", events[0][2])) == "(:IN-THEORY (ENABLE D))"
 
 
 def test_waterfall_computed_hint_waits_for_stable():
     w = _use_world()
-    r = prove_clause((tr("(equal (d a) (cons a a))", w),),
-                     [_enable_d_when_stable(w)], w, StepBudget(10))
-    assert r.proved
-    assert [(n, k) for n, k, _ in r.events] == [
+    proved, events = prove_clause((tr("(equal (d a) (cons a a))", w),),
+                                  [_enable_d_when_stable(w)], w, StepBudget(10))
+    assert proved
+    assert [(n, k) for n, k, _ in events] == [
         ("Goal", "SIMPLIFY"), ("Goal", "HINT"), ("Subgoal 1", "PROVED")]
-    name, kind, data = r.events[0]
+    name, kind, data = events[0]
     assert render_event(kind, data).car == Symbol("STABLE")
 
 
 def test_waterfall_split_copies_pending_to_both_children():
     w = _use_world()
     clause = (tr("(if (f q) (equal (d a) (cons a a)) (equal (d b) (cons b b)))", w),)
-    r = prove_clause(clause, [_enable_d_when_stable(w)], w, StepBudget(100))
-    assert r.proved
-    hint_goals = [n for n, k, _ in r.events if k == "HINT"]
+    proved, events = prove_clause(clause, [_enable_d_when_stable(w)], w, StepBudget(100))
+    assert proved
+    hint_goals = [n for n, k, _ in events if k == "HINT"]
     assert hint_goals == ["Subgoal 1", "Subgoal 2"]
-    proved_goals = [n for n, k, _ in r.events if k == "PROVED"]
+    proved_goals = [n for n, k, _ in events if k == "PROVED"]
     assert proved_goals == ["Subgoal 1.1", "Subgoal 2.1"]
-    split = [(n, print_sexpr(render_event(k, d))) for n, k, d in r.events if k == "SPLIT"]
+    split = [(n, print_sexpr(render_event(k, d))) for n, k, d in events if k == "SPLIT"]
     assert split == [("Goal", "(F Q)")]
 
 
@@ -384,9 +385,9 @@ def test_waterfall_visits_goals_depth_first_in_creation_order():
     w = _use_world()
     clause = (tr("(if (f p) (if (f q) (equal (d a) (cons a a)) (equal x x)) (equal y y))", w),)
     budget = StepBudget(100)
-    r = prove_clause(clause, [_enable_d_when_stable(w)], w, budget)
-    assert r.proved
-    assert [(n, k) for n, k, _ in r.events] == [
+    proved, events = prove_clause(clause, [_enable_d_when_stable(w)], w, budget)
+    assert proved
+    assert [(n, k) for n, k, _ in events] == [
         ("Goal", "SIMPLIFY"), ("Goal", "SPLIT"),
         ("Subgoal 1", "SIMPLIFY"), ("Subgoal 1", "SPLIT"),
         ("Subgoal 1.1", "SIMPLIFY"), ("Subgoal 1.1", "HINT"),
@@ -403,25 +404,25 @@ def test_waterfall_visits_goals_depth_first_in_creation_order():
 def test_waterfall_nonfiring_entry_survives():
     w = _use_world()
     never = ComputedHint(expr=translate_hint_expr(parse_one("'nil"), w))
-    r = prove_clause((tr("(equal x x)"),), [never], w, StepBudget(10))
-    assert r.proved
-    assert r.events == [("Goal", "PROVED", T)]
+    proved, events = prove_clause((tr("(equal x x)"),), [never], w, StepBudget(10))
+    assert proved
+    assert events == [("Goal", "PROVED", T)]
 
 
 def test_waterfall_replacement_splices():
     w = _use_world()
     first = Hint(replacement=(_enable_d_when_stable(w),))
-    r = prove_clause((tr("(equal (d a) (cons a a))", w),),
-                     [first], w, StepBudget(10))
-    assert r.proved
-    names = [(n, k) for n, k, _ in r.events]
+    proved, events = prove_clause((tr("(equal (d a) (cons a a))", w),),
+                                  [first], w, StepBudget(10))
+    assert proved
+    names = [(n, k) for n, k, _ in events]
     assert names == [
         ("Goal", "HINT"),             # empty hint, plants the follow-up
         ("Subgoal 1", "SIMPLIFY"),    # stable, nothing to do yet
         ("Subgoal 1", "HINT"),        # follow-up fires
         ("Subgoal 1.1", "PROVED"),
     ]
-    shown = print_sexpr(render_event("HINT", r.events[0][2]))
+    shown = print_sexpr(render_event("HINT", events[0][2]))
     assert shown.startswith("(:COMPUTED-HINT-REPLACEMENT")
 
 
@@ -430,9 +431,9 @@ def test_waterfall_retired_hint_does_not_refire():
     # a keyword hint with no replacement fires once; the child sees no pending
     pending = [Hint(enable=("D",))]
     clause = (tr("(if (f q) (equal (d a) (cons a a)) (equal (d b) (cons b b)))", w),)
-    r = prove_clause(clause, pending, w, StepBudget(100))
-    assert r.proved
-    hints = [n for n, k, _ in r.events if k == "HINT"]
+    proved, events = prove_clause(clause, pending, w, StepBudget(100))
+    assert proved
+    hints = [n for n, k, _ in events if k == "HINT"]
     assert hints == ["Goal"]
 
 
@@ -440,10 +441,10 @@ def test_waterfall_parsed_replacement_chain():
     w = _use_world()
     h = ph("(:computed-hint-replacement ('(:in-theory (enable d))) "
            ":in-theory (disable d))", w)
-    r = prove_clause((tr("(equal (d a) (cons a a))", w),),
-                     [h], w, StepBudget(10))
-    assert r.proved
-    names = [(n, k) for n, k, _ in r.events]
+    proved, events = prove_clause((tr("(equal (d a) (cons a a))", w),),
+                                  [h], w, StepBudget(10))
+    assert proved
+    names = [(n, k) for n, k, _ in events]
     # replacement hint fires on arrival at Subgoal 1, then the goal proves
     assert names == [("Goal", "HINT"), ("Subgoal 1", "HINT"),
                      ("Subgoal 1.1", "PROVED")]

@@ -1,7 +1,8 @@
-"""Source hygiene: every name a module imports from the package is used,
-every exception class the package defines derives from ProverError, no
-module builds a self-referencing closure, the proof core never names
-LamApp, and importing the command line loads no heavy stdlib module."""
+"""Source hygiene: every name a module imports from the package is used
+and public, every exception class the package defines derives from
+ProverError, no module builds a self-referencing closure, the proof core
+never names LamApp, and importing the command line loads no heavy stdlib
+module."""
 
 import ast
 import importlib
@@ -56,6 +57,32 @@ def test_package_exceptions_derive_from_prover_error():
 def test_unused_import_is_reported():
     src = "from .sexpr import NIL, T\n\nx = T\n"
     assert _unused_relative_imports(src) == [(1, "NIL")]
+
+
+def _private_relative_imports(source: str):
+    """(line, name) of each _-prefixed name imported from a package module."""
+    return sorted(
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_no_module_imports_a_private_name():
+    # a name another module needs is public in its own
+    found = [
+        f"{p.name}:{line}: {name}"
+        for p in MODULES
+        for line, name in _private_relative_imports(p.read_text())
+    ]
+    assert found == []
+
+
+def test_private_import_is_reported():
+    src = "from .hints import _parse, parse\nfrom os import _exit\n"
+    assert _private_relative_imports(src) == [(1, "_parse")]
 
 
 def _self_referencing_nested_functions(source: str):

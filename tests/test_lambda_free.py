@@ -86,7 +86,7 @@ def test_every_entry_point_hands_on_lambda_free_terms(n):
     out += [rule.lhs, rule.rhs, *rule.hyps]
 
     _do_defun(w, to_list(parse_one(f"(defun h (x y) {a})")), 10_000)
-    out += [w.definitions["H"].body, w.rules_by_fn["H"][0].rhs]
+    out += [w.definitions["H"].rhs, w.rules_by_fn["H"][0].rhs]
 
     use = parse_hint(parse_one(f"(:use ((:instance thm (x {b}) (y {c}))))"), w)
     clause, _ = apply_hint(use, (), w.theory(), w)

@@ -168,6 +168,19 @@ def test_definitions_and_rules_fire_in_install_order():
     assert rw(App("D", (Var("Y"),)), w) == Const(Symbol("RULE"))
 
 
+def test_a_definition_is_its_equal_rule():
+    w = World()
+    w.add_definition("D", ("X", "Y"), tr("(cons x y)"))
+    d = w.definitions["D"]
+    assert (d.name, d.lhs, d.rhs, d.hyps, d.equiv) == (
+        "D", tr("(d x y)", w), tr("(cons x y)"), (), "EQUAL")
+    assert w.rules_by_fn["D"][0] is d and w.rule_order == [d]
+    # a recursive definition is stored the same way but opens only by :EXPAND
+    w.add_definition("R", ("X",), App("R", (Var("X"),)))
+    assert isinstance(w.definitions["R"], RewriteRule)
+    assert "R" not in w.rules_by_fn and w.rule_order == [d]
+
+
 def _rule(name, head, rhs, equiv="EQUAL"):
     return RewriteRule(name, App(head, (Var("X"),)), Const(Symbol(rhs)), (), equiv)
 

@@ -373,12 +373,12 @@ def test_prelude_waterfall_round_trip():
     w = _dworld()
     goal = tr("(equal (d p q) (cons p q))", w)
     hint = use_termhint(parse_one("`'(:expand ((d ,(hq p) ,(hq q))))"), w)
-    r = prove_clause((goal,), [hint], w, StepBudget(100))
-    assert r.proved
-    fired = [(n, print_sexpr(render_event(k, d))) for n, k, d in r.events if k == "HINT"]
+    proved, events = prove_clause((goal,), [hint], w, StepBudget(100))
+    assert proved
+    fired = [(n, print_sexpr(render_event(k, d))) for n, k, d in events if k == "HINT"]
     assert fired[0][0] == "Goal"
     assert fired[1] == ("Subgoal 1", "(:EXPAND ((D P Q)) :CLAUSE-PROCESSOR DROP-TERMHINT-HYP)")
-    assert r.events[-1] == ("Subgoal 1.1", "PROVED", T)
+    assert events[-1] == ("Subgoal 1.1", "PROVED", T)
 
 
 # ---------------------------------------------------------------------------

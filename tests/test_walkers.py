@@ -83,7 +83,7 @@ def _ref_expand(t, targets, world):
             if pat.fn == "HIDE":
                 return t.args[0]
             d = world.definitions[pat.fn]
-            return _ref_substitute(d.body, dict(zip(d.formals, t.args)))
+            return _ref_substitute(d.rhs, {v.name: a for v, a in zip(d.lhs.args, t.args)})
         if t.fn == "HIDE":
             return t
         return App(t.fn, tuple(_ref_expand(a, targets, world) for a in t.args))
