@@ -10,6 +10,7 @@ ran out of steps, 2 on malformed input or bad events.
 """
 
 import argparse
+import gc
 import os
 import sys
 
@@ -278,10 +279,18 @@ def _error_text(e: Exception) -> str:
 # Files and the run loop
 
 def process_file(path: str, max_steps: int, stop_on_failure: bool) -> FileOutcome:
+    """Run one file's events against a fresh world.
+
+    The cyclic garbage collector is paused meanwhile and then left as it
+    was found: the prover builds no reference cycles, so a collection
+    would free nothing, and each one would stall the theorem it lands in.
+    """
     out = FileOutcome(path)
-    world = World()
-    install_prelude(world)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        world = World()
+        install_prelude(world)
         with open(path) as f:
             forms = parse(f.read())
         for form in forms:
@@ -300,6 +309,9 @@ def process_file(path: str, max_steps: int, stop_on_failure: bool) -> FileOutcom
     except (OSError, UnicodeDecodeError, ProverError, RecursionError) as e:
         out.error = _error_text(e)
         print(f"ERROR {path}: {out.error}", file=sys.stderr)
+    finally:
+        if enabled:
+            gc.enable()
     return out
 
 

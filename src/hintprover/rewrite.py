@@ -3,15 +3,20 @@
 A clause is a tuple of literal Terms read as a disjunction.  While one
 literal is rewritten, every other literal is assumed false; a literal of
 shape (NOT A) therefore contributes A as a true assumption.  Assumptions
-settle IF tests and propositional subterms, nothing else.  Each literal
-is rewritten under one RewriteContext, which holds them together with
-the theory, the world, the step budget and a memo table.
+settle IF tests and propositional subterms, nothing else.  A clause is
+rewritten under one RewriteContext, which holds them together with the
+theory, the world, the step budget and a memo table; before each
+literal is rewritten its own assumptions are withdrawn, and after it
+its result's are added.
 
 A rewrite whose computation never read the truth table is a function
 of (term, iff), the theory and the world, so it outlives the literal:
 the caller of simplify_clause owns one table per theory (`memos`), and
 every goal of a proof shares it.  A rewrite that did read the truth
-table is kept only by the context that computed it.
+table is kept only while that literal is rewritten, except the whole
+literal's: it is filed in the same table with the questions it asked
+and their answers, and a later goal whose table answers them alike
+takes it as it is.
 
 Every term walked here is lambda-free.  The callers beta-reduce what
 they translate before it reaches a clause, a rule or a definition, and
@@ -73,48 +78,63 @@ def is_false_const(t) -> bool:
 
 
 class RewriteContext:
-    """Everything one literal's rewrite holds fixed: theory, world, budget,
+    """Everything a literal's rewrite holds fixed: theory, world, budget,
     the truth context from the other literals of the clause in play, and
     the memo tables rewrite_term reads and fills.
 
-    `truth` maps each other literal to False, then the argument of each
-    (NOT p) literal to True, so a term both assumed and denied reads True.
-    `reads` counts the calls to decide.  Both tables map (term, iff) to
-    (result, steps charged).  `memo` holds the rewrites that never read
-    the truth table; it serves one theory and one world, but any number
-    of truth contexts: it may be shared by every literal of every goal of
-    a proof under that theory, and the world must not change while it is
-    in use.  `local` holds the rewrites that did read it, and lives as
-    long as this context, whose truth never changes.
+    The truth table is kept by counts: `falses` maps a term to how many
+    literals are that term, `trues` a term p to how many are (NOT p).
+    A term with any true count reads True, else one with any false count
+    reads False, so a term both assumed and denied reads True.
+    simplify_clause moves a literal out of the counts while it rewrites
+    it, so one context serves every literal of a clause.
+
+    decide counts its calls in `reads` and notes each question and its
+    answer in `log`.  Both memo tables map (term, iff) to (result, steps
+    charged).  `memo` holds the rewrites that never read the truth table;
+    it serves one theory and one world, but any number of truth tables:
+    it may be shared by every literal of every goal of a proof under that
+    theory, and the world must not change while it is in use.  `local`
+    holds the rewrites that did read it, and is emptied whenever the
+    table changes.
     """
 
-    __slots__ = ("theory", "world", "budget", "truth", "memo", "local", "reads")
+    __slots__ = ("theory", "world", "budget", "falses", "trues", "memo", "local",
+                 "reads", "log")
 
     def __init__(self, theory, world, budget, memo, false_literals=()):
         self.theory = theory
         self.world = world
         self.budget = budget
-        truth = self.truth = dict.fromkeys(false_literals, False)
+        falses, trues = self.falses, self.trues = {}, {}
         for l in false_literals:
+            falses[l] = falses.get(l, 0) + 1
             if isinstance(l, App) and l.fn == "NOT":
-                truth[l.args[0]] = True
+                p = l.args[0]
+                trues[p] = trues.get(p, 0) + 1
         self.memo = memo
         self.local = {}
         self.reads = 0
+        self.log = {}
 
     def decide(self, q):
         """True, False, or None when the context says nothing about q.
 
         A (NOT p) the table does not hold is answered from p.  Each call
-        counts as a read of the context.
+        counts as a read of the context and is logged.
         """
+        trues, falses = self.trues, self.falses
+        if trues.get(q):
+            a = True
+        elif falses.get(q):
+            a = False
+        elif isinstance(q, App) and q.fn == "NOT":
+            p = q.args[0]
+            a = False if trues.get(p) else (True if falses.get(p) else None)
+        else:
+            a = None
         self.reads += 1
-        truth = self.truth
-        a = truth.get(q)
-        if a is None and isinstance(q, App) and q.fn == "NOT":
-            a = truth.get(q.args[0])
-            if a is not None:
-                return not a
+        self.log[q] = a
         return a
 
 
@@ -349,14 +369,45 @@ def simplify_clause(clause, theory, world, budget, memos):
 
     memos maps a theory to its memo table (see RewriteContext) and is
     filled here.  prove_clause passes one dict to every goal of a proof,
-    so later goals reuse earlier rewrites that read no assumption.
+    so later goals reuse earlier rewrites that read no assumption.  A
+    literal whose rewrite read the truth table is filed in that table
+    under the literal itself, as (log, result, steps); a later literal
+    equal to it whose table gives every logged question the logged answer
+    takes the result and is charged the steps, as a memo hit is.  Since
+    rewrite_term asks its context only through decide, the same answers
+    give the same rewrite.
     """
     memo = memos.setdefault(theory, {})
+    ctx = RewriteContext(theory, world, budget, memo, clause)
+    falses, trues = ctx.falses, ctx.trues
     lits = list(clause)
-    for i in range(len(lits)):
-        ctx = RewriteContext(theory, world, budget, memo,
-                             [l for j, l in enumerate(lits) if j != i])
-        lits[i] = rewrite_term(lits[i], ctx, True)
+    for i, lit in enumerate(lits):
+        falses[lit] -= 1
+        if isinstance(lit, App) and lit.fn == "NOT":
+            trues[lit.args[0]] -= 1
+        filed = memo.get(lit)
+        if filed is not None:
+            log, out, steps = filed
+            for q, a in log.items():
+                if ctx.decide(q) is not a:
+                    filed = None
+                    break
+        if filed is not None:
+            if steps:
+                budget.take(steps)
+        else:
+            ctx.local = {}
+            log = ctx.log = {}
+            used = budget.used
+            out = rewrite_term(lit, ctx, True)
+            if log:
+                memo[lit] = (log, out, budget.used - used)
+                ctx.log = {}  # what later questions ask stays out of the filed log
+        lits[i] = out
+        falses[out] = falses.get(out, 0) + 1
+        if isinstance(out, App) and out.fn == "NOT":
+            p = out.args[0]
+            trues[p] = trues.get(p, 0) + 1
 
     if any(is_true_const(l) for l in lits):
         return None
@@ -397,6 +448,8 @@ def _expand(t, targets, world, done):
     if out is not None:
         return out
     for pat in targets:
+        if pat.fn != t.fn:
+            continue
         subst = match(pat, t)
         if subst is None:
             continue

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import re
@@ -15,7 +16,8 @@ from hintprover.term import App, Const, Translator, Var, translate
 from hintprover.world import World
 from hintprover.hints import clausify
 from hintprover.cli import (
-    EventError, _do_defthm, _do_defun, convert_rule, format_report, main, render_event, run,
+    EVENT_HANDLERS, EventError, _do_defthm, _do_defun, convert_rule, format_report, main,
+    process_file, render_event, run,
 )
 
 
@@ -667,6 +669,56 @@ def test_max_steps_exhaustion(tmp_path, capsys):
     assert "ERROR" in capsys.readouterr().err
 
 
+def test_a_run_leaves_no_cyclic_garbage(tmp_path, capsys):
+    # process_file pauses the cyclic collector, which is safe only while
+    # the prover builds no reference cycles: on its way through the corpus,
+    # a file error, a theorem out of budget and a stack overflow alike
+    bad = evfile(tmp_path, "(defstub f 1) (frobnicate)", "bad.lisp")
+    loops = evfile(tmp_path, """
+      (register-hint-fn again '(:computed-hint-replacement ((again))))
+      (defthm loops (equal x x) :rule-classes nil :hints (again))
+    """, "loops.lisp")
+    deep = "(car " * 2000 + "x" + ")" * 2000
+    deep = evfile(tmp_path, f"(defthm deep (equal {deep} y) :rule-classes nil)", "deep.lisp")
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        report = run(_CORPUS + [bad, loops, deep])
+        text = format_report(report, trace=True, checkpoints=True)
+        found = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert found == 0
+    assert report.exit_code == 2 and text.endswith("PROVED 35/39\n")
+    err = capsys.readouterr().err
+    assert f"ERROR {bad}: unknown event: FROBNICATE" in err
+    assert f"ERROR {loops} LOOPS: goal budget of 10000 exhausted" in err
+    assert f"ERROR {deep}: nesting depth exceeded" in err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_process_file_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, enabled):
+    seen = []
+    real_defstub = EVENT_HANDLERS["DEFSTUB"]
+
+    def defstub(world, items, max_steps):
+        seen.append(gc.isenabled())
+        return real_defstub(world, items, max_steps)
+
+    monkeypatch.setitem(EVENT_HANDLERS, "DEFSTUB", defstub)
+    path = evfile(tmp_path, "(defstub f 1) (defthm a (f x) :rule-classes nil)")
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        process_file(path, 100, False)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]  # paused while the events ran
+
+
 def _goal_budget_failure(path, capsys):
     assert main([path, "--max-steps", "10"]) == 1  # returned: no traceback
     out, err = capsys.readouterr()
@@ -1013,16 +1065,27 @@ def test_one_memo_per_proof_saves_rewrites_of_split_goals(tmp_path, monkeypatch)
     import hintprover.rewrite as rewrite_mod
 
     real_rewrite, real_simplify = rewrite_mod.rewrite_term, hints_mod.simplify_clause
-    calls = [0]
+    real_init = rewrite_mod.RewriteContext.__init__
+    calls, contexts, passes = [0], [0], [0]
 
     def counted(t, ctx, iff=False):
         calls[0] += 1
         return real_rewrite(t, ctx, iff)
 
+    def counted_init(self, *args):
+        contexts[0] += 1
+        real_init(self, *args)
+
+    def shared_memo(clause, theory, world, budget, memos):
+        passes[0] += 1
+        return real_simplify(clause, theory, world, budget, memos)
+
     def fresh_memo(clause, theory, world, budget, memos):
         return real_simplify(clause, theory, world, budget, {})
 
     monkeypatch.setattr(rewrite_mod, "rewrite_term", counted)
+    monkeypatch.setattr(rewrite_mod.RewriteContext, "__init__", counted_init)
+    monkeypatch.setattr(hints_mod, "simplify_clause", shared_memo)
     path = evfile(tmp_path, _SPLIT4_TERMHINT)
     outcomes = []
     for patch in (False, True):  # the proof's memo, then a fresh one per simplify_clause
@@ -1031,10 +1094,14 @@ def test_one_memo_per_proof_saves_rewrites_of_split_goals(tmp_path, monkeypatch)
         calls[0] = 0
         (t,) = run([path]).files[0].theorems
         outcomes.append((t.proved, t.steps, calls[0]))
+        if not patch:  # one truth table per clause
+            assert contexts[0] == passes[0] > 0
     (shared_proved, shared_steps, shared), (fresh_proved, fresh_steps, fresh) = outcomes
     assert shared_proved and fresh_proved
     assert shared_steps == fresh_steps == 24
-    assert (shared, fresh) == (2431, 3459)  # rewrite_term calls; deterministic
+    # rewrite_term calls; deterministic.  The shared count also reuses whole
+    # literals whose logged questions get the same answers in a later goal
+    assert (shared, fresh) == (1838, 3459)
 
 
 def test_split_goals_rebuild_only_what_changed(tmp_path, monkeypatch):

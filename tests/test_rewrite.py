@@ -817,6 +817,76 @@ def test_simplify_stable_fixpoint():
         assert not frontier
 
 
+def _plain_simplify(clause, theory, world, budget):
+    """simplify_clause as specified: each literal rewritten by the plain
+    spec under a fresh context of the others as they stand, with no memo
+    and no literal reuse."""
+    lits = list(clause)
+    for i, lit in enumerate(lits):
+        lits[i] = _Spec(theory, world, budget, lits[:i] + lits[i + 1:]).rewrite(lit, True)
+    if any(isinstance(l, Const) and truthy(l.value) for l in lits):
+        return None
+    kept = tuple(l for l in lits if not (isinstance(l, Const) and not truthy(l.value)))
+    if any(App("NOT", (l,)) in kept for l in kept):
+        return None
+    return kept, split_ifs(kept)
+
+
+def test_simplify_clause_agrees_with_the_plain_spec_across_goals():
+    # one memos dict for a sequence of clauses under two theories, as a
+    # proof's goals share it; the clauses draw on one pool of literals, so
+    # a literal meets later goals whose truth tables differ, and hold
+    # duplicates, complementary pairs, NOTs and constants
+    worlds = [_spec_world(True), _spec_world(False)]
+    rng = random.Random(9157)
+    shown = reused = 0
+    for n in range(40):
+        w, on = worlds[n % 2]
+        theories = (on, on - {"G-CONS", "D"})
+        memos = {}
+        t = _spec_term(rng, 4)
+        pool = [a for a in _subterms(t) if not isinstance(a, Const)][:8]
+        pool += [_spec_term(rng, 2) for _ in range(3)]
+        pool += [negate_term(rng.choice(pool)) for _ in range(3)] + [CONST_NIL, CONST_T]
+        for _ in range(12):
+            clause = [t] + [rng.choice(pool) for _ in range(rng.randrange(4))]
+            if rng.random() < 0.3:
+                clause.append(rng.choice(clause))  # a duplicate
+            if rng.random() < 0.2:
+                clause.append(negate_term(rng.choice(clause)))  # a complementary pair
+            rng.shuffle(clause)
+            clause = tuple(clause)
+            theory = rng.choice(theories)
+            spec = StepBudget(10000)
+            want = _plain_simplify(clause, theory, w, spec)
+            full = spec.used
+            for limit in rng.sample([10000, full, full - 1], 3):
+                if limit < 0:
+                    continue
+                seen = []
+                for real in (False, True):
+                    budget = StepBudget(limit)
+                    table = memos.get(theory, {})
+                    filed = {l: table[l] for l in clause if l in table}
+                    try:
+                        if real:
+                            out = simplify_clause(clause, theory, w, budget, memos)
+                            reused += sum(memos[theory][l] is e for l, e in filed.items())
+                        else:
+                            out = _plain_simplify(clause, theory, w, budget)
+                    except ResourceError as e:
+                        out = str(e)
+                    seen.append((out, budget.used))
+                assert seen[0] == seen[1], (clause, limit, seen)
+                if limit == 10000:
+                    assert seen[0] == (want, full)
+            shown += want != (clause, None) and full > 0
+        assert set(memos) <= set(theories)
+    # clauses the pass changed at a cost, and literal entries taken as
+    # filed: counted 132 and 1,023
+    assert shown > 100 and reused > 800
+
+
 # ---------------------------------------------------------------------------
 # expand_calls
 
@@ -858,6 +928,23 @@ def test_expand_does_not_rescan_replacement():
     clause = (App("W2", (Var("A"),)),)
     got = expand_calls(clause, [App("W2", (Var("V"),))], w)
     assert got == (App("W2", (App("CONS", (Var("A"), CONST_NIL)),)),)
+
+
+def test_expand_matches_only_calls_on_a_targets_head(monkeypatch):
+    import hintprover.rewrite as rewrite_mod
+
+    real_match, heads = rewrite_mod.match, []
+
+    def spy(pattern, target):
+        heads.append((pattern.fn, target.fn))
+        return real_match(pattern, target)
+
+    monkeypatch.setattr(rewrite_mod, "match", spy)
+    w = _dworld()
+    clause = (tr("(equal (d x (f y)) (f (hide (d '1 '2))))", w),)
+    got = expand_calls(clause, [tr("(d x y)", w), tr("(hide z)", w)], w)
+    assert got == (tr("(equal (cons x (f y)) (f (d '1 '2)))", w),)
+    assert sorted(heads) == [("D", "D"), ("HIDE", "HIDE")]
 
 
 def test_expand_errors():
