@@ -19,7 +19,7 @@ from .sexpr import (
     from_list, is_nil, is_proper_list, parse, print_capped, print_sexpr, to_list,
 )
 from .term import (
-    App, CONST_NIL, CONST_T, TranslateError,
+    ALIASES, App, CONST_NIL, CONST_T, TranslateError,
     beta_reduce, free_vars, translate, unparse,
 )
 from .world import RewriteRule, HintFn, World
@@ -147,7 +147,7 @@ def _do_register_hint_fn(world: World, items, max_steps: int):
     if len(items) != 3:
         raise EventError("register-hint-fn expects a name and an expression")
     name = _want_symbol(items[1], "hint function name")
-    if name in HINT_EXPR_BUILTINS or name in world.macro_env:
+    if name in HINT_EXPR_BUILTINS or name in ALIASES or name in world.macro_env:
         raise EventError(f"{name} is built in")  # no call could reach it
     expr = translate_hint_expr(items[2], world)
     world.add_hint_fn(HintFn(name, 0, lambda args, ctx: eval_hint_expr(expr, ctx)))

@@ -147,12 +147,10 @@ def _parse_instance(form, tr):
 
 
 def _parse_use(value, tr):
-    if isinstance(value, Symbol):
-        return (_parse_instance(value, tr),)
-    if isinstance(value, Pair):
-        if value.car == _INSTANCE:
-            return (_parse_instance(value, tr),)
+    if isinstance(value, Pair) and value.car != _INSTANCE:
         return tuple(_parse_instance(e, tr) for e in to_list(value))
+    if isinstance(value, (Symbol, Pair)):
+        return (_parse_instance(value, tr),)
     raise HintError(f"bad :USE value: {print_capped(value)}")
 
 

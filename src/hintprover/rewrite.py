@@ -27,7 +27,7 @@ rules to it, and IF splitting ignores tests under it.  Only an explicit
 (HIDE ...) expansion target peels it off.
 """
 
-from .sexpr import ProverError, is_nil
+from .sexpr import ProverError
 from .term import (
     App, Const, Var, CONST_NIL, CONST_T, FOLDABLE,
     apply_builtin, beta_reduce, substitute, truthy,
@@ -73,10 +73,6 @@ def is_true_const(t) -> bool:
     return isinstance(t, Const) and truthy(t.value)
 
 
-def is_false_const(t) -> bool:
-    return isinstance(t, Const) and is_nil(t.value)
-
-
 class RewriteContext:
     """Everything a literal's rewrite holds fixed: theory, world, budget,
     the truth context from the other literals of the clause in play, and
@@ -86,8 +82,9 @@ class RewriteContext:
     literals are that term, `trues` a term p to how many are (NOT p).
     A term with any true count reads True, else one with any false count
     reads False, so a term both assumed and denied reads True.
-    simplify_clause moves a literal out of the counts while it rewrites
-    it, so one context serves every literal of a clause.
+    count adds a literal to the counts or takes it out; simplify_clause
+    takes each literal out while it rewrites it, so one context serves
+    every literal of a clause.
 
     decide counts its calls in `reads` and notes each question and its
     answer in `log`.  Both memo tables map (term, iff) to (result, steps
@@ -106,16 +103,21 @@ class RewriteContext:
         self.theory = theory
         self.world = world
         self.budget = budget
-        falses, trues = self.falses, self.trues = {}, {}
+        self.falses, self.trues = {}, {}
         for l in false_literals:
-            falses[l] = falses.get(l, 0) + 1
-            if isinstance(l, App) and l.fn == "NOT":
-                p = l.args[0]
-                trues[p] = trues.get(p, 0) + 1
+            self.count(l, 1)
         self.memo = memo
         self.local = {}
         self.reads = 0
         self.log = {}
+
+    def count(self, lit, k):
+        """Add k (1 or -1) to lit's false count and, for a (NOT p), to p's true count."""
+        falses = self.falses
+        falses[lit] = falses.get(lit, 0) + k
+        if isinstance(lit, App) and lit.fn == "NOT":
+            p = lit.args[0]
+            self.trues[p] = self.trues.get(p, 0) + k
 
     def decide(self, q):
         """True, False, or None when the context says nothing about q.
@@ -379,20 +381,12 @@ def simplify_clause(clause, theory, world, budget, memos):
     """
     memo = memos.setdefault(theory, {})
     ctx = RewriteContext(theory, world, budget, memo, clause)
-    falses, trues = ctx.falses, ctx.trues
     lits = list(clause)
     for i, lit in enumerate(lits):
-        falses[lit] -= 1
-        if isinstance(lit, App) and lit.fn == "NOT":
-            trues[lit.args[0]] -= 1
+        ctx.count(lit, -1)
         filed = memo.get(lit)
-        if filed is not None:
-            log, out, steps = filed
-            for q, a in log.items():
-                if ctx.decide(q) is not a:
-                    filed = None
-                    break
-        if filed is not None:
+        if filed is not None and all(ctx.decide(q) is a for q, a in filed[0].items()):
+            _, out, steps = filed
             if steps:
                 budget.take(steps)
         else:
@@ -404,14 +398,11 @@ def simplify_clause(clause, theory, world, budget, memos):
                 memo[lit] = (log, out, budget.used - used)
                 ctx.log = {}  # what later questions ask stays out of the filed log
         lits[i] = out
-        falses[out] = falses.get(out, 0) + 1
-        if isinstance(out, App) and out.fn == "NOT":
-            p = out.args[0]
-            trues[p] = trues.get(p, 0) + 1
+        ctx.count(out, 1)
 
     if any(is_true_const(l) for l in lits):
         return None
-    rewritten = tuple([l for l in lits if not is_false_const(l)])
+    rewritten = tuple([l for l in lits if l is not CONST_NIL])
     if _has_complementary_pair(rewritten):
         return None
     return rewritten, split_ifs(rewritten)

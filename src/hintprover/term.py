@@ -154,71 +154,67 @@ class LamApp(_Term):
 CONST_T = Const(T)
 CONST_NIL = Const(NIL)
 
-# Functions the ground evaluator and the constant folder know how to apply.
-BUILTIN_ARITY = {
-    "CONS": 2,
-    "CAR": 1,
-    "CDR": 1,
-    "CONSP": 1,
-    "ATOM": 1,
-    "EQUAL": 2,
-    "NOT": 1,
-    "LEN": 1,
-    "MEMBER-EQUAL": 2,
-    "BINARY-APPEND": 2,
-    "IFF": 2,
-    "IF": 3,
-    "HIDE": 1,
-}
-
-FOLDABLE = frozenset(BUILTIN_ARITY) - {"IF", "HIDE"}
-
-
 def truthy(v) -> bool:
     return not is_nil(v)
 
 
+def _len(x):
+    n = 0
+    while isinstance(x, Pair):
+        n += 1
+        x = x.cdr
+    return n
+
+
+def _member_equal(x, cur):
+    while isinstance(cur, Pair):
+        if cur.car == x:
+            return cur
+        cur = cur.cdr
+    return NIL
+
+
+def _binary_append(x, y):
+    items = []
+    while isinstance(x, Pair):
+        items.append(x.car)
+        x = x.cdr
+    return from_list(items, y)
+
+
+# Each built-in function's arity and its meaning over s-expression values,
+# which evaluation and constant folding apply.  IF has no meaning here:
+# evaluate and the rewriter take its branches lazily.
+BUILTINS = {
+    "CONS": (2, Pair),
+    "CAR": (1, lambda x: x.car if isinstance(x, Pair) else NIL),
+    "CDR": (1, lambda x: x.cdr if isinstance(x, Pair) else NIL),
+    "CONSP": (1, lambda x: T if isinstance(x, Pair) else NIL),
+    "ATOM": (1, lambda x: NIL if isinstance(x, Pair) else T),
+    "EQUAL": (2, lambda x, y: T if x == y else NIL),
+    "NOT": (1, lambda x: NIL if truthy(x) else T),
+    "LEN": (1, _len),
+    "MEMBER-EQUAL": (2, _member_equal),
+    "BINARY-APPEND": (2, _binary_append),
+    "IFF": (2, lambda x, y: T if truthy(x) == truthy(y) else NIL),
+    "IF": (3, None),
+    "HIDE": (1, lambda x: x),
+}
+
+BUILTIN_ARITY = {name: n for name, (n, _) in BUILTINS.items()}
+
+FOLDABLE = frozenset(BUILTIN_ARITY) - {"IF", "HIDE"}
+
+# Surface names of built-in functions: a call of APPEND is one of BINARY-APPEND.
+ALIASES = {"APPEND": "BINARY-APPEND"}
+
+
 def apply_builtin(name: str, args):
     """Apply one of the builtin functions to SExpr values."""
-    if name == "CONS":
-        return Pair(args[0], args[1])
-    if name == "CAR":
-        return args[0].car if isinstance(args[0], Pair) else NIL
-    if name == "CDR":
-        return args[0].cdr if isinstance(args[0], Pair) else NIL
-    if name == "CONSP":
-        return T if isinstance(args[0], Pair) else NIL
-    if name == "ATOM":
-        return NIL if isinstance(args[0], Pair) else T
-    if name == "EQUAL":
-        return T if args[0] == args[1] else NIL
-    if name == "NOT":
-        return NIL if truthy(args[0]) else T
-    if name == "LEN":
-        n, cur = 0, args[0]
-        while isinstance(cur, Pair):
-            n += 1
-            cur = cur.cdr
-        return n
-    if name == "MEMBER-EQUAL":
-        x, cur = args[0], args[1]
-        while isinstance(cur, Pair):
-            if cur.car == x:
-                return cur
-            cur = cur.cdr
-        return NIL
-    if name == "BINARY-APPEND":
-        x, y = args
-        items = []
-        while isinstance(x, Pair):
-            items.append(x.car)
-            x = x.cdr
-        return from_list(items, y)
-    if name == "IFF":
-        return T if truthy(args[0]) == truthy(args[1]) else NIL
-    if name == "HIDE":
-        return args[0]
-    raise EvalError(f"not a builtin: {name}")
+    meaning = BUILTINS.get(name, (0, None))[1]
+    if meaning is None:
+        raise EvalError(f"not a builtin: {name}")
+    return meaning(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +244,10 @@ def _macro_let_star(form, tr):
     if len(args) != 2:
         raise TranslateError("LET* expects a binding list and one body form")
     pairs = _binding_pairs(args[0], "LET*")
-    out = args[1]
-    for name, init in reversed(pairs):
-        out = from_list([Symbol("LET"), from_list([from_list([Symbol(name), init])]), out])
-    return tr(out)
+    out = tr(args[1])
+    for name, init in reversed(pairs):  # the order nested LETs translate in
+        out = make_lamapp([name], out, [tr(init)])
+    return out
 
 
 def _macro_bstar(form, tr):
@@ -478,7 +474,7 @@ class Translator:
                 while rest is not NIL:
                     args.append(self.tr(rest.car))
                     rest = rest.cdr
-                name = "BINARY-APPEND" if head.name == "APPEND" else head.name
+                name = ALIASES.get(head.name, head.name)
                 n = self.arity_of(name)
                 if n is None:
                     raise TranslateError(f"unknown function: {name}")

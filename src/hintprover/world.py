@@ -8,7 +8,7 @@ Definitions, rules and theorems hold lambda-free terms.
 """
 
 from .sexpr import ProverError
-from .term import BUILTIN_ARITY, App, Var, builtin_macro_env
+from .term import ALIASES, BUILTIN_ARITY, App, Var, builtin_macro_env
 
 
 class WorldError(ProverError):
@@ -80,16 +80,13 @@ class World:
         self.enabled = set()
 
     def arity(self, name: str):
-        a = BUILTIN_ARITY.get(name)
-        if a is not None:
-            return a
-        return self.functions.get(name)
+        return BUILTIN_ARITY.get(name, self.functions.get(name))
 
     def claim_name(self, name: str):
         """Refuse a name that is built in (a macro included) or already
         names a function or theorem.  Every rule is a theorem, so this
         covers rules too."""
-        if name in BUILTIN_ARITY or name == "APPEND" or name in self.macro_env:
+        if name in BUILTIN_ARITY or name in ALIASES or name in self.macro_env:
             raise WorldError(f"{name} is built in")
         if name in self.functions or name in self.theorems:
             raise WorldError(f"duplicate name: {name}")

@@ -278,6 +278,18 @@ def test_deep_term_is_reported_from_the_command_line(tmp_path):
     assert any(l.startswith("EVENT ") and whole in l for l in lines)
 
 
+def test_long_let_star_proves_from_the_command_line(tmp_path):
+    # LET* binds in a loop, not through one nested LET form per binding,
+    # so 800 bindings cost no more translation depth than one
+    n = 800
+    binds = " ".join(f"(v{i} {'x' if i == 0 else f'v{i - 1}'})" for i in range(n))
+    goal = evfile(tmp_path, f"(defthm a (equal (let* ({binds}) v{n - 1}) x) :rule-classes nil)")
+    done = subprocess.run([sys.executable, "-m", "hintprover.cli", goal],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.endswith("PROVED 1/1\n")
+
+
 @pytest.mark.parametrize("flags, theorem", [
     # a quoted constant, printed by the trace and by the checkpoint
     (["--trace", "--checkpoints"], "(defthm a (p '{d}) :rule-classes nil)"),
@@ -606,7 +618,9 @@ _ERROR_TEXTS = [  # (events, exit code, what follows "ERROR <path>")
     ("(defstub f 1)\n(defun id (x) x)\n(defthm b (equal (id x) x) :rule-classes nil)\n"
      "(defthm c (f y) :rule-classes nil\n"
      "  :hints ((use-termhint ''(:use (:instance b (x y) (x z))))))", 1,
-     " C: duplicate instance binding: X"),
+     " C: duplicate instance binding: X"),    # APPEND is a spelling of BINARY-APPEND, so no event may claim it
+    ("(defstub append 2)", 2, ": APPEND is built in"),
+    ("(register-hint-fn append '(:in-theory (enable foo)))", 2, ": APPEND is built in"),
 ]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from hintprover.term import (
     substitute, translate, truthy, unparse,
 )
 from hintprover.world import RewriteRule, World
+from hintprover import hints
+from hintprover.cli import format_report, run
 from hintprover.rewrite import (
     ExpandError, ResourceError, RewriteContext, StepBudget, expand_calls,
     find_split_test, match, negate_term, normalize_definition, replace_subterm,
@@ -817,10 +820,43 @@ def test_simplify_stable_fixpoint():
         assert not frontier
 
 
+def _plain_find(t):
+    if not isinstance(t, App) or t.fn == "HIDE":
+        return None
+    for a in t.args:
+        found = _plain_find(a)
+        if found is not None:
+            return found
+    return t if t.fn == "IF" and not isinstance(t.args[0], Const) else None
+
+
+def _plain_replace(t, old, new):
+    if t is old:
+        return new
+    if not isinstance(t, App) or t.fn == "HIDE":
+        return t
+    return App(t.fn, tuple(_plain_replace(a, old, new) for a in t.args))
+
+
+def _plain_split(clause):
+    """split_ifs as specified: tree walks that find the innermost leftmost
+    IF with a non-constant test outside HIDE and replace it, with no kept
+    answers and no skip tests."""
+    for i, lit in enumerate(clause):
+        found = _plain_find(lit)
+        if found is not None:
+            test, before, after = found.args[0], clause[:i], clause[i + 1:]
+            return test, [
+                (negate_term(test),) + before + (_plain_replace(lit, found, found.args[1]),) + after,
+                (test,) + before + (_plain_replace(lit, found, found.args[2]),) + after,
+            ]
+    return None
+
+
 def _plain_simplify(clause, theory, world, budget):
     """simplify_clause as specified: each literal rewritten by the plain
     spec under a fresh context of the others as they stand, with no memo
-    and no literal reuse."""
+    and no literal reuse, and the plain split."""
     lits = list(clause)
     for i, lit in enumerate(lits):
         lits[i] = _Spec(theory, world, budget, lits[:i] + lits[i + 1:]).rewrite(lit, True)
@@ -829,7 +865,7 @@ def _plain_simplify(clause, theory, world, budget):
     kept = tuple(l for l in lits if not (isinstance(l, Const) and not truthy(l.value)))
     if any(App("NOT", (l,)) in kept for l in kept):
         return None
-    return kept, split_ifs(kept)
+    return kept, _plain_split(kept)
 
 
 def test_simplify_clause_agrees_with_the_plain_spec_across_goals():
@@ -885,6 +921,69 @@ def test_simplify_clause_agrees_with_the_plain_spec_across_goals():
     # clauses the pass changed at a cost, and literal entries taken as
     # filed: counted 132 and 1,023
     assert shown > 100 and reused > 800
+
+
+_CORPUS = sorted(Path(__file__).resolve().parent.parent.joinpath("corpus").glob("*.lisp"))
+
+
+def _waterfall_file(rng):
+    """Three theorems whose use-termhint extracts an :EXPAND of two
+    (HQ ...) subterms bound by LET*; some mark one case with mark-clause,
+    stage an :IN-THEORY with termhint-seq, bind a LET* value that two
+    parents share in the goal, or state a goal that does not hold."""
+    lines = ["(defstub p0 1) (defstub p1 1) (defstub p2 1) (defstub g 1) (defstub h 1)",
+             "(defund fw (a b) (cons a b))",
+             "(defund wrap (a b) (cons a b))",
+             "(defthm wrap-fw (equal (wrap a b) (fw a b)) :hints ((:in-theory (enable wrap fw))))",
+             "(in-theory (disable wrap-fw))"]
+    for j in range(3):
+        args = [f"(if (p{rng.randrange(3)} x) {yes} {no})"
+                for yes, no in (rng.sample(["(g x)", "(h x)", "x", "(cons x x)"], 2)
+                                for _ in range(2))]
+        head = rng.choice(["fw", "wrap"])
+        goal = (f"(equal ({head} {args[0]} {args[1]})"
+                f" (cons {args[rng.random() < 0.2]} {args[1]}))")
+        if rng.random() < 0.4:
+            goal = f"(let* ((s (cons x x)) (u (cons s s)) (v (cons u u))) (implies (p0 v) {goal}))"
+        hint = "`'(:expand ((fw ,(hq t0) ,(hq t1))))"
+        if rng.random() < 0.4:
+            mark = f"''(:use ((:instance mark-clause-is-true (x 'case-{j}))))"
+            hint = f"(if (p{rng.randrange(3)} x) {mark} {hint})"
+        hint = f"(let* ((t0 {args[0]}) (t1 {args[1]})) {hint})"
+        if head == "wrap" or rng.random() < 0.3:
+            hint = f"(termhint-seq ''(:in-theory (enable wrap-fw)) {hint})"
+        lines.append(f"(defthm a{j} {goal} :rule-classes nil :hints ((use-termhint {hint})))")
+    return "\n".join(lines) + "\n"
+
+
+def test_waterfall_agrees_with_the_plain_spec(tmp_path, monkeypatch, capsys):
+    # The whole prover over the corpus and seeded files, once as it is and
+    # once with each simplification pass replaced by the plain spec, under
+    # a roomy step limit and three tight ones: the trace and checkpoint
+    # report, stderr and the exit code must match.
+    rng = random.Random(2417)
+    paths = [str(p) for p in _CORPUS]
+    for i in range(12):
+        path = tmp_path / f"gen-{i}.lisp"
+        path.write_text(_waterfall_file(rng))
+        paths.append(str(path))
+
+    def report(limit):
+        r = run(paths, limit)
+        return format_report(r, trace=True, checkpoints=True), capsys.readouterr().err, r.exit_code
+
+    verdicts = set()
+    for limit in (10000, 40, 7, 3):
+        real = report(limit)
+        with monkeypatch.context() as m:
+            m.setattr(hints, "simplify_clause",
+                      lambda clause, theory, world, budget, memos:
+                      _plain_simplify(clause, theory, world, budget))
+            plain = report(limit)
+        assert real == plain, limit
+        verdicts |= {line.split()[2] for line in real[0].splitlines()
+                     if line.startswith("THEOREM")}
+    assert verdicts == {"PROVED", "FAILED"}
 
 
 # ---------------------------------------------------------------------------
