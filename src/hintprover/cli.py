@@ -20,7 +20,7 @@ from .sexpr import (
 )
 from .term import (
     ALIASES, App, CONST_NIL, CONST_T, TranslateError,
-    beta_reduce, free_vars, translate, unparse,
+    beta_reduce, free_vars, term_text, translate, unparse,
 )
 from .world import RewriteRule, HintFn, World
 from .rewrite import ResourceError, StepBudget, negate_term, normalize_definition
@@ -329,7 +329,12 @@ def run(paths, max_steps: int = DEFAULT_MAX_STEPS, stop_on_failure: bool = False
 
 
 def render_event(kind: str, data):
-    """The s-expression a trace line shows for one event's data (see prove_clause)."""
+    """The s-expression view of one event's data (see prove_clause).
+
+    A trace line shows its printed text: event_text prints HINT and
+    PROVED payloads from this view and the others straight from their
+    terms, and tests check that text against this view.
+    """
     if kind == "SIMPLIFY":
         if isinstance(data, GoalCtx):
             return from_list([Symbol("STABLE"), data.sexpr])
@@ -341,6 +346,26 @@ def render_event(kind: str, data):
     if kind == "SPLIT":
         return unparse(data)
     return data
+
+
+def clause_text(clause) -> str:
+    """The text print_sexpr(clause_sexpr(clause)) gives."""
+    if not clause:
+        return "NIL"
+    return "(" + " ".join([term_text(lit) for lit in clause]) + ")"
+
+
+def event_text(kind: str, data) -> str:
+    """The text print_sexpr(render_event(kind, data)) gives."""
+    if kind == "SIMPLIFY":
+        if isinstance(data, GoalCtx):
+            return "(STABLE " + clause_text(data.clause) + ")"
+        return "(CHANGED " + clause_text(data) + ")"
+    if kind == "CHECKPOINT":
+        return clause_text(data.clause)
+    if kind == "SPLIT":
+        return term_text(data)
+    return print_sexpr(render_event(kind, data))
 
 
 def format_file(f: FileOutcome, trace: bool = False, checkpoints: bool = False) -> str:
@@ -355,7 +380,7 @@ def format_file(f: FileOutcome, trace: bool = False, checkpoints: bool = False) 
         events, marks = [], []
         try:
             if trace:
-                events = [f"EVENT {goal} {kind} {print_sexpr(render_event(kind, data))}"
+                events = [f"EVENT {goal} {kind} {event_text(kind, data)}"
                           for goal, kind, data in t.events]
             if checkpoints:
                 for ctx in [data for _, kind, data in t.events if kind == "CHECKPOINT"]:
@@ -363,7 +388,7 @@ def format_file(f: FileOutcome, trace: bool = False, checkpoints: bool = False) 
                     head = f"CHECKPOINT {ctx.goal_name}"
                     if labels:
                         head += " [" + " ".join(labels) + "]"
-                    marks += [head, "  " + print_sexpr(ctx.sexpr)]
+                    marks += [head, "  " + clause_text(ctx.clause)]
         except RecursionError as e:
             events, marks = [], []
             f.error = _error_text(e)

@@ -80,7 +80,9 @@ class GoalCtx:
     `in` and `[]` answer for CLAUSE, ID and STABLE-UNDER-SIMPLIFICATIONP.
     The clause's s-expression is rendered on the first read of `sexpr`
     (or CLAUSE) and kept, so a goal renders its clause at most once
-    however many hints, trace events and checkpoints use it.  `reading`
+    however many computed hints read it.  Only they and the s-expression
+    view cli.render_event need it: the report prints trace events and
+    checkpoints from the terms themselves (cli.event_text).  `reading`
     is set while a hint carried by the clause is evaluated against it.
     """
     __slots__ = ("clause", "goal_name", "stable", "world", "_sexpr", "reading")

@@ -13,7 +13,7 @@ import weakref
 
 from .sexpr import (
     NIL, Keyword, Pair, ParseError, ProverError, Symbol, T,
-    from_list, is_nil, is_proper_list, print_capped, to_list,
+    from_list, is_nil, is_proper_list, print_capped, print_sexpr, to_list,
     QUASIQUOTE, QUOTE, UNQUOTE, UNQUOTE_SPLICING,
 )
 
@@ -56,10 +56,11 @@ class _Term:
     A node is never changed after construction.  What is derived from it
     is computed on first use and kept on the node: `_sexpr`, the
     s-expression unparse returns (each Pair of which keeps its printed
-    text), `_fv`, the tuple free_vars returns, and `_split`, what
-    rewrite.find_split_test finds in it (False until it is asked).
+    text), `_text`, the printed text term_text returns, `_fv`, the tuple
+    free_vars returns, and `_split`, what rewrite.find_split_test finds
+    in it (False until it is asked).
     """
-    __slots__ = ("_sexpr", "_fv", "_split", "__weakref__")
+    __slots__ = ("_sexpr", "_text", "_fv", "_split", "__weakref__")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -71,6 +72,7 @@ class _Term:
 def _file(t, key):
     """Give the new node t empty caches and file it under key."""
     _set(t, "_sexpr", None)
+    _set(t, "_text", None)
     _set(t, "_fv", None)
     _set(t, "_split", False)
     r = _TABLE[key] = _Ref(t, _drop)
@@ -250,27 +252,45 @@ def _macro_let_star(form, tr):
     return out
 
 
+_WHEN = Symbol("WHEN")
+_UNLESS = Symbol("UNLESS")
+
+
 def _macro_bstar(form, tr):
+    """B* stands for nested forms, one per binder: (LET ((v e)) rest),
+    (IF test value rest) for ((WHEN test) value) and (IF test rest value)
+    for ((UNLESS test) value).  It translates their parts in the order
+    those forms would, going in: each WHEN's test and value and each
+    UNLESS's test, then the body; coming out, last binder first: each
+    LET's init and each UNLESS's value.  The chain is built on the way
+    out, in a loop, so a long binder list costs no recursion depth."""
     args = to_list(form.cdr)
     if len(args) != 2:
         raise TranslateError("B* expects a binder list and one body form")
-    frames = []  # per binder, the forms around the rest: before + [rest] + after
+    binders = []  # (None, name, init) or (WHEN or UNLESS, test, value)
     for b in to_list(args[0]):
         items = to_list(b) if isinstance(b, Pair) else None
         pair = items and len(items) == 2
         head = to_list(items[0]) if pair and isinstance(items[0], Pair) else ()
         if pair and isinstance(items[0], Symbol):
-            frames.append(([Symbol("LET"), from_list([b])], []))
-        elif len(head) == 2 and head[0] == Symbol("WHEN"):
-            frames.append(([Symbol("IF"), head[1], items[1]], []))
-        elif len(head) == 2 and head[0] == Symbol("UNLESS"):
-            frames.append(([Symbol("IF"), head[1]], [items[1]]))
+            binders.append((None, items[0].name, items[1]))
+        elif len(head) == 2 and head[0] in (_WHEN, _UNLESS):
+            binders.append((head[0], head[1], items[1]))
         else:
             raise TranslateError(f"malformed B* binder: {print_capped(b)}")
-    out = args[1]
-    for before, after in reversed(frames):
-        out = from_list(before + [out] + after)
-    return tr(out)
+    for i, (kind, x, value) in enumerate(binders):  # going in
+        if kind is not None:
+            test = tr(x)
+            binders[i] = (kind, test, tr(value) if kind is _WHEN else value)
+    out = tr(args[1])
+    for kind, x, value in reversed(binders):  # coming out
+        if kind is None:
+            out = make_lamapp([x], out, [tr(value)])
+        elif kind is _WHEN:
+            out = App("IF", (x, value, out))
+        else:
+            out = App("IF", (x, out, tr(value)))
+    return out
 
 
 # AND, OR and COND translate their arguments left to right, so the first
@@ -532,6 +552,27 @@ def unparse(t):
             out = Pair(lam, from_list([unparse(a) for a in t.actuals]))
         _set(t, "_sexpr", out)
     return out
+
+
+def term_text(t):
+    """The text print_sexpr(unparse(t)) gives, built from the kept texts of
+    t's arguments without building the s-expression, and kept on t."""
+    text = t._text
+    if text is None:
+        if isinstance(t, App):
+            parts = [t.fn]
+            for a in t.args:
+                s = a._text
+                parts.append(term_text(a) if s is None else s)
+            text = "(" + " ".join(parts) + ")"
+        elif isinstance(t, Var):
+            text = t.name
+        elif isinstance(t, Const):
+            text = "(QUOTE " + print_sexpr(t.value) + ")"
+        else:
+            text = print_sexpr(unparse(t))
+        _set(t, "_text", text)
+    return text
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ from .sexpr import (
     NIL, Keyword, Pair, ProverError, Symbol, QUOTE,
     from_list, is_nil, is_proper_list, parse_one, print_capped, print_sexpr, to_list,
 )
-from .term import CONST_NIL, App, Const, TranslateError, Translator, Var, translate, unparse
+from .term import (
+    CONST_NIL, App, Const, TranslateError, Translator, Var, term_text, translate, unparse,
+)
 from .world import HintFn, World
 from .hints import (
     ComputedHint, GoalCtx, Hint, UseInstance,
@@ -179,7 +181,7 @@ def clause_labels(clause):
     for lit in clause:
         arg = _carried(lit, MARK_FN)
         if arg is not None:
-            shown = print_sexpr(arg.value) if isinstance(arg, Const) else print_sexpr(unparse(arg))
+            shown = print_sexpr(arg.value) if isinstance(arg, Const) else term_text(arg)
             labels.append(shown)
     return labels
 

@@ -16,14 +16,15 @@ from hintprover.sexpr import (
     NIL, Pair, QUOTE, Keyword, Symbol, T, from_list, is_nil, parse_one, print_sexpr,
 )
 from hintprover.term import (
-    App, Const, LamApp, TranslateError, Var, free_vars, make_lamapp, translate, unparse,
+    App, Const, LamApp, TranslateError, Var, free_vars, make_lamapp, term_text, translate,
+    unparse,
 )
 from hintprover.world import World
 from hintprover.termhint import SEQ_FN, install_prelude
 from hintprover.rewrite import find_split_test
-from hintprover.cli import format_report, main, run
+from hintprover.cli import format_report, main, render_event, run
 
-from test_rewrite import _random_if_term, _random_rw_term
+from test_rewrite import _CORPUS, _random_if_term, _random_rw_term, _waterfall_file
 from test_termhint import _random_hint_term
 
 
@@ -297,6 +298,65 @@ def test_a_rendering_with_an_unknown_function_does_not_translate():
     t = App("ZQ-UNKNOWN", (Var("X"),))
     with pytest.raises(TranslateError, match="unknown function: ZQ-UNKNOWN"):
         translate(unparse(t), _round_trip_world())
+
+
+# ---------------------------------------------------------------------------
+# Text printed straight from terms
+
+def _random_shared(rng, levels):
+    """A lambda-free term whose nodes are shared: each new call takes its
+    arguments from the nodes built so far, ZQ-K's calls taking none."""
+    built = [_random_lambda_free(rng, 2) for _ in range(3)]
+    for _ in range(levels):
+        fn = rng.choice(sorted(_FNS))
+        built.append(App(fn, tuple(rng.choice(built) for _ in range(_FNS[fn]))))
+    return built[-1]
+
+
+@seed(16)
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_term_text_is_the_printed_rendering(n):
+    # shared nodes, generated lambda-free terms, and terms under a lambda
+    rng = random.Random(n)
+    make = rng.choice([_random_shared, _random_lambda_free, _random_printed_term])
+    t = make(rng, 8 if make is _random_shared else 4)
+    text = term_text(t)  # before unparse, so no rendering of t is kept yet
+    assert text == print_sexpr(unparse(t)) == _ref_print(t)
+    assert term_text(t) is text
+    for u in _subterms(t):
+        assert term_text(u) == print_sexpr(unparse(u))
+
+
+def test_report_prints_the_s_expression_view_of_each_payload(tmp_path):
+    # The corpus, seeded use-termhint files (HQ, TERMHINT-SEQ, MARK-CLAUSE)
+    # and a goal that simplifies to the empty clause: each SIMPLIFY, SPLIT
+    # and CHECKPOINT line shows the text of render_event's s-expression,
+    # and each checkpoint body the text of the goal's CLAUSE.
+    rng = random.Random(2417)
+    paths = [str(p) for p in _CORPUS]
+    paths.append(evfile(tmp_path, "(defthm empty (equal 1 2) :rule-classes nil)"))
+    for i in range(6):
+        paths.append(evfile(tmp_path, _waterfall_file(rng), f"gen-{i}.lisp"))
+    report = run(paths)
+    text = format_report(report, trace=True, checkpoints=True)  # before any reference
+
+    lines = iter(text.splitlines())
+    seen = set()
+    for f in report.files:
+        assert next(lines) == f"FILE {f.path}"
+        for t in f.theorems:
+            for goal, kind, data in t.events:
+                assert next(lines) == f"EVENT {goal} {kind} {print_sexpr(render_event(kind, data))}"
+                seen.add(kind)
+            assert next(lines).startswith(f"THEOREM {t.name} ")
+            for ctx in [data for _, kind, data in t.events if kind == "CHECKPOINT"]:
+                assert next(lines).startswith(f"CHECKPOINT {ctx.goal_name}")
+                assert next(lines) == "  " + print_sexpr(ctx.sexpr)
+    assert next(lines).startswith("PROVED ")
+    assert {"SIMPLIFY", "SPLIT", "CHECKPOINT"} <= seen
+    assert "[CASE-" in text  # a mark-clause label
+    assert "SIMPLIFY (STABLE NIL)" in text
 
 
 # ---------------------------------------------------------------------------
