@@ -30,7 +30,7 @@ rules to it, and IF splitting ignores tests under it.  Only an explicit
 from .sexpr import ProverError
 from .term import (
     App, Const, Var, CONST_NIL, CONST_T, FOLDABLE,
-    apply_builtin, beta_reduce, substitute, truthy,
+    apply_builtin, beta_reduce, built_cells, substitute, truthy,
 )
 
 
@@ -43,12 +43,14 @@ class ExpandError(ProverError):
 
 
 class StepBudget:
-    """Rewrite steps (`used`, reported as steps=) and subgoals (`goals`), one limit."""
+    """Rewrite steps (`used`, reported as steps=), subgoals (`goals`) and the
+    cons cells constant folding builds (`cells`), one limit."""
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
         self.goals = 0
+        self.cells = 0
 
     def take(self, n=1):
         """Charge n steps, failing exactly where n single steps would."""
@@ -61,6 +63,12 @@ class StepBudget:
         if self.goals >= self.limit:
             raise ResourceError(f"goal budget of {self.limit} exhausted")
         self.goals += 1
+
+    def take_cells(self, n):
+        """Charge the n cells a fold is about to build."""
+        if self.cells + n > self.limit:
+            raise ResourceError(f"fold budget of {self.limit} cells exhausted")
+        self.cells += n
 
 
 def negate_term(t):
@@ -87,13 +95,15 @@ class RewriteContext:
     every literal of a clause.
 
     decide counts its calls in `reads` and notes each question and its
-    answer in `log`.  Both memo tables map (term, iff) to (result, steps
-    charged).  `memo` holds the rewrites that never read the truth table;
-    it serves one theory and one world, but any number of truth tables:
-    it may be shared by every literal of every goal of a proof under that
-    theory, and the world must not change while it is in use.  `local`
-    holds the rewrites that did read it, and is emptied whenever the
-    table changes.
+    answer in `log`.  A fold that builds cons cells counts in `reads` too,
+    so the rewrites that made it are kept for the literal in hand only and
+    each literal pays for the cells its folds build.  Both memo tables map
+    (term, iff) to (result, steps charged).  `memo` holds the rewrites
+    that never read the truth table; it serves one theory and one world,
+    but any number of truth tables: it may be shared by every literal of
+    every goal of a proof under that theory, and the world must not change
+    while it is in use.  `local` holds the rewrites that did read it, and
+    is emptied whenever the table changes.
     """
 
     __slots__ = ("theory", "world", "budget", "falses", "trues", "memo", "local",
@@ -176,18 +186,18 @@ def rewrite_term(t, ctx, iff=False):
     arguments of NOT and IFF are rewritten that way, no others.
 
     Calls are memoized per (t, iff).  rewrite_term asks ctx only through
-    decide, so a call during which ctx.reads did not move is a function
-    of (t, iff), the theory and the world, and goes to ctx.memo; any
-    other goes to ctx.local.  A hit in ctx.local counts as a read, since
+    decide, so a call during which ctx.reads did not move (it asked
+    nothing and folded no cells) is a function of (t, iff), the theory and
+    the world, and goes to ctx.memo; any other goes to ctx.local.  A hit in ctx.local counts as a read, since
     the enclosing call depends on the context too.  A hit charges the
     recorded steps again, so the budget reads (and runs out) as if the
     work were redone.  The lookup is at the entry and the store at the
     one exit below: a wrapper would cost a stack frame per nesting level.
 
-    A foldable head with constant arguments folds here.  Any other call's
-    node goes to _finish only where one of its steps can act: an IF, an
-    iff context, EQUAL or IFF, or a head with rules.  Any other node is
-    its own result.
+    A foldable head with constant arguments folds here, once the cells
+    it builds are charged.  Any other call's node goes to _finish only
+    where one of its steps can act: an IF, an iff context, EQUAL or IFF,
+    or a head with rules.  Any other node is its own result.
     """
     if isinstance(t, Var):
         if iff:
@@ -238,7 +248,12 @@ def rewrite_term(t, ctx, iff=False):
                 consts = False
             args.append(b)
         if consts and fn in FOLDABLE:
-            out = Const(apply_builtin(fn, [b.value for b in args]))
+            values = [b.value for b in args]
+            cells = built_cells(fn, values)
+            if cells:
+                budget.take_cells(cells)
+                ctx.reads += 1  # each literal pays for the cells its folds build
+            out = Const(apply_builtin(fn, values))
         else:
             out = App(fn, tuple(args)) if changed else t
             if iff or fn == "EQUAL" or fn == "IFF" or fn in ctx.world.rules_by_fn:
@@ -286,22 +301,11 @@ def _finish(u, ctx, iff):
 def find_split_test(t):
     """Innermost leftmost IF with a non-constant test, ignoring HIDE.
 
-    The answer is computed once per node and kept in its `_split` slot:
-    False until then, True when it is the node itself (so no node refers
-    to itself), otherwise None or the subterm found.
+    The answer is worked out when the node is built and kept in its
+    `_split` slot: True when it is the node itself (so no node refers to
+    itself), otherwise None or the subterm found.
     """
     r = t._split
-    if r is False:
-        r = None
-        if isinstance(t, App) and t.fn != "HIDE":
-            for a in t.args:
-                r = find_split_test(a)
-                if r is not None:
-                    break
-            else:
-                if t.fn == "IF" and not isinstance(t.args[0], Const):
-                    r = True
-        object.__setattr__(t, "_split", r)  # terms are frozen
     return t if r is True else r
 
 
@@ -375,9 +379,10 @@ def simplify_clause(clause, theory, world, budget, memos):
     literal whose rewrite read the truth table is filed in that table
     under the literal itself, as (log, result, steps); a later literal
     equal to it whose table gives every logged question the logged answer
-    takes the result and is charged the steps, as a memo hit is.  Since
-    rewrite_term asks its context only through decide, the same answers
-    give the same rewrite.
+    takes the result and is charged the steps, as a memo hit is.  A
+    literal whose folds built cells is not filed, so each literal that
+    meets it pays for them.  Since rewrite_term asks its context only
+    through decide, the same answers give the same rewrite.
     """
     memo = memos.setdefault(theory, {})
     ctx = RewriteContext(theory, world, budget, memo, clause)
@@ -392,9 +397,9 @@ def simplify_clause(clause, theory, world, budget, memos):
         else:
             ctx.local = {}
             log = ctx.log = {}
-            used = budget.used
+            used, cells = budget.used, budget.cells
             out = rewrite_term(lit, ctx, True)
-            if log:
+            if log and budget.cells == cells:
                 memo[lit] = (log, out, budget.used - used)
                 ctx.log = {}  # what later questions ask stays out of the filed log
         lits[i] = out

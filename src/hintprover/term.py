@@ -50,17 +50,28 @@ def _drop(ref, table=_TABLE):
         del table[key]
 
 
-class _Term:
+class _Slots:
+    """The cache slots every node has, without the immutability guard.
+
+    A constructor builds a node as an instance of its kind's slots class,
+    which stores fields and caches as plain slot stores, and then seals
+    it: `_file` sets its class to the public class, which adds nothing to
+    the layout but `_Term`'s raising `__setattr__`.
+    """
+    __slots__ = ("_sexpr", "_text", "_fv", "_split", "__weakref__")
+
+
+class _Term(_Slots):
     """Base of the interned term classes.
 
     A node is never changed after construction.  What is derived from it
-    is computed on first use and kept on the node: `_sexpr`, the
-    s-expression unparse returns (each Pair of which keeps its printed
-    text), `_text`, the printed text term_text returns, `_fv`, the tuple
-    free_vars returns, and `_split`, what rewrite.find_split_test finds
-    in it (False until it is asked).
+    is kept on the node: `_split`, what rewrite.find_split_test finds in
+    it, is answered when the node is built; `_sexpr`, the s-expression
+    unparse returns (each Pair of which keeps its printed text), `_text`,
+    the printed text term_text returns, and `_fv`, the tuple free_vars
+    returns, are computed on first use (None until then).
     """
-    __slots__ = ("_sexpr", "_text", "_fv", "_split", "__weakref__")
+    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -69,35 +80,54 @@ class _Term:
         return print_capped(unparse(self))
 
 
-def _file(t, key):
-    """Give the new node t empty caches and file it under key."""
-    _set(t, "_sexpr", None)
-    _set(t, "_text", None)
-    _set(t, "_fv", None)
-    _set(t, "_split", False)
+def _file(t, cls, key, split=None):
+    """Give the new node t its split answer and empty lazy caches, seal it
+    as a cls and file it under key.  The seal comes before the weak
+    reference, so the table never holds an unsealed node."""
+    t._split = split
+    t._sexpr = None
+    t._text = None
+    t._fv = None
+    t.__class__ = cls
     r = _TABLE[key] = _Ref(t, _drop)
     r.key = key
 
 
-class Var(_Term):
+class _VarSlots(_Slots):
     __slots__ = ("name",)
+
+
+class _ConstSlots(_Slots):
+    __slots__ = ("value",)
+
+
+class _AppSlots(_Slots):
+    __slots__ = ("fn", "args", "has_lambda")
+
+
+class _LamAppSlots(_Slots):
+    __slots__ = ("formals", "body", "actuals")
+
+
+class Var(_VarSlots, _Term):
+    __slots__ = ()
     has_lambda = False
 
     def __new__(cls, name):
         r = _TABLE.get(name)
         t = r() if r is not None else None
         if t is None:
-            t = object.__new__(cls)
-            _set(t, "name", name)
-            _file(t, name)
+            t = _VarSlots()
+            t.name = name
+            _file(t, cls, name)
         return t
 
     def __repr__(self):
         return self.name
 
 
-class Const(_Term):
-    __slots__ = ("value",)
+class Const(_ConstSlots, _Term):
+    __slots__ = ()
     has_lambda = False
 
     def __new__(cls, value):
@@ -105,39 +135,52 @@ class Const(_Term):
         r = _TABLE.get(key)
         t = r() if r is not None else None
         if t is None:
-            t = object.__new__(cls)
-            _set(t, "value", value)
-            _file(t, key)
+            t = _ConstSlots()
+            t.value = value
+            _file(t, cls, key)
         return t
 
     def __repr__(self):
         return "'" + print_capped(self.value)
 
 
-class App(_Term):
-    """A call (fn args...); has_lambda says whether a LamApp occurs in it."""
-    __slots__ = ("fn", "args", "has_lambda")
+class App(_AppSlots, _Term):
+    """A call (fn args...); has_lambda says whether a LamApp occurs in it.
+
+    Its `_split` is None under HIDE, else the first argument's answer
+    (the node that argument's search found), else True for an IF whose
+    test is not a constant: the node itself, which it cannot refer to.
+    """
+    __slots__ = ()
 
     def __new__(cls, fn, args):
         key = (fn, args)
         r = _TABLE.get(key)
         t = r() if r is not None else None
         if t is None:
-            t = object.__new__(cls)
-            _set(t, "fn", fn)
-            _set(t, "args", args)
+            t = _AppSlots()
+            t.fn = fn
+            t.args = args
             lam = False
+            split = None
             for a in args:
                 if a.has_lambda:
                     lam = True
-                    break
-            _set(t, "has_lambda", lam)
-            _file(t, key)
+                if split is None:
+                    split = a._split
+                    if split is True:
+                        split = a
+            t.has_lambda = lam
+            if fn == "HIDE":
+                split = None
+            elif split is None and fn == "IF" and not isinstance(args[0], Const):
+                split = True
+            _file(t, cls, key, split)
         return t
 
 
-class LamApp(_Term):
-    __slots__ = ("formals", "body", "actuals")
+class LamApp(_LamAppSlots, _Term):
+    __slots__ = ()
     has_lambda = True
 
     def __new__(cls, formals, body, actuals):
@@ -145,11 +188,11 @@ class LamApp(_Term):
         r = _TABLE.get(key)
         t = r() if r is not None else None
         if t is None:
-            t = object.__new__(cls)
-            _set(t, "formals", formals)
-            _set(t, "body", body)
-            _set(t, "actuals", actuals)
-            _file(t, key)
+            t = _LamAppSlots()
+            t.formals = formals
+            t.body = body
+            t.actuals = actuals
+            _file(t, cls, key)
         return t
 
 
@@ -217,6 +260,14 @@ def apply_builtin(name: str, args):
     if meaning is None:
         raise EvalError(f"not a builtin: {name}")
     return meaning(*args)
+
+
+def built_cells(name: str, args) -> int:
+    """The cons cells apply_builtin(name, args) builds: len(x) for
+    (BINARY-APPEND x y), one for CONS, none for the others."""
+    if name == "BINARY-APPEND":
+        return _len(args[0])
+    return 1 if name == "CONS" else 0
 
 
 # ---------------------------------------------------------------------------
@@ -622,13 +673,18 @@ def _beta_reduce(t, done):
     if not t.has_lambda:
         return t
     out = done.get(t)
-    if out is None:
+    if out is None:  # explicit loops: a comprehension costs a frame per level
         if isinstance(t, App):  # some argument holds a lambda, so it changes
-            out = App(t.fn, tuple([_beta_reduce(a, done) for a in t.args]))
+            args = []
+            for a in t.args:
+                args.append(_beta_reduce(a, done))
+            out = App(t.fn, tuple(args))
         else:
             body = _beta_reduce(t.body, done)
-            actuals = [_beta_reduce(a, done) for a in t.actuals]
-            out = substitute(body, dict(zip(t.formals, actuals)))
+            subst = {}
+            for name, a in zip(t.formals, t.actuals):
+                subst[name] = _beta_reduce(a, done)
+            out = substitute(body, subst)
         done[t] = out
     return out
 

@@ -302,6 +302,44 @@ def test_long_bstar_proves_from_the_command_line(tmp_path):
     assert done.stdout.endswith("PROVED 1/1\n")
 
 
+def test_long_bstar_of_when_binders_proves_from_the_command_line(tmp_path):
+    # beta_reduce rebuilds a call's arguments and a lambda's actuals in
+    # loops, one frame per level, so 450 pairs of a plain and a WHEN binder
+    # fit the stack of the command line's own start
+    n = 450
+    binds = " ".join(f"(v{i} v{i - 1}) ((when (consp v{i})) v{i})" for i in range(1, n + 1))
+    goal = evfile(tmp_path, f"(defthm a (equal (b* ((v0 x) {binds}) v{n}) x) :rule-classes nil)")
+    done = subprocess.run([sys.executable, "-m", "hintprover.cli", goal],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.endswith("PROVED 1/1\n")
+
+
+@pytest.mark.parametrize("n, flags, limit", [
+    (13, [], None),  # its folds build 2^13 - 1 = 8,191 cells, within the default
+    (14, [], 10000),
+    (22, [], 10000),
+    (22, ["--max-steps", "0"], 0),
+])
+def test_constant_folding_counts_against_the_bound(tmp_path, capsys, n, flags, limit):
+    # Each binding appends the last list to itself.  A fold of
+    # (binary-append x y) builds len(x) cells, so the n folds build
+    # 2^n - 1 in all: 4 million at n = 22, where the bound stops them.
+    binds = " ".join(f"(v{i} (append v{i - 1} v{i - 1}))" for i in range(1, n + 1))
+    path = evfile(tmp_path, f"(defthm a (equal (len (let* ((v0 '(a)) {binds}) v{n})) {2 ** n})"
+                            " :rule-classes nil)")
+    start = time.perf_counter()
+    status = main([*flags, path])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    if limit is None:
+        assert (status, err) == (0, "") and out.endswith("PROVED 1/1\n")
+    else:
+        assert status == 1 and "THEOREM A FAILED steps=0" in out and out.endswith("PROVED 0/1\n")
+        assert err == f"ERROR {path} A: fold budget of {limit} cells exhausted\n"
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("flags, theorem", [
     # a quoted constant, printed by the trace and by the checkpoint
     (["--trace", "--checkpoints"], "(defthm a (p '{d}) :rule-classes nil)"),

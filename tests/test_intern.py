@@ -203,6 +203,38 @@ def test_a_late_callback_leaves_the_node_filed_after_it():
 
 
 # ---------------------------------------------------------------------------
+# Every node is built unguarded, then sealed
+
+_FIELDS = {Var: ("name",), Const: ("value",), App: ("fn", "args", "has_lambda"),
+           LamApp: ("formals", "body", "actuals")}
+
+
+def test_every_constructor_returns_a_sealed_node():
+    x = Var("ZS-X")
+    body = App("ZS-F", (x, App("IF", (x, x, Const(1)))))
+    nodes = [x, Const(from_list([1, Symbol("ZS")])), body,
+             LamApp(("ZS-X",), body, (Const(2),))]
+    for t in nodes:
+        term_text(t), unparse(t), free_vars(t)  # fill the lazy caches first
+        assert type(t) in _FIELDS, type(t)
+        for name in _FIELDS[type(t)] + ("_sexpr", "_text", "_fv", "_split", "__class__"):
+            before = getattr(t, name)
+            with pytest.raises(AttributeError):
+                setattr(t, name, None)
+            assert getattr(t, name) is before
+    assert find_split_test(body) is body.args[1]
+
+
+def test_the_table_holds_only_sealed_nodes_after_a_corpus_run():
+    report = run([str(p) for p in _CORPUS])
+    format_report(report, trace=True, checkpoints=True)
+    live = [t for t in (r() for r in list(term._TABLE.values())) if t is not None]
+    assert len(live) > 200  # the report keeps its events' terms: 294 counted
+    assert {type(t) for t in live} == set(_FIELDS)
+    del report
+
+
+# ---------------------------------------------------------------------------
 # Rendering, and translating a rendering back
 
 def _ref_print(t):
