@@ -44,13 +44,19 @@ class ExpandError(ProverError):
 
 class StepBudget:
     """Rewrite steps (`used`, reported as steps=), subgoals (`goals`) and the
-    cons cells constant folding builds (`cells`), one limit."""
+    cons cells constant folding builds (`cells`), one limit.
+
+    `folded` holds the folds charged so far, each a (head, constant
+    arguments) pair: a proof pays once for each distinct fold, however
+    many of its literals and goals build it again or take it from a memo.
+    """
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
         self.goals = 0
         self.cells = 0
+        self.folded = set()
 
     def take(self, n=1):
         """Charge n steps, failing exactly where n single steps would."""
@@ -64,11 +70,13 @@ class StepBudget:
             raise ResourceError(f"goal budget of {self.limit} exhausted")
         self.goals += 1
 
-    def take_cells(self, n):
-        """Charge the n cells a fold is about to build."""
-        if self.cells + n > self.limit:
-            raise ResourceError(f"fold budget of {self.limit} cells exhausted")
-        self.cells += n
+    def take_cells(self, fold, n):
+        """Charge the n cells fold is about to build, unless already charged."""
+        if fold not in self.folded:
+            if self.cells + n > self.limit:
+                raise ResourceError(f"fold budget of {self.limit} cells exhausted")
+            self.cells += n
+            self.folded.add(fold)
 
 
 def negate_term(t):
@@ -95,15 +103,15 @@ class RewriteContext:
     every literal of a clause.
 
     decide counts its calls in `reads` and notes each question and its
-    answer in `log`.  A fold that builds cons cells counts in `reads` too,
-    so the rewrites that made it are kept for the literal in hand only and
-    each literal pays for the cells its folds build.  Both memo tables map
-    (term, iff) to (result, steps charged).  `memo` holds the rewrites
-    that never read the truth table; it serves one theory and one world,
-    but any number of truth tables: it may be shared by every literal of
-    every goal of a proof under that theory, and the world must not change
-    while it is in use.  `local` holds the rewrites that did read it, and
-    is emptied whenever the table changes.
+    answer in `log`.  Both memo tables map (term, iff) to (result, steps
+    charged).  `memo` holds the rewrites that never read the truth table;
+    it serves one theory and one world, but any number of truth tables:
+    it may be shared by every literal of every goal of a proof under that
+    theory, and the world must not change while it is in use.  A hit
+    charges no fold cells, so the budget in use must have charged every
+    fold in it already, as the one budget of that proof has.  `local`
+    holds the rewrites that did read it, and is emptied whenever the
+    table changes.
     """
 
     __slots__ = ("theory", "world", "budget", "falses", "trues", "memo", "local",
@@ -186,18 +194,18 @@ def rewrite_term(t, ctx, iff=False):
     arguments of NOT and IFF are rewritten that way, no others.
 
     Calls are memoized per (t, iff).  rewrite_term asks ctx only through
-    decide, so a call during which ctx.reads did not move (it asked
-    nothing and folded no cells) is a function of (t, iff), the theory and
-    the world, and goes to ctx.memo; any other goes to ctx.local.  A hit in ctx.local counts as a read, since
+    decide, so a call during which ctx.reads did not move is a function
+    of (t, iff), the theory and the world, and goes to ctx.memo; any
+    other goes to ctx.local.  A hit in ctx.local counts as a read, since
     the enclosing call depends on the context too.  A hit charges the
     recorded steps again, so the budget reads (and runs out) as if the
     work were redone.  The lookup is at the entry and the store at the
     one exit below: a wrapper would cost a stack frame per nesting level.
 
-    A foldable head with constant arguments folds here, once the cells
-    it builds are charged.  Any other call's node goes to _finish only
-    where one of its steps can act: an IF, an iff context, EQUAL or IFF,
-    or a head with rules.  Any other node is its own result.
+    A foldable head with constant arguments folds here, once the budget
+    has charged the cells it builds.  Any other call's node goes to
+    _finish only where one of its steps can act: an IF, an iff context,
+    EQUAL or IFF, or a head with rules.  Any other node is its own result.
     """
     if isinstance(t, Var):
         if iff:
@@ -251,8 +259,7 @@ def rewrite_term(t, ctx, iff=False):
             values = [b.value for b in args]
             cells = built_cells(fn, values)
             if cells:
-                budget.take_cells(cells)
-                ctx.reads += 1  # each literal pays for the cells its folds build
+                budget.take_cells((fn, tuple(args)), cells)
             out = Const(apply_builtin(fn, values))
         else:
             out = App(fn, tuple(args)) if changed else t
@@ -379,10 +386,9 @@ def simplify_clause(clause, theory, world, budget, memos):
     literal whose rewrite read the truth table is filed in that table
     under the literal itself, as (log, result, steps); a later literal
     equal to it whose table gives every logged question the logged answer
-    takes the result and is charged the steps, as a memo hit is.  A
-    literal whose folds built cells is not filed, so each literal that
-    meets it pays for them.  Since rewrite_term asks its context only
-    through decide, the same answers give the same rewrite.
+    takes the result and is charged the steps, as a memo hit is.  Since
+    rewrite_term asks its context only through decide, the same answers
+    give the same rewrite.
     """
     memo = memos.setdefault(theory, {})
     ctx = RewriteContext(theory, world, budget, memo, clause)
@@ -397,9 +403,9 @@ def simplify_clause(clause, theory, world, budget, memos):
         else:
             ctx.local = {}
             log = ctx.log = {}
-            used, cells = budget.used, budget.cells
+            used = budget.used
             out = rewrite_term(lit, ctx, True)
-            if log and budget.cells == cells:
+            if log:
                 memo[lit] = (log, out, budget.used - used)
                 ctx.log = {}  # what later questions ask stays out of the filed log
         lits[i] = out

@@ -374,7 +374,7 @@ def test_shared_memo_answers_as_a_fresh_context_random():
     rng = random.Random(4113)
     hits = filed = kept = 0
     for _ in range(150):
-        memo = {}
+        memo, folded = {}, set()  # the shared table and the folds charged filling it
         t = _random_rw_term(rng, 4)
         for _ in range(6):
             assume = rng.sample(pool, rng.randrange(4))
@@ -387,11 +387,12 @@ def test_shared_memo_answers_as_a_fresh_context_random():
                 for table in ({}, memo):  # a fresh table, then the shared one
                     entry = table.get((t, iff))
                     c = RewriteContext(theory, w, StepBudget(limit), table, assume)
+                    c.budget.folded |= folded  # as a later literal of that proof
                     try:
                         out = rewrite_term(t, c, iff)
                     except ResourceError as e:
                         out = str(e)
-                    seen.append((out, c.budget.used))
+                    seen.append((out, c.budget.used, c.budget.cells))
                     if table is memo and not isinstance(out, str):
                         if entry is not None:
                             hits += 1
@@ -399,9 +400,10 @@ def test_shared_memo_answers_as_a_fresh_context_random():
                             filed += 1  # its rewrite never read the context
                         else:
                             kept += 1  # it did, so the context kept it
+                folded = c.budget.folded
                 assert seen[0] == seen[1], (t, assume, iff, limit)
                 if limit == 10000:
-                    assert seen[0] == (want, full)
+                    assert seen[0][:2] == (want, full)
     # hits, and both ways of filing the top term: counted 764, 68 and 2,410
     assert hits > 700 and filed > 50 and kept > 2000
 
@@ -424,9 +426,8 @@ def test_shared_memo_holds_only_what_any_context_computes_random():
         assume = rng.sample(pool, rng.randrange(1, 4))
         c = RewriteContext(theory, w, StepBudget(10000), {}, assume)
         assert (rewrite_term(t, c, iff), c.budget.used) == (out, steps), (t, iff, assume)
-    # counted 226 entries, 87 of them rewritten and 1 charging steps; a
-    # rewrite whose fold built cells stays with its literal, not in here
-    assert len(memo) > 200 and sum(out is not t for (t, _), (out, _) in memo.items()) > 80
+    # counted 249 entries, 110 of them rewritten and 1 charging steps
+    assert len(memo) > 200 and sum(out is not t for (t, _), (out, _) in memo.items()) > 100
     assert any(steps for _, steps in memo.values())
 
 
@@ -435,14 +436,13 @@ class _Spec:
     and every call node after its arguments goes through fold, settle,
     decide and then the rules in install order.  The context answers from
     two sets, the other literals and the arguments of their NOTs, with a
-    term that is both read as true.  One instance rewrites one literal,
-    which pays once for the cells each (call, iff) it folds builds."""
+    term that is both read as true.  The budget charges each distinct fold
+    once, whichever literal builds it."""
 
     def __init__(self, theory, world, budget, false_literals):
         self.theory, self.world, self.budget = theory, world, budget
         self.false = set(false_literals)
         self.true = {l.args[0] for l in self.false if isinstance(l, App) and l.fn == "NOT"}
-        self.folded = set()
 
     def answer(self, q):
         if q in self.true:
@@ -470,10 +470,8 @@ class _Spec:
         else:
             arg_iff = t.fn in ("NOT", "IFF")
             u = App(t.fn, tuple(self.rewrite(a, arg_iff) for a in t.args))
-            if (u.fn in FOLDABLE and all(isinstance(a, Const) for a in u.args)
-                    and (t, iff) not in self.folded):
-                self.folded.add((t, iff))
-                self.budget.take_cells(built_cells(u.fn, [a.value for a in u.args]))
+            if u.fn in FOLDABLE and all(isinstance(a, Const) for a in u.args):
+                self.budget.take_cells((u.fn, u.args), built_cells(u.fn, [a.value for a in u.args]))
         return self.finish(u, iff)
 
     def decided(self, u):
@@ -554,7 +552,7 @@ def test_rewrite_term_agrees_with_the_plain_inside_out_spec():
     for n in range(300):
         w, theory = worlds[n % 2]
         t = _spec_term(rng, 5)
-        memo = {}
+        memo, folded = {}, set()  # the shared table and the folds charged filling it
         # literals drawn mostly from t's own subterms, so that they settle
         # something, HIDE calls included (only decide can settle those)
         pool = list(_subterms(t)) + [_spec_term(rng, 2) for _ in range(3)]
@@ -572,22 +570,26 @@ def test_rewrite_term_agrees_with_the_plain_inside_out_spec():
             for limit in (10000, full, full - 1):
                 if limit < 0:
                     continue
+                # a fresh table and budget; then the shared table, with a
+                # budget that has charged the folds in it, as a later
+                # literal of that proof has, and the spec from those folds
                 seen = []
-                for got_by in ("spec", "fresh", "shared"):
+                for got_by, table, charged in (("spec", None, set()), ("fresh", {}, set()),
+                                               ("spec", None, set(folded)), ("shared", memo, folded)):
                     budget = StepBudget(limit)
+                    budget.folded = charged
                     hits += got_by == "shared" and (t, iff) in memo
                     try:
                         if got_by == "spec":
                             out = _Spec(theory, w, budget, assume).rewrite(t, iff)
                         else:
-                            table = memo if got_by == "shared" else {}
                             out = rewrite_term(t, RewriteContext(theory, w, budget, table, assume), iff)
                     except ResourceError as e:
                         out = str(e)
-                    seen.append((out, budget.used))
-                assert seen[0] == seen[1] == seen[2], (t, assume, iff, limit, seen)
+                    seen.append((out, budget.used, budget.cells))
+                assert seen[0] == seen[1] and seen[2] == seen[3], (t, assume, iff, limit, seen)
                 if limit == 10000:
-                    assert seen[0] == (want, full)
+                    assert seen[0][:2] == seen[2][:2] == (want, full)
                 shown += want is not t and full > 0
     assert shown > 100 and hits > 400 and contradictions > 50  # hits: 465 counted
 
@@ -886,7 +888,7 @@ def test_simplify_clause_agrees_with_the_plain_spec_across_goals():
     for n in range(40):
         w, on = worlds[n % 2]
         theories = (on, on - {"G-CONS", "D"})
-        memos = {}
+        memos, folded = {}, set()  # the shared tables and the folds charged filling them
         t = _spec_term(rng, 4)
         pool = [a for a in _subterms(t) if not isinstance(a, Const)][:8]
         pool += [_spec_term(rng, 2) for _ in range(3)]
@@ -906,23 +908,30 @@ def test_simplify_clause_agrees_with_the_plain_spec_across_goals():
             for limit in rng.sample([10000, full, full - 1], 3):
                 if limit < 0:
                     continue
+                # fresh tables and budget; then the shared tables, with a
+                # budget that has charged the folds in them, as a later
+                # goal of that proof has, and the spec from those folds
                 seen = []
-                for real in (False, True):
+                for tables, charged in ((None, set()), ({}, set()),
+                                        (None, set(folded)), (memos, folded)):
                     budget = StepBudget(limit)
-                    table = memos.get(theory, {})
-                    filed = {l: table[l] for l in clause if l in table}
+                    budget.folded = charged
+                    filed = {}
+                    if tables is memos:
+                        table = memos.get(theory, {})
+                        filed = {l: table[l] for l in clause if l in table}
                     try:
-                        if real:
-                            out = simplify_clause(clause, theory, w, budget, memos)
-                            reused += sum(memos[theory][l] is e for l, e in filed.items())
-                        else:
+                        if tables is None:
                             out = _plain_simplify(clause, theory, w, budget)
+                        else:
+                            out = simplify_clause(clause, theory, w, budget, tables)
+                            reused += sum(memos[theory][l] is e for l, e in filed.items())
                     except ResourceError as e:
                         out = str(e)
-                    seen.append((out, budget.used))
-                assert seen[0] == seen[1], (clause, limit, seen)
+                    seen.append((out, budget.used, budget.cells))
+                assert seen[0] == seen[1] and seen[2] == seen[3], (clause, limit, seen)
                 if limit == 10000:
-                    assert seen[0] == (want, full)
+                    assert seen[0][:2] == seen[2][:2] == (want, full)
             shown += want != (clause, None) and full > 0
         assert set(memos) <= set(theories)
     # clauses the pass changed at a cost, and literal entries taken as
