@@ -84,16 +84,19 @@ class GoalCtx:
     view cli.render_event need it: the report prints trace events and
     checkpoints from the terms themselves (cli.event_text).  `reading`
     is set while a hint carried by the clause is evaluated against it.
+    `budget` is the proof's StepBudget, which charges the cells a hint
+    read back off the clause copies; None charges nothing.
     """
-    __slots__ = ("clause", "goal_name", "stable", "world", "_sexpr", "reading")
+    __slots__ = ("clause", "goal_name", "stable", "world", "_sexpr", "reading", "budget")
 
-    def __init__(self, clause: tuple, goal_name: str, stable: bool, world):
+    def __init__(self, clause: tuple, goal_name: str, stable: bool, world, budget=None):
         self.clause = clause
         self.goal_name = goal_name
         self.stable = stable
         self.world = world
         self._sexpr = None
         self.reading = False
+        self.budget = budget
 
     @property
     def sexpr(self):
@@ -444,7 +447,7 @@ def prove_clause(clause, pending, world, budget):
     memos = {}  # one rewrite memo table per theory, for this proof only
     while todo:
         name, clause, pending, theory = todo.pop()
-        ctx = GoalCtx(clause, name, False, world)
+        ctx = GoalCtx(clause, name, False, world, budget)
         found = _first_firing(pending, ctx)
         if found is None:
             out = simplify_clause(clause, theory, world, budget, memos)

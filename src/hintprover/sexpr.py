@@ -6,6 +6,8 @@ so `foo` and `FOO` read as the same symbol.
 """
 
 import re
+from itertools import islice
+from operator import length_hint
 
 
 class ProverError(Exception):
@@ -192,110 +194,112 @@ def is_proper_list(e) -> bool:
 # ---------------------------------------------------------------------------
 # Reader
 
-# Two parts of _TOKEN that an error path also matches on their own
-_SPACE = r"(?:[ \t\r\n]+|;[^\n]*)*"
+# A string's body up to its closing quote; an error path also matches it alone
 _STRING_BODY = r'[^"\\]*(?:\\["\\][^"\\]*)*'
-
-# One match per token, with the whitespace and comments before it.  The
-# group that matched says what the token is: 1 "(", 2 ")", 3 a reader
-# macro, 4 the body of a string, 5 a dot standing alone, 6 an atom, 7 a
-# string that does not close; none, the end of the text.
-_TOKEN = re.compile(_SPACE + r"""(?:(\()|(\))|(,@|[',`])|"(%s)"|(\.)(?=[ \t\r\n()";]|\Z)
-                    |([^ \t\r\n()"';`,]+)|(")|\Z)""" % _STRING_BODY, re.X)
+# One match per token, with the whitespace and `;` comments before it.  Its
+# group holds the token: "(", ")", a dot with the reader macro after it, an
+# atom (a dotted pair's dot among them), a reader macro, a string with its
+# quotes, a '"' that opens no string that closes, or "" at the end of text.
+_TOKEN = re.compile(r"""[ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*
+                        ([()]|\.['`,]|[^ \t\r\n()"';`,]+|,@|['`,]|"%s"|"|\Z)""" % _STRING_BODY, re.X)
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _ESCAPE = re.compile(r'\\(["\\])')
 _MACROS = {"'": QUOTE, "`": QUASIQUOTE, ",": UNQUOTE, ",@": UNQUOTE_SPLICING}
-_DOT = object()  # on the reader's stack: the next form is a dotted tail
+_DOT = object()  # in place of the innermost open list: the next form is a dotted tail
 
 
 def _fail(text: str, pos: int, msg: str):
-    line = text.count("\n", 0, pos) + 1
-    raise ParseError(f"{msg} (line {line})")
+    raise ParseError("%s (line %d)" % (msg, text.count("\n", 0, pos) + 1))
 
 
-def _atom(tok: str, text: str, end: int):
-    """The value an atom's token reads as; `end` is where the token ends."""
+def _offset(text: str, tokens: list, rest) -> int:
+    """Where the token `rest` gave last begins: text's scan, run again up to it."""
+    k = len(tokens) - length_hint(rest)
+    return next(islice(_TOKEN.finditer(text), k - 1, None)).start(1)
+
+
+def _atom(tok: str, text: str, tokens: list, rest):
+    """The value of an atom's or a string's token, which `rest` gave last."""
+    if tok[0] == '"':
+        if len(tok) == 1:  # the string does not close
+            stop = re.compile(_STRING_BODY).match(text, _offset(text, tokens, rest) + 1).end()
+            if stop + 1 < len(text):  # stopped at a backslash
+                _fail(text, stop + 1, f"unknown string escape \\{text[stop + 1]}")
+            _fail(text, len(text), "unterminated string")
+        return _ESCAPE.sub(r"\1", tok[1:-1])
     if _INTEGER.fullmatch(tok):
         return int(tok)
     if tok[0] == ":":
         if len(tok) == 1:
-            _fail(text, end, "bare colon is not a keyword")
+            _fail(text, _offset(text, tokens, rest), "bare colon is not a keyword")
         return Keyword(tok[1:].upper())
     up = tok.upper()
     if up == "NIL":
         return NIL
     if "." in up:
-        _fail(text, end, f"symbol name may not contain a dot: {tok}")
+        name = tok.rstrip("'`,")  # a dot is scanned with the reader macro after it
+        _fail(text, _offset(text, tokens, rest), f"symbol name may not contain a dot: {name}")
     return Symbol(up)
 
 
 def parse(text: str):
     """Read all forms in `text`, returning a Python list of SExprs.
 
-    One loop reads the tokens in order, with an explicit stack of the
-    lists still open (Python lists of their items so far), the reader
-    macros waiting for their form, and _DOT after a dotted pair's dot, so
-    nesting costs no recursion.  A finished form is wrapped by the macros
-    above it and joins the innermost open list, or is a top-level form.
+    One loop over the tokens of one findall scan.  `items` is the
+    innermost open list (its items so far; `forms` at the top level), a
+    reader macro waiting for its form, or _DOT after a dotted pair's dot;
+    `stack` holds what encloses it, so nesting costs no recursion.  A
+    list's cells are built when it closes.  No offsets are kept: an error
+    finds its token's place by running the scan again up to it.
     """
     forms, stack = [], []
-    atoms = {}  # the value of each atom token read so far
-    closing = False  # a dotted tail has been read: the list must close next
-    for m in _TOKEN.finditer(text):
-        kind = m.lastindex
-        if closing and kind != 2:
-            _fail(text, re.compile(_SPACE).match(text, m.start()).end(), "malformed dotted pair")
-        if kind == 6:
-            tok = m.group(6)
-            value = atoms.get(tok)
-            if value is None:
-                value = atoms[tok] = _atom(tok, text, m.end())
-        elif kind == 1:
-            stack.append([])
+    items = forms
+    tokens = _TOKEN.findall(text)
+    rest = iter(tokens)
+    seen = {}  # the value of each atom or string token read so far
+    for tok in rest:
+        if tok == "(":
+            stack.append(items)
+            items = []
             continue
-        elif kind == 2:
-            if not stack or type(stack[-1]) is not list:
-                _fail(text, m.end() - 1, "unexpected )")
+        if tok == ")":
+            if type(items) is not list or not stack:
+                _fail(text, _offset(text, tokens, rest), "unexpected )")
+            value = NIL
+            for x in reversed(items):
+                value = Pair(x, value)
             items = stack.pop()
-            value = from_list(items, items.pop()) if closing else from_list(items)
-            closing = False
-        elif kind == 3:
-            stack.append(_MACROS[m.group(3)])
-            continue
-        elif kind == 4:
-            value = m.group(4)
-            if "\\" in value:
-                value = _ESCAPE.sub(r"\1", value)
-        elif kind == 5:
-            if not stack or type(stack[-1]) is not list:
-                _fail(text, m.end(), "symbol name may not contain a dot: .")
-            if not stack[-1]:
-                _fail(text, m.end() - 1, "dotted pair without a car")
-            stack.append(_DOT)
-            continue
-        elif kind == 7:
-            stop = re.compile(_STRING_BODY).match(text, m.end()).end()
-            if stop + 1 < len(text):  # stopped at a backslash
-                _fail(text, stop + 1, f"unknown string escape \\{text[stop + 1]}")
-            _fail(text, len(text), "unterminated string")
         else:
-            if stack:
-                last = "unterminated list" if type(stack[-1]) is list else "unexpected end of input"
-                _fail(text, len(text), last)
-            return forms
-        while stack:
-            top = stack[-1]
-            if type(top) is list:
-                top.append(value)
-                break
-            stack.pop()
-            if top is _DOT:
-                stack[-1].append(value)
-                closing = True
-                break
-            value = Pair(top, Pair(value, NIL))
-        else:
-            forms.append(value)
+            value = seen.get(tok)
+            if value is None:
+                if tok in _MACROS:
+                    stack.append(items)
+                    items = _MACROS[tok]
+                    continue
+                if tok == ".":  # a dotted pair's dot
+                    if type(items) is not list or not stack:
+                        _fail(text, _offset(text, tokens, rest), "symbol name may not contain a dot: .")
+                    if not items:
+                        _fail(text, _offset(text, tokens, rest), "dotted pair without a car")
+                    stack.append(items)
+                    items = _DOT
+                    continue
+                if not tok:  # the end of the text
+                    if stack:
+                        _fail(text, len(text), "unterminated list" if type(items) is list
+                              else "unexpected end of input")
+                    return forms
+                value = seen[tok] = _atom(tok, text, tokens, rest)
+        while type(items) is not list:  # value completes the forms waiting for it
+            if items is _DOT:  # value is a dotted tail: its list must close now
+                items = stack.pop()
+                if next(rest) != ")":
+                    _fail(text, _offset(text, tokens, rest), "malformed dotted pair")
+                value = from_list(items, value)
+            else:
+                value = Pair(items, Pair(value, NIL))
+            items = stack.pop()
+        items.append(value)
 
 
 def parse_one(text: str):
@@ -307,10 +311,6 @@ def parse_one(text: str):
 
 # ---------------------------------------------------------------------------
 # Printer
-
-def _escape_string(s: str) -> str:
-    return s.replace("\\", "\\\\").replace('"', '\\"')
-
 
 def print_sexpr(e) -> str:
     """Canonical printer: uppercase names, single spaces, no line breaks.
@@ -348,7 +348,7 @@ def print_sexpr(e) -> str:
     if isinstance(e, int):
         return str(e)
     if isinstance(e, str):
-        return '"' + _escape_string(e) + '"'
+        return '"' + e.replace("\\", "\\\\").replace('"', '\\"') + '"'
     raise TypeError(f"not an s-expression: {e!r}")
 
 

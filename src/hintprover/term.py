@@ -64,16 +64,20 @@ class _Slots:
 class _Term(_Slots):
     """Base of the interned term classes.
 
-    A node is never changed after construction.  What is derived from it
-    is kept on the node: `_split`, what rewrite.find_split_test finds in
-    it, is answered when the node is built; `_sexpr`, the s-expression
-    unparse returns (each Pair of which keeps its printed text), `_text`,
-    the printed text term_text returns, and `_fv`, the tuple free_vars
+    A node is never changed after construction: assigning or deleting an
+    attribute raises AttributeError.  What is derived from it is kept on
+    the node: `_split`, what rewrite.find_split_test finds in it, is
+    answered when the node is built; `_sexpr`, the s-expression unparse
+    returns (each Pair of which keeps its printed text), `_text`, the
+    printed text term_text returns, and `_fv`, the tuple free_vars
     returns, are computed on first use (None until then).
     """
     __slots__ = ()
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self):

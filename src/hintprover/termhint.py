@@ -59,10 +59,13 @@ def process_termhint(t):
     simplification did not reduce the hint far enough.  A shared subterm
     is read once, and its value is shared too.
     """
-    return _process(t, {})
+    return _process(t, {}, None)
 
 
-def _process(t, done):
+def _process(t, done, budget):
+    """process_termhint's reading of t; a BINARY-APPEND copies its head's
+    cells, which budget (a StepBudget, or None) charges as it charges a
+    fold: once for each distinct node in a proof."""
     if isinstance(t, Const):
         return t.value
     if isinstance(t, App):
@@ -71,14 +74,17 @@ def _process(t, done):
             if t.fn == "HQ":
                 out = unparse(t.args[0])
             elif t.fn == "CONS":
-                out = Pair(_process(t.args[0], done), _process(t.args[1], done))
+                out = Pair(_process(t.args[0], done, budget), _process(t.args[1], done, budget))
             elif t.fn == "BINARY-APPEND":
-                head = _process(t.args[0], done)
+                head = _process(t.args[0], done, budget)
                 if not is_proper_list(head):
                     raise ProcessError(
                         f"spliced hint segment is not a proper list: {print_capped(head)}"
                     )
-                out = from_list(to_list(head), _process(t.args[1], done))
+                items = to_list(head)
+                if budget is not None:
+                    budget.take_cells((t.fn, t.args), len(items))
+                out = from_list(items, _process(t.args[1], done, budget))
             else:
                 raise ProcessError(f"residual call in hint term: {t.fn}")
             done[t] = out
@@ -136,7 +142,7 @@ def _read_hint(t, ctx: GoalCtx) -> Hint:
     translated back from its text.
     """
     built = {}
-    v = keyword_fixup(_process(t, built))
+    v = keyword_fixup(_process(t, built, ctx.budget))
     if isinstance(v, Pair) and v.car == QUOTE and isinstance(v.cdr, Pair) and is_nil(v.cdr.cdr):
         tr = Translator(ctx.world.macro_env, ctx.world.arity)
         for h, cell in built.items():

@@ -340,6 +340,33 @@ def test_constant_folding_counts_against_the_bound(tmp_path, capsys, n, flags, l
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("n, flags, limit", [
+    (13, [], None),  # its splices copy 2^13 - 1 = 8,191 cells, within the default
+    (14, [], 10000),
+    (22, [], 10000),
+    (22, ["--max-steps", "100"], 100),
+])
+def test_hint_splices_count_against_the_bound(tmp_path, capsys, n, flags, limit):
+    # Each binding appends the last list to itself, so the hint term is a
+    # DAG of n BINARY-APPEND nodes, and reading it back copies each head:
+    # 2^n - 1 cells in all, 4 million at n = 22, where the bound stops them.
+    binds = " ".join(f"(v{i} (append v{i - 1} v{i - 1}))" for i in range(1, n + 1))
+    path = evfile(tmp_path, "(defund f (x) (cons x x))\n"
+                            "(defthm a (equal (f x) (cons x x)) :rule-classes nil :hints"
+                            f" ((use-termhint (let* ((v0 (cons (hq (f x)) 'nil)) {binds})"
+                            f" `'(:expand ,v{n})))))")
+    start = time.perf_counter()
+    status = main([*flags, path])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    if limit is None:
+        assert (status, err) == (0, "") and out.endswith("PROVED 1/1\n")
+    else:
+        assert status == 1 and "THEOREM A FAILED steps=0" in out and out.endswith("PROVED 0/1\n")
+        assert err == f"ERROR {path} A: fold budget of {limit} cells exhausted\n"
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("flags, theorem", [
     # a quoted constant, printed by the trace and by the checkpoint
     (["--trace", "--checkpoints"], "(defthm a (p '{d}) :rule-classes nil)"),

@@ -221,6 +221,8 @@ def test_every_constructor_returns_a_sealed_node():
             before = getattr(t, name)
             with pytest.raises(AttributeError):
                 setattr(t, name, None)
+            with pytest.raises(AttributeError):
+                delattr(t, name)
             assert getattr(t, name) is before
     assert find_split_test(body) is body.args[1]
 

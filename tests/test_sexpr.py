@@ -1,5 +1,6 @@
 import copy
 import random
+from collections import Counter
 
 import pytest
 
@@ -97,6 +98,14 @@ PARSE_ERRORS = [
     ("(a)\n(a.b)", "symbol name may not contain a dot: a.b (line 2)"),
     # a dot followed by a reader macro is not a dotted pair's dot
     ("(a)\n(a .'b)", "symbol name may not contain a dot: . (line 2)"),
+    ("(a)\n(a .`b)", "symbol name may not contain a dot: . (line 2)"),
+    ("(a)\n(a .,b)", "symbol name may not contain a dot: . (line 2)"),
+    ("(a)\n(a .,@b)", "symbol name may not contain a dot: . (line 2)"),
+    # the first token, the last, and a line after CR LF line ends
+    ("\n\n)(a)", "unexpected ) (line 3)"),
+    ("(a)\n(b c)\n:", "bare colon is not a keyword (line 3)"),
+    ("(a)\r\n(b . c d)", "malformed dotted pair (line 2)"),
+    ("(a)\r\n\r\n(b\r\n :)", "bare colon is not a keyword (line 4)"),
 ]
 
 
@@ -121,6 +130,153 @@ def test_deep_nesting_reads_without_recursion():
         assert form.car == QUOTE
         form, depth = form.cdr.car, depth + 1
     assert (form, depth) == (Symbol("X"), n)
+
+
+def _ref_parse(text: str):
+    """The reader's plain definition: recursive descent over characters,
+    with each error's message and line."""
+    pos, end = 0, len(text)
+
+    def fail(at, msg):
+        raise ParseError(f"{msg} (line {text.count(chr(10), 0, at) + 1})")
+
+    def skip():  # whitespace and ; comments
+        nonlocal pos
+        while pos < end and text[pos] in " \t\r\n;":
+            if text[pos] == ";":
+                while pos < end and text[pos] != "\n":
+                    pos += 1
+            else:
+                pos += 1
+
+    def atom_end():  # where the atom starting at pos ends
+        stop = pos
+        while stop < end and text[stop] not in " \t\r\n()\"';`,":
+            stop += 1
+        return stop
+
+    def lone_dot():  # a dotted pair's dot: no reader macro right after it
+        return (text[pos] == "." and atom_end() == pos + 1
+                and not text.startswith(("'", "`", ","), pos + 1))
+
+    def wanted():  # a form a reader macro or a dotted pair's dot waits for
+        skip()
+        if pos == end:
+            fail(end, "unexpected end of input")
+        return form()
+
+    def form():
+        nonlocal pos
+        c = text[pos]
+        if c == ")":
+            fail(pos, "unexpected )")
+        if c == "(":
+            pos += 1
+            items = []
+            while True:
+                skip()
+                if pos == end:
+                    fail(end, "unterminated list")
+                if text[pos] == ")":
+                    pos += 1
+                    return from_list(items)
+                if lone_dot():
+                    if not items:
+                        fail(pos, "dotted pair without a car")
+                    pos += 1
+                    tail = wanted()
+                    skip()
+                    if pos == end or text[pos] != ")":
+                        fail(pos, "malformed dotted pair")
+                    pos += 1
+                    return from_list(items, tail)
+                items.append(form())
+        if c in "'`,":
+            macro = {"'": QUOTE, "`": QUASIQUOTE, ",": UNQUOTE}[c]
+            pos += 1
+            if c == "," and text.startswith("@", pos):
+                macro, pos = UNQUOTE_SPLICING, pos + 1
+            return from_list([macro, wanted()])
+        if c == '"':
+            chars, i = [], pos + 1
+            while i < end and text[i] != '"':
+                if text[i] == "\\" and i + 1 < end:
+                    if text[i + 1] not in '"\\':
+                        fail(i + 1, f"unknown string escape \\{text[i + 1]}")
+                    i += 1
+                chars.append(text[i])
+                i += 1
+            if i == end:
+                fail(end, "unterminated string")
+            pos = i + 1
+            return "".join(chars)
+        stop = atom_end()
+        tok, pos = text[pos:stop], stop
+        digits = tok[1:] if tok[0] in "+-" else tok
+        if digits and all(d in "0123456789" for d in digits):
+            return int(tok)
+        if tok == ":":
+            fail(stop, "bare colon is not a keyword")
+        if tok[0] == ":":
+            return Keyword(tok[1:].upper())
+        if tok.upper() == "NIL":
+            return NIL
+        if "." in tok:
+            fail(stop, f"symbol name may not contain a dot: {tok}")
+        return Symbol(tok.upper())
+
+    forms = []
+    while True:
+        skip()
+        if pos == end:
+            return forms
+        forms.append(form())
+
+
+# What reader texts are made of: each kind of token, comments holding
+# parens and quotes, strings with good and bad escapes, and line ends.
+_READER_PIECES = [
+    "(", ")", "(", ")", "(", ")", ".", ". ", "'", "`", ",", ",@", ";c(\")'\n", "; ;)\"",
+    '"s"', '""', '"a\\"b"', '"a\\\\"', '"bad\\q"', '"', '"\\', '"two\nlines"',
+    ":", ":k", ":a.b", "a", "foo", "b.c", ".5", "a.", "nil", "NiL", "12", "-3", "+7", "+", "x1",
+    "\r\n", "\n", " ", "\t", "\r", "@",
+]
+
+
+def _reader_text(rng: random.Random) -> str:
+    """A random text: a printed form with pieces dropped in, or pieces alone."""
+    if rng.random() < 0.5:
+        text = print_sexpr(_random_sexpr(rng, 3))
+        for _ in range(rng.randrange(3)):
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice(_READER_PIECES) + text[at:]
+        return text
+    out = []
+    for _ in range(rng.randrange(1, 14)):
+        out.append(rng.choice(_READER_PIECES))
+        if rng.random() < 0.5:
+            out.append(rng.choice([" ", "\n", "\r\n", "\t"]))
+    return "".join(out)
+
+
+def _outcome(read, text):
+    try:
+        return "forms", read(text)
+    except ParseError as e:
+        return "error", str(e)
+
+
+def test_reader_agrees_with_its_plain_definition():
+    rng = random.Random(2028)
+    kinds = Counter()
+    for _ in range(3000):
+        text = _reader_text(rng)
+        got, want = _outcome(parse, text), _outcome(_ref_parse, text)
+        assert got == want, text
+        kinds[got[0] if got[0] == "forms" else " ".join(got[1].split()[:3])] += 1
+    assert kinds["forms"] > 500 and len(kinds) == 10, kinds  # values, and each of 9 messages
+    for text, message in PARSE_ERRORS:
+        assert _outcome(_ref_parse, text) == ("error", message)
 
 
 def test_nil_is_one_object():
