@@ -30,7 +30,7 @@ rules to it, and IF splitting ignores tests under it.  Only an explicit
 from .sexpr import ProverError
 from .term import (
     App, Const, Var, CONST_NIL, CONST_T, FOLDABLE,
-    apply_builtin, beta_reduce, built_cells, substitute, truthy,
+    apply_builtin, beta_reduce, built_cells, rebuild, substitute, truthy,
 )
 
 
@@ -321,23 +321,14 @@ def replace_subterm(t, old, new):
 
     old must hold a splittable IF, as what split_ifs replaces does.  A call
     in which find_split_test finds none, a HIDE among them, cannot hold a
-    visible old (the search would have found old's), so it is returned
-    unvisited.  Each shared node is visited once.
+    visible old (the search would have found old's), so the step keeps it
+    unvisited.  Each shared node is visited once (term.rebuild).
     """
-    return _replace(t, old, new, {})
+    return rebuild(t, {old: new}, _keep_unsplittable)
 
 
-def _replace(t, old, new, done):
-    if t is old:
-        return new
-    if not isinstance(t, App) or find_split_test(t) is None:
-        return t
-    out = done.get(t)
-    if out is None:
-        args = tuple([_replace(a, old, new, done) for a in t.args])
-        out = t if args == t.args else App(t.fn, args)
-        done[t] = out
-    return out
+def _keep_unsplittable(u):
+    return u if u._split is None else None
 
 
 def split_ifs(clause):
@@ -427,8 +418,9 @@ def expand_calls(clause, targets, world):
 
     Each target is a call pattern whose variables match anything; it is
     beta-reduced first, as the clause was.  A (HIDE x) target strips
-    matching HIDE wrappers instead of unfolding.  Replacements are not
-    rescanned.
+    matching HIDE wrappers instead of unfolding; any other HIDE is kept
+    whole.  Replacements are not rescanned.  The literals are mapped by
+    term.rebuild through one table, so a node they share opens once.
     """
     pats = []
     for written in targets:
@@ -439,36 +431,20 @@ def expand_calls(clause, targets, world):
             raise ExpandError(f"no definition to expand: {pat.fn}")
         pats.append(pat)
 
-    done = {}  # node -> its expansion, shared by the literals
-    return tuple([_expand(lit, pats, world, done) for lit in clause])
+    def step(u):
+        for pat in pats:
+            if pat.fn == u.fn and match(pat, u) is not None:
+                if pat.fn == "HIDE":
+                    return u.args[0]
+                d = world.definitions[pat.fn]
+                return substitute(d.rhs, {v.name: a for v, a in zip(d.lhs.args, u.args)})
+        return u if u.fn == "HIDE" else None
 
-
-def _expand(t, targets, world, done):
-    if not isinstance(t, App):
-        return t
-    out = done.get(t)
-    if out is not None:
-        return out
-    for pat in targets:
-        if pat.fn != t.fn:
-            continue
-        subst = match(pat, t)
-        if subst is None:
-            continue
-        if pat.fn == "HIDE":
-            out = t.args[0]
-        else:
-            d = world.definitions[pat.fn]
-            out = substitute(d.rhs, {v.name: a for v, a in zip(d.lhs.args, t.args)})
-        break
-    else:
-        if t.fn == "HIDE":
-            out = t
-        else:
-            args = tuple([_expand(a, targets, world, done) for a in t.args])
-            out = t if args == t.args else App(t.fn, args)
-    done[t] = out
-    return out
+    done = {}
+    out = []
+    for lit in clause:
+        out.append(rebuild(lit, done, step))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +476,10 @@ def _normalize(t, budget, done):
             budget.take(steps)
         return out
     used = budget.used
-    out = _lift_ifs(t.fn, [_normalize(a, budget, done) for a in t.args], budget)
+    args = []
+    for a in t.args:  # a loop: a comprehension costs a frame per level
+        args.append(_normalize(a, budget, done))
+    out = _lift_ifs(t.fn, args, budget)
     done[t] = (out, budget.used - used)
     return out
 

@@ -454,7 +454,10 @@ def free_vars(t):
         elif isinstance(t, Const):
             fv = ()
         elif isinstance(t, App):
-            fv = _union([free_vars(a) for a in t.args])
+            parts = []
+            for a in t.args:  # a loop: a comprehension costs a frame per level
+                parts.append(free_vars(a))
+            fv = _union(parts)
         else:
             bound = set(t.formals)
             outer = tuple(n for n in free_vars(t.body) if n not in bound)
@@ -633,34 +636,58 @@ def term_text(t):
 # ---------------------------------------------------------------------------
 # Substitution and beta reduction
 #
-# A walker keeps, per call, a table from each node it has finished to its
-# result, so a subterm shared by many parents costs one visit: the
-# bindings of a let* become shared nodes, and a tree walk over them would
-# take time exponential in their depth.  The lookup sits in the walker
-# itself (a wrapper would add a frame per nesting level), and a node none
-# of whose children changed is returned as it is, not looked up again in
-# the intern table.
+# One walker, rebuild, maps a term for substitute, beta_reduce,
+# rewrite.replace_subterm and rewrite.expand_calls.  It keeps, per call, a
+# table from each node it has finished to its image, so a subterm shared
+# by many parents costs one visit: the bindings of a let* become shared
+# nodes, and a tree walk over them would take time exponential in their
+# depth.  The lookup sits in the walker and the arguments are mapped in a
+# loop, so a node costs one frame per nesting level (a wrapper, or a
+# comprehension before Python 3.12, would add one).  A node none of whose
+# children changed is returned as it is, not looked up again in the
+# intern table.
+
+def rebuild(t, done, step=None):
+    """The image of t: done's entry for a node it holds, which the caller
+    may seed; else a Var or Const itself; else what step(t) returns, unless
+    that is None; else the call rebuilt from its arguments' images, or a
+    lambda's rebuilt body with its formals bound to its actuals' images.
+    Each node's image is filed in done."""
+    out = done.get(t)
+    if out is not None:
+        return out
+    if isinstance(t, (Var, Const)):
+        return t
+    if step is not None:
+        out = step(t)
+    if out is None:
+        if isinstance(t, App):
+            args = []
+            for a in t.args:
+                args.append(rebuild(a, done, step))
+            args = tuple(args)
+            out = t if args == t.args else App(t.fn, args)
+        else:
+            body = rebuild(t.body, done, step)
+            subst = {}
+            for name, a in zip(t.formals, t.actuals):
+                subst[Var(name)] = rebuild(a, done, step)
+            out = rebuild(body, subst)
+    done[t] = out
+    return out
+
 
 def substitute(t, subst):
     """Replace variables of the lambda-free t; descends into HIDE arguments."""
     if not subst:
         return t
-    return _substitute(t, subst, {})
-
-
-def _substitute(t, subst, done):
-    if isinstance(t, Var):
-        return subst.get(t.name, t)
-    if isinstance(t, Const):
-        return t
-    if not isinstance(t, App):
+    if t.has_lambda:
         raise TypeError(f"not a lambda-free term: {t!r}")
-    out = done.get(t)
-    if out is None:
-        args = tuple([_substitute(a, subst, done) for a in t.args])
-        out = t if args == t.args else App(t.fn, args)
-        done[t] = out
-    return out
+    return rebuild(t, dict(zip(map(Var, subst), subst.values())))
+
+
+def _keep_lambda_free(u):
+    return None if u.has_lambda else u
 
 
 def beta_reduce(t):
@@ -670,27 +697,7 @@ def beta_reduce(t):
     """
     if not t.has_lambda:
         return t
-    return _beta_reduce(t, {})
-
-
-def _beta_reduce(t, done):
-    if not t.has_lambda:
-        return t
-    out = done.get(t)
-    if out is None:  # explicit loops: a comprehension costs a frame per level
-        if isinstance(t, App):  # some argument holds a lambda, so it changes
-            args = []
-            for a in t.args:
-                args.append(_beta_reduce(a, done))
-            out = App(t.fn, tuple(args))
-        else:
-            body = _beta_reduce(t.body, done)
-            subst = {}
-            for name, a in zip(t.formals, t.actuals):
-                subst[name] = _beta_reduce(a, done)
-            out = substitute(body, subst)
-        done[t] = out
-    return out
+    return rebuild(t, {}, _keep_lambda_free)
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,43 @@ def test_long_bstar_of_when_binders_proves_from_the_command_line(tmp_path):
     assert done.stdout.endswith("PROVED 1/1\n")
 
 
+def _cars(n, inner):
+    return "(car " * n + inner + ")" * n
+
+
+def test_deep_split_and_expand_prove_from_the_command_line(tmp_path):
+    # replace_subterm and expand_calls walk through term.rebuild, one frame
+    # per level, so an IF split and an :expand 900 levels down fit the
+    # stack of the command line's own start
+    goal = evfile(tmp_path, f"""
+      (defstub q 1)
+      (defund f (x) (if (q x) x x))
+      (defthm a (equal {_cars(900, "(f x)")} {_cars(900, "x")})
+        :rule-classes nil :hints ((:expand ((f x)))))
+      (defthm b (equal {_cars(900, "(if (q x) x x)")} {_cars(900, "x")}) :rule-classes nil)
+    """)
+    done = subprocess.run([sys.executable, "-m", "hintprover.cli", goal],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "THEOREM A PROVED" in done.stdout and "THEOREM B PROVED" in done.stdout
+    assert done.stdout.endswith("PROVED 2/2\n")
+
+
+def test_deep_definition_installs_from_the_command_line(tmp_path):
+    # free_vars and normalize_definition map a call's arguments in a loop,
+    # one frame per level, so a 900-deep body installs and its rule fires
+    goal = evfile(tmp_path, f"""
+      (defun g (x) {_cars(900, "x")})
+      (defthm a (equal (g x) {_cars(900, "x")}) :rule-classes nil)
+      (defthm b (equal (g (cons x y)) {_cars(900, "(cons x y)")}) :rule-classes nil)
+    """)
+    done = subprocess.run([sys.executable, "-m", "hintprover.cli", goal],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "THEOREM A PROVED steps=1" in done.stdout and "THEOREM B PROVED steps=1" in done.stdout
+    assert done.stdout.endswith("PROVED 2/2\n")
+
+
 @pytest.mark.parametrize("n, flags, limit", [
     (13, [], None),  # its folds build 2^13 - 1 = 8,191 cells, within the default
     (14, [], 10000),

@@ -3,6 +3,10 @@
 Interned terms share structure: the bindings of a let* become one node
 with many parents.  Each walker keeps a per-call table of the nodes it has
 finished and hands back a node none of whose children changed as it is.
+substitute, beta_reduce, replace_subterm and expand_calls are one walker,
+term.rebuild, with a seeded table or a step of their own; translate,
+free_vars, match, normalize_definition, the recursion check and
+process_termhint walk on their own.
 Here every walker is checked against a plain tree walk kept in this file,
 on random terms with shared subterms, and the shapes whose tree is
 exponentially larger than their DAG must stay fast.  The walkers of a
