@@ -30,7 +30,7 @@ rules to it, and IF splitting ignores tests under it.  Only an explicit
 from .sexpr import ProverError
 from .term import (
     App, Const, Var, CONST_NIL, CONST_T, FOLDABLE,
-    apply_builtin, beta_reduce, built_cells, rebuild, substitute, truthy,
+    apply_builtin, beta_reduce, built_cells, rebuild, truthy,
 )
 
 
@@ -274,7 +274,12 @@ def _finish(u, ctx, iff):
     """Post-child steps at one node whose fold rewrite_term has ruled out:
     settle, then fire the first enabled rule on u's head symbol, in
     install order (opened definitions included).  A rule whose lhs has
-    another head can never match u."""
+    another head can never match u.
+
+    A rule with formals (see RewriteRule) matches u when the argument
+    counts agree, binding formals to u's arguments; any other goes through
+    match.  Either way the one Var-keyed table seeds term.rebuild for the
+    hypotheses and the rhs, so a node they share is instantiated once."""
     if u.fn in ("EQUAL", "IFF") and u.args[0] == u.args[1]:
         return CONST_T
     if iff:
@@ -285,19 +290,27 @@ def _finish(u, ctx, iff):
             return CONST_NIL
 
     theory = ctx.theory
+    args = u.args
     for rule in ctx.world.rules_by_fn.get(u.fn, ()):
         if rule.name not in theory or (rule.equiv == "IFF" and not iff):
             continue
-        subst = match(rule.lhs, u)
-        if subst is None:
+        formals = rule.formals
+        if formals is None:
+            subst = match(rule.lhs, u)
+            if subst is None:
+                continue
+            seed = dict(zip(map(Var, subst), subst.values()))
+        elif len(formals) == len(args):
+            seed = dict(zip(formals, args))
+        else:
             continue
         ctx.budget.take()
         if not all(
-            is_true_const(rewrite_term(substitute(h, subst), ctx, True))
+            is_true_const(rewrite_term(rebuild(h, seed), ctx, True))
             for h in rule.hyps
         ):
             continue
-        return rewrite_term(substitute(rule.rhs, subst), ctx, iff)
+        return rewrite_term(rebuild(rule.rhs, seed), ctx, iff)
 
     return u
 
@@ -417,10 +430,13 @@ def expand_calls(clause, targets, world):
     """Open up matching calls in place, ignoring enable status.
 
     Each target is a call pattern whose variables match anything; it is
-    beta-reduced first, as the clause was.  A (HIDE x) target strips
-    matching HIDE wrappers instead of unfolding; any other HIDE is kept
-    whole.  Replacements are not rescanned.  The literals are mapped by
-    term.rebuild through one table, so a node they share opens once.
+    beta-reduced first, as the clause was.  A target that is the call
+    itself (terms are interned) matches without the matcher.  An opened
+    call is the definition's body with its formals bound to the call's
+    arguments.  A (HIDE x) target strips matching HIDE wrappers instead of
+    unfolding; any other HIDE is kept whole.  Replacements are not
+    rescanned.  The literals are mapped by term.rebuild through one table,
+    so a node they share opens once.
     """
     pats = []
     for written in targets:
@@ -433,11 +449,11 @@ def expand_calls(clause, targets, world):
 
     def step(u):
         for pat in pats:
-            if pat.fn == u.fn and match(pat, u) is not None:
+            if pat is u or (pat.fn == u.fn and match(pat, u) is not None):
                 if pat.fn == "HIDE":
                     return u.args[0]
                 d = world.definitions[pat.fn]
-                return substitute(d.rhs, {v.name: a for v, a in zip(d.lhs.args, u.args)})
+                return rebuild(d.rhs, dict(zip(d.formals, u.args)))
         return u if u.fn == "HIDE" else None
 
     done = {}

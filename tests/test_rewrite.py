@@ -188,22 +188,76 @@ def _rule(name, head, rhs, equiv="EQUAL"):
     return RewriteRule(name, App(head, (Var("X"),)), Const(Symbol(rhs)), (), equiv)
 
 
-def test_rule_lookup_tries_only_rules_on_the_head_symbol(monkeypatch):
-    import hintprover.rewrite as rewrite
-
+def test_rule_lookup_tries_only_rules_on_the_head_symbol():
+    # every rule tried is first looked up in the theory, whether it then
+    # binds its formals or goes through match
     w = World()
     for i in range(50):
         w.add_rule(f"G{i}-RULE", _rule(f"G{i}-RULE", f"G{i}", "OTHER"))
     w.add_rule("F-RULE", _rule("F-RULE", "F", "HIT"))
-    calls = []
+    asked = []
 
-    def counting_match(pattern, target):
-        calls.append(pattern)
-        return match(pattern, target)
+    class RecordingTheory(frozenset):
+        def __contains__(self, name):
+            asked.append(name)
+            return frozenset.__contains__(self, name)
 
-    monkeypatch.setattr(rewrite, "match", counting_match)
-    assert rw(App("F", (Var("A"),)), w) == Const(Symbol("HIT"))
-    assert calls == [App("F", (Var("X"),))]
+    theory = RecordingTheory(w.theory())
+    assert rw(App("F", (Var("A"),)), w, theory=theory) == Const(Symbol("HIT"))
+    assert asked == ["F-RULE"]
+
+
+def _fire(lhs, hyps=()):
+    """A world with stubs G (2), K (1) and H (0) and the one rule lhs = 'HIT."""
+    w = World()
+    w.add_stub("G", 2)
+    w.add_stub("K", 1)
+    w.add_stub("H", 0)
+    w.add_rule("R", RewriteRule("R", tr(lhs, w), Const(Symbol("HIT")),
+                                tuple(tr(h, w) for h in hyps), "EQUAL"))
+    return w
+
+
+@pytest.mark.parametrize("lhs, formals", [
+    ("(g x y)", ("X", "Y")), ("(k x)", ("X",)), ("(h)", ()),
+    ("(g x x)", None), ("(g x '3)", None), ("(k (cons x y))", None),
+])
+def test_rule_formals_are_its_distinct_argument_variables(lhs, formals):
+    rule = RewriteRule("R", tr(lhs, _fire(lhs)), CONST_T, (), "EQUAL")
+    assert rule.formals == (None if formals is None else tuple(map(Var, formals)))
+    if formals is not None:
+        assert rule.formals == rule.lhs.args
+
+
+@pytest.mark.parametrize("lhs, fires, stays", [
+    ("(g x x)", ["(g a a)", "(g (car a) (car a))"], ["(g a b)", "(g a (car a))"]),
+    ("(g x '3)", ["(g a '3)", "(g '3 '3)"], ["(g a '4)", "(g '3 a)"]),
+    ("(k (cons x y))", ["(k (cons a b))", "(k (cons a a))"], ["(k a)", "(k (car a))"]),
+    ("(h)", ["(h)"], []),
+    ("(g x y)", ["(g a b)", "(g a a)"], []),
+])
+def test_a_rule_fires_exactly_where_match_says(lhs, fires, stays):
+    w = _fire(lhs)
+    lhs_term = tr(lhs, w)
+    for text in fires + stays:
+        t = tr(text, w)
+        assert (match(lhs_term, t) is not None) == (text in fires), text
+        c = RewriteContext(w.theory(), w, StepBudget(100), {})
+        got = rewrite_term(t, c)
+        assert (got, c.budget.used) == ((Const(Symbol("HIT")), 1) if text in fires else (t, 0))
+
+
+def test_both_paths_instantiate_hypotheses_as_the_match_would():
+    # (g x x) goes through match, (g x y) binds its formals; either way the
+    # hypothesis is instantiated from the call's arguments
+    hit = Const(Symbol("HIT"))
+    w = _fire("(g x x)", ["(k x)"])
+    ka = [tr("(not (k a))", w)]  # assumes (k a)
+    assert rw("(g a a)", w, assume=ka) == hit
+    assert rw("(g b b)", w, assume=ka) == tr("(g b b)", w)
+    w = _fire("(g x y)", ["(k y)"])
+    assert rw("(g b a)", w, assume=ka) == hit
+    assert rw("(g a b)", w, assume=ka) == tr("(g a b)", w)
 
 
 def test_first_installed_rule_on_a_head_fires():
@@ -348,7 +402,9 @@ def test_memo_entry_is_recomputed_when_an_assumption_changes():
 
 
 def _oracle_world():
-    """D opens into an IF on (f x); both rules have a hypothesis to settle."""
+    """D opens into an IF on (f x); every rule has a hypothesis to settle.
+    D binds its formal; the rules go through match, CONS-SAME on a
+    repeated variable."""
     w = World()
     w.add_stub("F", 1)
     w.add_definition("D", ("X",), tr("(if (f x) (cons x x) (car x))", w))
@@ -356,6 +412,8 @@ def _oracle_world():
                                     (tr("(f x)", w),), "IFF"))
     w.add_rule("CAR-F", RewriteRule("CAR-F", tr("(car (f x))", w), Var("X"),
                                     (tr("(not (equal x 'k))", w),), "EQUAL"))
+    w.add_rule("CONS-SAME", RewriteRule("CONS-SAME", tr("(cons x x)", w), tr("(f x)", w),
+                                        (tr("(not (f (car x)))", w),), "EQUAL"))
     return w
 
 
@@ -1060,6 +1118,24 @@ def test_expand_matches_only_calls_on_a_targets_head(monkeypatch):
     got = expand_calls(clause, [tr("(d x y)", w), tr("(hide z)", w)], w)
     assert got == (tr("(equal (cons x (f y)) (f (d '1 '2)))", w),)
     assert sorted(heads) == [("D", "D"), ("HIDE", "HIDE")]
+
+
+def test_expand_opens_a_target_that_is_the_call_without_match(monkeypatch):
+    import hintprover.rewrite as rewrite_mod
+
+    real_match, targets = rewrite_mod.match, []
+
+    def spy(pattern, target):
+        targets.append(target)
+        return real_match(pattern, target)
+
+    monkeypatch.setattr(rewrite_mod, "match", spy)
+    w = _dworld()
+    clause = (tr("(equal (d x y) (f (hide (d x y))))", w), tr("(d '1 '2)", w))
+    got = expand_calls(clause, [tr("(d x y)", w), tr("(hide (d x y))", w)], w)
+    assert got == (tr("(equal (cons x y) (f (d x y)))", w), tr("(cons '1 '2)", w))
+    # only the call that is not a target itself went to the matcher
+    assert targets == [tr("(d '1 '2)", w)]
 
 
 def test_expand_errors():
