@@ -158,32 +158,41 @@ class RewriteContext:
         return a
 
 
-def match(pattern, target):
-    """One-way match; repeated pattern variables must bind equal terms."""
-    subst = {}
-    return subst if _match(pattern, target, subst, set()) else None
+def match(lhs, u):
+    """The seed that instantiates the call pattern lhs as the call u, or None.
 
-
-def _match(p, u, subst, matched):
-    """matched holds the (pattern, target) call pairs matched so far: a
-    shared pattern node is matched against each target node once."""
-    if isinstance(p, Var):
-        if p.name in subst:
-            return subst[p.name] is u
-        subst[p.name] = u
-        return True
-    if isinstance(p, App):
-        if not (isinstance(u, App) and u.fn == p.fn and len(u.args) == len(p.args)):
-            return False
-        pair = (p, u)
-        if pair in matched:
-            return True
-        for a, b in zip(p.args, u.args):
-            if not _match(a, b, subst, matched):
-                return False
-        matched.add(pair)
-        return True
-    return p is u  # terms are interned: equal constants are one object
+    The seed maps each variable and each inner call node of lhs to the
+    subterm of u it meets, so term.rebuild takes it as it is; lhs itself
+    gets no entry.  A key met twice must meet the same subterm (`is`:
+    terms are interned), which checks a repeated variable and matches a
+    shared pattern node once.  The walk is a loop: the argument tuples
+    still to match wait on a stack of nested triples, so a deep pattern
+    costs no Python frames and a flat one allocates no stack.
+    """
+    ps, ts = lhs.args, u.args
+    if u.fn != lhs.fn or len(ts) != len(ps):
+        return None
+    seed = {}
+    todo = ()
+    while True:
+        for p, t in zip(ps, ts):
+            if p.__class__ is Var:
+                if seed.setdefault(p, t) is not t:
+                    return None
+            elif p.__class__ is App:
+                got = seed.get(p)
+                if got is None:
+                    if not (t.__class__ is App and t.fn == p.fn and len(t.args) == len(p.args)):
+                        return None
+                    seed[p] = t
+                    todo = (p.args, t.args, todo)
+                elif got is not t:
+                    return None
+            elif p is not t:  # terms are interned: equal constants are one object
+                return None
+        if not todo:
+            return seed
+        ps, ts, todo = todo
 
 
 def rewrite_term(t, ctx, iff=False):
@@ -276,10 +285,11 @@ def _finish(u, ctx, iff):
     install order (opened definitions included).  A rule whose lhs has
     another head can never match u.
 
-    A rule with formals (see RewriteRule) matches u when the argument
-    counts agree, binding formals to u's arguments; any other goes through
-    match.  Either way the one Var-keyed table seeds term.rebuild for the
-    hypotheses and the rhs, so a node they share is instantiated once."""
+    match binds a rule's variables, and its seed is term.rebuild's table
+    for the hypotheses and the rhs, so a node they share is instantiated
+    once and an instance of a node of the lhs is the subterm of u it met.
+    It calls match through this module's global, so a wrapper set on
+    rewrite.match sees every try."""
     if u.fn in ("EQUAL", "IFF") and u.args[0] == u.args[1]:
         return CONST_T
     if iff:
@@ -290,19 +300,11 @@ def _finish(u, ctx, iff):
             return CONST_NIL
 
     theory = ctx.theory
-    args = u.args
     for rule in ctx.world.rules_by_fn.get(u.fn, ()):
         if rule.name not in theory or (rule.equiv == "IFF" and not iff):
             continue
-        formals = rule.formals
-        if formals is None:
-            subst = match(rule.lhs, u)
-            if subst is None:
-                continue
-            seed = dict(zip(map(Var, subst), subst.values()))
-        elif len(formals) == len(args):
-            seed = dict(zip(formals, args))
-        else:
+        seed = match(rule.lhs, u)
+        if seed is None:
             continue
         ctx.budget.take()
         if not all(
@@ -432,11 +434,11 @@ def expand_calls(clause, targets, world):
     Each target is a call pattern whose variables match anything; it is
     beta-reduced first, as the clause was.  A target that is the call
     itself (terms are interned) matches without the matcher.  An opened
-    call is the definition's body with its formals bound to the call's
-    arguments.  A (HIDE x) target strips matching HIDE wrappers instead of
-    unfolding; any other HIDE is kept whole.  Replacements are not
-    rescanned.  The literals are mapped by term.rebuild through one table,
-    so a node they share opens once.
+    call is the definition's body rebuilt from the seed match gives for
+    its (name formals...) and the call.  A (HIDE x) target strips
+    matching HIDE wrappers instead of unfolding; any other HIDE is kept
+    whole.  Replacements are not rescanned.  The literals are mapped by
+    term.rebuild through one table, so a node they share opens once.
     """
     pats = []
     for written in targets:
@@ -453,7 +455,7 @@ def expand_calls(clause, targets, world):
                 if pat.fn == "HIDE":
                     return u.args[0]
                 d = world.definitions[pat.fn]
-                return rebuild(d.rhs, dict(zip(d.formals, u.args)))
+                return rebuild(d.rhs, match(d.lhs, u))
         return u if u.fn == "HIDE" else None
 
     done = {}

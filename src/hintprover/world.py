@@ -16,16 +16,10 @@ class WorldError(ProverError):
 
 
 class RewriteRule:
-    """hyps -> (equiv lhs rhs), lhs a call.
+    """hyps -> (equiv lhs rhs), lhs a call.  rewrite.match binds its
+    variables, whatever the shape of lhs."""
 
-    `formals` is the tuple of lhs's argument Var nodes when they are
-    pairwise distinct variables, as every definition's (name formals...)
-    is, and None otherwise.  Such an lhs matches every call of its head
-    with as many arguments, binding formals to them in order, so the
-    rewriter fires it without the general matcher.
-    """
-
-    __slots__ = ("name", "lhs", "rhs", "hyps", "equiv", "formals")
+    __slots__ = ("name", "lhs", "rhs", "hyps", "equiv")
 
     def __init__(self, name: str, lhs, rhs, hyps: tuple, equiv: str):
         self.name = name
@@ -33,9 +27,6 @@ class RewriteRule:
         self.rhs = rhs
         self.hyps = hyps
         self.equiv = equiv  # "EQUAL" or "IFF"
-        args = lhs.args
-        distinct = all(isinstance(a, Var) for a in args) and len(set(args)) == len(args)
-        self.formals = args if distinct else None
 
 
 class HintFn:

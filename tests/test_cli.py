@@ -517,6 +517,30 @@ def test_corpus_trace_is_pinned():
     assert hashlib.sha256(done.stdout).hexdigest() == CORPUS_TRACE_SHA256
 
 
+def test_rules_on_general_left_sides_fire_from_the_command_line():
+    # each USE- query proves only if its rule fires: a nested call twice, a
+    # repeated variable, a constant argument and a nested call; (g a b)
+    # meets none of them, so it fails without a step
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "hintprover.cli", "tests/data/general_lhs.lisp"],
+        cwd=root, capture_output=True, text=True, timeout=60, env=_child_env())
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout.splitlines() == [
+        "FILE tests/data/general_lhs.lisp",
+        "THEOREM G-FF PROVED steps=4",
+        "THEOREM G-SAME PROVED steps=2",
+        "THEOREM G-3 PROVED steps=1",
+        "THEOREM F-CONS PROVED steps=1",
+        "THEOREM USE-G-FF PROVED steps=1",
+        "THEOREM USE-G-SAME PROVED steps=1",
+        "THEOREM USE-G-3 PROVED steps=1",
+        "THEOREM USE-F-CONS PROVED steps=1",
+        "THEOREM G-DISTINCT-STAYS FAILED steps=0",
+        "PROVED 8/9",
+    ]
+
+
 def test_long_quoted_list_proves(tmp_path, capsys):
     items = " ".join(str(i) for i in range(10_000))
     path = evfile(tmp_path, f"""

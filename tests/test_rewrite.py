@@ -7,7 +7,7 @@ import pytest
 from hintprover.sexpr import NIL, Symbol, T, from_list, parse_one, print_sexpr
 from hintprover.term import (
     App, CONST_NIL, CONST_T, FOLDABLE, Const, Var, apply_builtin, beta_reduce,
-    built_cells, substitute, translate, truthy, unparse,
+    built_cells, translate, truthy, unparse,
 )
 from hintprover.world import RewriteRule, World
 from hintprover import hints
@@ -17,6 +17,7 @@ from hintprover.rewrite import (
     find_split_test, match, negate_term, normalize_definition, replace_subterm,
     rewrite_term, simplify_clause, split_ifs,
 )
+from test_walkers import _ref_beta_reduce, _ref_expand, _ref_match, _ref_substitute
 
 
 def tr(text: str, world=None):
@@ -36,16 +37,41 @@ def test_negate_term_unwraps():
 
 
 def test_match_basics():
+    # the seed maps each variable and inner call node of the pattern to the
+    # subterm it met, and holds no entry for the pattern itself
     w = World()
     w.add_stub("F", 2)
-    pat = tr("(f x x)", w)
-    assert match(pat, tr("(f (cons a b) (cons a b))", w)) == {
-        "X": App("CONS", (Var("A"), Var("B")))
-    }
+    x, y, a, b = Var("X"), Var("Y"), Var("A"), Var("B")
+    ab = tr("(cons a b)", w)
+    pat = tr("(f x x)", w)  # a repeated variable meets one subterm
+    assert match(pat, tr("(f (cons a b) (cons a b))", w)) == {x: ab}
     assert match(pat, tr("(f a b)", w)) is None
     assert match(tr("(f x y)", w), tr("(cons a b)", w)) is None
-    assert match(Const(1), Const(1)) == {}
-    assert match(Const(1), Const(2)) is None
+    assert match(App("F", (x, y)), App("F", (a,))) is None
+    pat = tr("(f x '3)", w)  # a constant meets only itself
+    assert match(pat, tr("(f a '3)", w)) == {x: a}
+    assert match(pat, tr("(f a '4)", w)) is None
+    cxy = tr("(cons x y)", w)
+    pat = tr("(f (cons x y) '3)", w)  # a nested call is keyed by its node
+    assert match(pat, tr("(f (cons a b) '3)", w)) == {cxy: ab, x: a, y: b}
+    assert match(pat, tr("(f (car a) '3)", w)) is None
+    pat = tr("(f (cons x y) (cons x y))", w)  # a node shared twice meets one subterm
+    assert pat.args[0] is pat.args[1]
+    assert match(pat, tr("(f (cons a b) (cons a b))", w)) == {cxy: ab, x: a, y: b}
+    assert match(pat, tr("(f (cons a b) (cons a a))", w)) is None
+
+
+def test_match_walks_a_deep_pattern_without_recursion():
+    def chain(leaf, n=5000):
+        for _ in range(n):
+            leaf = App("K", (leaf,))
+        return leaf
+
+    pat, a = chain(Var("X")), Var("A")
+    seed = match(pat, chain(a))
+    assert len(seed) == 5000 and seed[Var("X")] is a
+    assert match(pat, chain(a, 4999)) is None
+    assert match(chain(Const(3)), chain(Const(4))) is None
 
 
 def test_assumptions_decide():
@@ -189,8 +215,7 @@ def _rule(name, head, rhs, equiv="EQUAL"):
 
 
 def test_rule_lookup_tries_only_rules_on_the_head_symbol():
-    # every rule tried is first looked up in the theory, whether it then
-    # binds its formals or goes through match
+    # every rule tried is first looked up in the theory before match
     w = World()
     for i in range(50):
         w.add_rule(f"G{i}-RULE", _rule(f"G{i}-RULE", f"G{i}", "OTHER"))
@@ -218,17 +243,6 @@ def _fire(lhs, hyps=()):
     return w
 
 
-@pytest.mark.parametrize("lhs, formals", [
-    ("(g x y)", ("X", "Y")), ("(k x)", ("X",)), ("(h)", ()),
-    ("(g x x)", None), ("(g x '3)", None), ("(k (cons x y))", None),
-])
-def test_rule_formals_are_its_distinct_argument_variables(lhs, formals):
-    rule = RewriteRule("R", tr(lhs, _fire(lhs)), CONST_T, (), "EQUAL")
-    assert rule.formals == (None if formals is None else tuple(map(Var, formals)))
-    if formals is not None:
-        assert rule.formals == rule.lhs.args
-
-
 @pytest.mark.parametrize("lhs, fires, stays", [
     ("(g x x)", ["(g a a)", "(g (car a) (car a))"], ["(g a b)", "(g a (car a))"]),
     ("(g x '3)", ["(g a '3)", "(g '3 '3)"], ["(g a '4)", "(g '3 a)"]),
@@ -248,8 +262,9 @@ def test_a_rule_fires_exactly_where_match_says(lhs, fires, stays):
 
 
 def test_both_paths_instantiate_hypotheses_as_the_match_would():
-    # (g x x) goes through match, (g x y) binds its formals; either way the
-    # hypothesis is instantiated from the call's arguments
+    # a repeated variable (g x x) and distinct ones (g x y) bind through
+    # the one match; either way the hypothesis is instantiated from the
+    # call's arguments
     hit = Const(Symbol("HIT"))
     w = _fire("(g x x)", ["(k x)"])
     ka = [tr("(not (k a))", w)]  # assumes (k a)
@@ -403,8 +418,7 @@ def test_memo_entry_is_recomputed_when_an_assumption_changes():
 
 def _oracle_world():
     """D opens into an IF on (f x); every rule has a hypothesis to settle.
-    D binds its formal; the rules go through match, CONS-SAME on a
-    repeated variable."""
+    CONS-SAME is on a repeated variable, the others on nested calls."""
     w = World()
     w.add_stub("F", 1)
     w.add_definition("D", ("X",), tr("(if (f x) (cons x x) (car x))", w))
@@ -546,15 +560,15 @@ class _Spec:
         for rule in self.world.rule_order:
             if rule.name not in self.theory or (rule.equiv == "IFF" and not iff):
                 continue
-            subst = match(rule.lhs, u)
-            if subst is None:
+            subst = {}
+            if not _ref_match(rule.lhs, u, subst):
                 continue
             self.budget.take()
             for h in rule.hyps:
-                if self.rewrite(substitute(h, subst), True) is not CONST_T:
+                if self.rewrite(_ref_substitute(h, subst), True) is not CONST_T:
                     break
             else:
-                return self.rewrite(substitute(rule.rhs, subst), iff)
+                return self.rewrite(_ref_substitute(rule.rhs, subst), iff)
         return u
 
 
@@ -935,6 +949,18 @@ def _plain_simplify(clause, theory, world, budget):
     return kept, _plain_split(kept)
 
 
+def _plain_expand(clause, targets, world):
+    """expand_calls as specified: the targets beta-reduced and checked, then
+    each literal mapped by a plain tree walk with no head test and no table."""
+    pats = [_ref_beta_reduce(written) for written in targets]
+    for written, pat in zip(targets, pats):
+        if not isinstance(pat, App):
+            raise ExpandError(f"expansion target is not a call: {written!r}")
+        if pat.fn != "HIDE" and pat.fn not in world.definitions:
+            raise ExpandError(f"no definition to expand: {pat.fn}")
+    return tuple(_ref_expand(lit, pats, world) for lit in clause)
+
+
 def test_simplify_clause_agrees_with_the_plain_spec_across_goals():
     # one memos dict for a sequence of clauses under two theories, as a
     # proof's goals share it; the clauses draw on one pool of literals, so
@@ -1032,7 +1058,8 @@ def _waterfall_file(rng):
 
 def test_waterfall_agrees_with_the_plain_spec(tmp_path, monkeypatch, capsys):
     # The whole prover over the corpus and seeded files, once as it is and
-    # once with each simplification pass replaced by the plain spec, under
+    # once with each simplification pass and each :expand replaced by the
+    # plain spec, under
     # a roomy step limit and three tight ones: the trace and checkpoint
     # report, stderr and the exit code must match.
     rng = random.Random(2417)
@@ -1053,6 +1080,7 @@ def test_waterfall_agrees_with_the_plain_spec(tmp_path, monkeypatch, capsys):
             m.setattr(hints, "simplify_clause",
                       lambda clause, theory, world, budget, memos:
                       _plain_simplify(clause, theory, world, budget))
+            m.setattr(hints, "expand_calls", _plain_expand)
             plain = report(limit)
         assert real == plain, limit
         verdicts |= {line.split()[2] for line in real[0].splitlines()
@@ -1107,15 +1135,17 @@ def test_expand_matches_only_calls_on_a_targets_head(monkeypatch):
     import hintprover.rewrite as rewrite_mod
 
     real_match, heads = rewrite_mod.match, []
+    w = _dworld()
+    targets = [tr("(d x y)", w), tr("(hide z)", w)]
 
-    def spy(pattern, target):
-        heads.append((pattern.fn, target.fn))
+    def spy(pattern, target):  # an opened call's own match(d.lhs, u) is not counted
+        if pattern in targets:
+            heads.append((pattern.fn, target.fn))
         return real_match(pattern, target)
 
     monkeypatch.setattr(rewrite_mod, "match", spy)
-    w = _dworld()
     clause = (tr("(equal (d x (f y)) (f (hide (d '1 '2))))", w),)
-    got = expand_calls(clause, [tr("(d x y)", w), tr("(hide z)", w)], w)
+    got = expand_calls(clause, targets, w)
     assert got == (tr("(equal (cons x (f y)) (f (d '1 '2)))", w),)
     assert sorted(heads) == [("D", "D"), ("HIDE", "HIDE")]
 
@@ -1124,15 +1154,17 @@ def test_expand_opens_a_target_that_is_the_call_without_match(monkeypatch):
     import hintprover.rewrite as rewrite_mod
 
     real_match, targets = rewrite_mod.match, []
+    w = _dworld()
+    pats = [tr("(d x y)", w), tr("(hide (d x y))", w)]
 
-    def spy(pattern, target):
-        targets.append(target)
+    def spy(pattern, target):  # an opened call's own match(d.lhs, u) is not counted
+        if pattern in pats:
+            targets.append(target)
         return real_match(pattern, target)
 
     monkeypatch.setattr(rewrite_mod, "match", spy)
-    w = _dworld()
     clause = (tr("(equal (d x y) (f (hide (d x y))))", w), tr("(d '1 '2)", w))
-    got = expand_calls(clause, [tr("(d x y)", w), tr("(hide (d x y))", w)], w)
+    got = expand_calls(clause, pats, w)
     assert got == (tr("(equal (cons x y) (f (d x y)))", w), tr("(cons '1 '2)", w))
     # only the call that is not a target itself went to the matcher
     assert targets == [tr("(d '1 '2)", w)]

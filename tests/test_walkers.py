@@ -24,7 +24,7 @@ from hintprover.sexpr import (
 )
 from hintprover.term import (
     App, CONST_NIL, CONST_T, Const, LamApp, Var,
-    beta_reduce, free_vars, make_lamapp, substitute, translate, unparse,
+    beta_reduce, free_vars, make_lamapp, rebuild, substitute, translate, unparse,
 )
 from hintprover.world import World, _calls
 from hintprover.rewrite import (
@@ -306,12 +306,17 @@ def test_expand_match_and_calls_match_tree_walks(n):
         assert all(a is b for a, b in zip(expand_calls(clause, [absent], w), clause))
     assert built.n == 0
 
-    for p in rng.sample(pool, min(5, len(pool))):  # a pattern matches its instances
+    calls = [u for u in pool if isinstance(u, App)]
+    for p in rng.sample(calls, min(5, len(calls))):  # a pattern matches its instances
         inst = substitute(p, {v: rng.choice(pool) for v in free_vars(p)})
-        for u in (inst, rng.choice(pool)):
+        for u in (inst, rng.choice(calls)):
             subst = {}
-            want = subst if _ref_match(p, u, subst) else None
-            assert match(p, u) == want
+            seed = match(p, u)
+            if not _ref_match(p, u, subst):
+                assert seed is None
+                continue
+            assert {k.name: v for k, v in seed.items() if isinstance(k, Var)} == subst
+            assert rebuild(p, seed) is u
     for lit in clause:
         for name in ("F", "D", "CAR", "IF", "HIDE", "ABSENT"):
             assert _calls(lit, name, set()) == _ref_calls(lit, name)
