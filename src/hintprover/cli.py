@@ -173,6 +173,8 @@ def convert_rule(name: str, hyps, concl, concl_form) -> RewriteRule:
 
     if not isinstance(lhs, App):
         raise EventError(f"rule {name} does not rewrite a function call")
+    if rhs is lhs:  # it would fire on its own result until the stack ran out
+        raise EventError(f"rule {name} rewrites its left side to itself")
     bound = set(free_vars(lhs))
     loose = [
         v

@@ -23,7 +23,7 @@ from .sexpr import (
     from_list, is_nil, is_proper_list, print_capped, to_list,
 )
 from .term import (
-    BUILTIN_ARITY, EvalError, Translator,
+    BUILTIN_ARITY, CONST_NIL, App, EvalError, Translator, Var,
     apply_builtin, beta_reduce, evaluate, free_vars, substitute, translate, unparse,
 )
 from .rewrite import expand_calls, negate_term, simplify_clause
@@ -66,12 +66,24 @@ class Hint(_Fields):
         self.display = display          # SExpr shown when rendered as a replacement
 
 
+_STABLE = Var("STABLE-UNDER-SIMPLIFICATIONP")
+
+
 class ComputedHint(_Fields):
-    __slots__ = ("expr", "display")
+    """A hint expression evaluated against each goal it reaches.
+
+    `stable_only` says whether expr has the shape
+    (IF STABLE-UNDER-SIMPLIFICATIONP x 'NIL), as (and
+    stable-under-simplificationp x) translates: on a goal that is not yet
+    stable such a hint can only answer NIL, so it is not evaluated there.
+    """
+    __slots__ = ("expr", "display", "stable_only")
 
     def __init__(self, expr=None, display=None):
         self.expr = expr        # Term over CLAUSE / ID / STABLE-UNDER-SIMPLIFICATIONP
         self.display = display  # SExpr shown when rendered as a replacement
+        self.stable_only = (isinstance(expr, App) and expr.fn == "IF"
+                            and expr.args[0] is _STABLE and expr.args[2] is CONST_NIL)
 
 
 class GoalCtx:
@@ -409,10 +421,15 @@ def _child_name(parent: str, i: int) -> str:
 
 
 def _first_firing(pending, ctx: GoalCtx):
+    """The first entry that fires on ctx's goal and its Hint, or None.  A
+    stable-only computed hint is skipped unevaluated on an unstable goal."""
     for i, entry in enumerate(pending):
-        hint = entry if isinstance(entry, Hint) else eval_computed_hint(entry, ctx)
-        if hint is not None:
-            return i, hint
+        if isinstance(entry, Hint):
+            return i, entry
+        if ctx.stable or not entry.stable_only:
+            hint = eval_computed_hint(entry, ctx)
+            if hint is not None:
+                return i, hint
     return None
 
 

@@ -97,10 +97,10 @@ class RewriteContext:
     The truth table is kept by counts: `falses` maps a term to how many
     literals are that term, `trues` a term p to how many are (NOT p).
     A term with any true count reads True, else one with any false count
-    reads False, so a term both assumed and denied reads True.
-    count adds a literal to the counts or takes it out; simplify_clause
-    takes each literal out while it rewrites it, so one context serves
-    every literal of a clause.
+    reads False, so a term both assumed and denied reads True.  The
+    constructor counts false_literals; simplify_clause keeps the counts
+    itself, taking each literal out while it rewrites it and adding its
+    result after, so one context serves every literal of a clause.
 
     decide counts its calls in `reads` and notes each question and its
     answer in `log`.  Both memo tables map (term, iff) to (result, steps
@@ -121,21 +121,16 @@ class RewriteContext:
         self.theory = theory
         self.world = world
         self.budget = budget
-        self.falses, self.trues = {}, {}
+        self.falses, self.trues = falses, trues = {}, {}
         for l in false_literals:
-            self.count(l, 1)
+            falses[l] = falses.get(l, 0) + 1
+            if l.__class__ is App and l.fn == "NOT":
+                p = l.args[0]
+                trues[p] = trues.get(p, 0) + 1
         self.memo = memo
         self.local = {}
         self.reads = 0
         self.log = {}
-
-    def count(self, lit, k):
-        """Add k (1 or -1) to lit's false count and, for a (NOT p), to p's true count."""
-        falses = self.falses
-        falses[lit] = falses.get(lit, 0) + k
-        if isinstance(lit, App) and lit.fn == "NOT":
-            p = lit.args[0]
-            self.trues[p] = self.trues.get(p, 0) + k
 
     def decide(self, q):
         """True, False, or None when the context says nothing about q.
@@ -398,15 +393,23 @@ def simplify_clause(clause, theory, world, budget, memos):
     """
     memo = memos.setdefault(theory, {})
     ctx = RewriteContext(theory, world, budget, memo, clause)
+    falses, trues, decide = ctx.falses, ctx.trues, ctx.decide
     lits = list(clause)
     for i, lit in enumerate(lits):
-        ctx.count(lit, -1)
+        falses[lit] -= 1  # lit is out of the truth counts while it is rewritten
+        if lit.__class__ is App and lit.fn == "NOT":
+            trues[lit.args[0]] -= 1
         filed = memo.get(lit)
-        if filed is not None and all(ctx.decide(q) is a for q, a in filed[0].items()):
-            _, out, steps = filed
-            if steps:
-                budget.take(steps)
-        else:
+        if filed is not None:
+            log, out, steps = filed
+            for q, a in log.items():
+                if decide(q) is not a:
+                    filed = None
+                    break
+            else:
+                if steps:
+                    budget.take(steps)
+        if filed is None:
             ctx.local = {}
             log = ctx.log = {}
             used = budget.used
@@ -415,7 +418,10 @@ def simplify_clause(clause, theory, world, budget, memos):
                 memo[lit] = (log, out, budget.used - used)
                 ctx.log = {}  # what later questions ask stays out of the filed log
         lits[i] = out
-        ctx.count(out, 1)
+        falses[out] = falses.get(out, 0) + 1
+        if out.__class__ is App and out.fn == "NOT":
+            p = out.args[0]
+            trues[p] = trues.get(p, 0) + 1
 
     if any(is_true_const(l) for l in lits):
         return None

@@ -951,10 +951,34 @@ def test_convert_rule_errors():
     w = _fg_world()
     with pytest.raises(EventError, match="function call"):
         _rule("(equal x (f x))", w)
+    for text in ("(equal (f x) (f x))", "(iff (f x) (f x))",
+                 "(implies (consp x) (equal (f x) (f x)))"):
+        with pytest.raises(EventError, match="rule R rewrites its left side to itself"):
+            _rule(text, w)
     with pytest.raises(EventError, match="free variables"):
         _rule("(equal (f x) (g y))", w)
     with pytest.raises(EventError, match="free variables"):
         _rule("(implies (consp y) (equal (f x) 'nil))", w)
+
+
+def test_a_rule_onto_its_own_left_side_is_refused(tmp_path):
+    # Installed, it fired on its own result until the stack ran out: the
+    # query below FAILED with nesting depth exceeded after 492 steps
+    text = """
+      (defstub f 1)
+      (defthm r4 (equal (f y) (f y)){})
+      (defthm q (equal (f (f '1)) (f (f '1))) :rule-classes nil)
+    """
+    done = subprocess.run(
+        [sys.executable, "-m", "hintprover.cli", evfile(tmp_path, text.format(""))],
+        capture_output=True, text=True, timeout=60, env=_child_env())
+    assert done.returncode == 2
+    assert done.stderr.endswith(": rule R4 rewrites its left side to itself\n")
+    assert "Traceback" not in done.stderr
+    report = run([evfile(tmp_path, text.format(" :rule-classes nil"), "nil.lisp")])
+    assert report.exit_code == 0
+    assert [(t.name, t.proved, t.steps) for t in report.files[0].theorems] == [
+        ("R4", True, 0), ("Q", True, 0)]
 
 
 def test_defthm_translates_each_form_once(monkeypatch):
@@ -1255,6 +1279,50 @@ def test_one_memo_per_proof_saves_rewrites_of_split_goals(tmp_path, monkeypatch)
     # rewrite_term calls; deterministic.  The shared count also reuses whole
     # literals whose logged questions get the same answers in a later goal
     assert (shared, fresh) == (1838, 3459)
+
+
+def test_split_passes_keep_their_bookkeeping(tmp_path, monkeypatch):
+    # What the simplification passes of one K=4 split proof did, all
+    # deterministic: each pass's outcome, how many literals were taken from
+    # filed entries and how many were rewritten, and the rewrite_term calls
+    import hintprover.hints as hints_mod
+    import hintprover.rewrite as rewrite_mod
+
+    real_rewrite, real_simplify = rewrite_mod.rewrite_term, hints_mod.simplify_clause
+    n = Counter()
+    depth = [0]
+
+    def counted(t, ctx, iff=False):
+        n["rewrite_term"] += 1
+        if depth[0] == 0:  # called by simplify_clause itself: one literal rewritten
+            n["rewritten"] += 1
+        depth[0] += 1
+        try:
+            return real_rewrite(t, ctx, iff)
+        finally:
+            depth[0] -= 1
+
+    def counted_pass(clause, *args):
+        n["literals"] += len(clause)
+        out = real_simplify(clause, *args)
+        if out is None:
+            n["proved"] += 1
+        elif out[1] is not None:
+            n["split"] += 1
+        elif out[0] != clause:
+            n["changed"] += 1
+        else:
+            n["stable"] += 1
+        return out
+
+    monkeypatch.setattr(rewrite_mod, "rewrite_term", counted)
+    monkeypatch.setattr(hints_mod, "simplify_clause", counted_pass)
+    (t,) = run([evfile(tmp_path, _SPLIT4_TERMHINT)]).files[0].theorems
+    assert t.proved and t.steps == 24
+    assert [n[k] for k in ("proved", "split", "changed", "stable")] == [16, 15, 16, 16]
+    assert n["literals"] - n["rewritten"] == 234  # taken from filed entries
+    assert n["rewritten"] == 102
+    assert n["rewrite_term"] == 1838
 
 
 def test_split_goals_rebuild_only_what_changed(tmp_path, monkeypatch):

@@ -368,6 +368,32 @@ def test_waterfall_computed_hint_waits_for_stable():
     assert render_event(kind, data).car == Symbol("STABLE")
 
 
+@pytest.mark.parametrize("text, stable_only", [
+    ("(if stable-under-simplificationp '(:in-theory (enable d)) 'nil)", True),
+    ("(and stable-under-simplificationp (member-equal 'zzz clause))", True),
+    ("(if (member-equal 'zzz clause) '(:in-theory (enable d)) 'nil)", False),
+    ("(if (equal id 'never) '(:in-theory (enable d)) 'nil)", False),
+    ("(if stable-under-simplificationp 'nil (member-equal 'zzz clause))", False),
+    ("(and (not (not stable-under-simplificationp)) (member-equal 'zzz clause))", False),
+])
+def test_only_a_stable_guard_waits_for_a_stable_goal(text, stable_only, monkeypatch):
+    # Any other computed hint is evaluated on every goal it reaches, and
+    # once more when that goal is stable
+    w = _use_world()
+    ch = ComputedHint(expr=translate_hint_expr(parse_one(text), w))
+    assert ch.stable_only is stable_only
+    seen = []
+    real = hints_mod.eval_hint_expr
+    monkeypatch.setattr(hints_mod, "eval_hint_expr",
+                        lambda t, ctx: seen.append((ctx.goal_name, ctx.stable)) or real(t, ctx))
+    # both branches stay stable: D is disabled, and F is a stub
+    clause = (tr("(if (f q) (equal (d a) (cons a b)) (f b))", w),)
+    prove_clause(clause, [ch], w, StepBudget(100))
+    every = [("Goal", False),
+             ("Subgoal 1", False), ("Subgoal 1", True), ("Subgoal 2", False), ("Subgoal 2", True)]
+    assert seen == [g for g in every if g[1] or not stable_only]
+
+
 def test_waterfall_split_copies_pending_to_both_children():
     w = _use_world()
     clause = (tr("(if (f q) (equal (d a) (cons a a)) (equal (d b) (cons b b)))", w),)

@@ -857,6 +857,31 @@ def test_simplify_complementary_pair_proves():
     assert out is None
 
 
+def test_simplify_counts_each_copy_of_a_duplicated_literal():
+    # While the first (F X) is rewritten its copy is still assumed false, so
+    # the first reads false and drops; the second then has no copy left
+    w = World()
+    w.add_stub("F", 1)
+    lit = tr("(f x)", w)
+    out = simplify_clause((lit, lit), frozenset(), w, StepBudget(10), {})
+    assert out == ((lit,), None)
+
+
+def test_simplify_reads_a_term_assumed_and_denied_as_true():
+    # P and (NOT P) are both in the clause: while the first literal is
+    # rewritten P reads True, so its IF takes the then branch, and the
+    # entry filed for that literal logs the question and its answer
+    w = World()
+    w.add_stub("F", 1)
+    p, first = Var("P"), tr("(f (if p a b))", w)
+    memos = {}
+    out = simplify_clause((first, p, negate_term(p)), frozenset(), w, StepBudget(10), memos)
+    assert out is None
+    log, got, steps = memos[frozenset()][first]
+    assert got == tr("(f a)", w)
+    assert log == {p: True, got: None} and steps == 0
+
+
 def test_simplify_assumptions_between_literals():
     w = World()
     # second literal is decided false under the first literal's negation

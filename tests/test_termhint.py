@@ -7,7 +7,7 @@ from hintprover.sexpr import (
     NIL, Keyword, Pair, Symbol, T, from_list, is_proper_list, parse_one,
     print_sexpr, to_list,
 )
-from hintprover import termhint
+from hintprover import hints as hints_mod, termhint
 from hintprover.term import (
     App, CONST_NIL, Const, TranslateError, Translator, Var, ground_eval, translate, unparse,
 )
@@ -22,7 +22,7 @@ from hintprover.termhint import (
     ProcessError, clause_labels, drop_termhint_hyp, find_hint, install_prelude,
     keyword_fixup, process_termhint, use_termhint,
 )
-from hintprover.cli import main, render_event
+from hintprover.cli import format_report, main, render_event, run
 
 
 def _world():
@@ -475,3 +475,64 @@ def test_an_extracted_hint_cannot_reenter_the_finder(events, tmp_path, capsys):
     assert re.fullmatch(
         rf"ERROR {re.escape(str(path))} C1: the hint extracted on Subgoal [.\d]+ "
         rf"calls {FIND_FN} on it again\n", err)
+
+
+# ---------------------------------------------------------------------------
+# A hint guarded by stable-under-simplificationp waits for a stable goal
+
+_SPLIT2 = """
+(defstub p0 1) (defstub p1 1)
+(defstub g0 1) (defstub g1 1) (defstub h0 1) (defstub h1 1)
+(defund fw2 (a0 a1) (cons a0 a1))
+(defthm split2
+  (equal (fw2 (if (p0 x) (g0 x) (h0 x)) (if (p1 x) (h1 x) (g1 x)))
+         (cons (if (p0 x) (g0 x) (h0 x)) (if (p1 x) (h1 x) (g1 x))))
+  :rule-classes nil
+  :hints ({}))
+"""
+_SPLIT2_HINT = ("(let* ((t0 (if (p0 x) (g0 x) (h0 x))) (t1 (if (p1 x) (h1 x) (g1 x))))"
+                " `'(:expand ((fw2 ,(hq t0) ,(hq t1)))))")
+
+
+def _traced_run(tmp_path, monkeypatch, hint, name):
+    """The trace of _SPLIT2 under hint, and each hint expression evaluated
+    with the goal's name and whether it was stable."""
+    seen = []
+    real = hints_mod.eval_hint_expr
+    monkeypatch.setattr(hints_mod, "eval_hint_expr",
+                        lambda t, ctx: seen.append((t, ctx.goal_name, ctx.stable)) or real(t, ctx))
+    path = tmp_path / name
+    path.write_text(_SPLIT2.format(hint))
+    report = run([str(path)])
+    assert report.exit_code == 0
+    monkeypatch.setattr(hints_mod, "eval_hint_expr", real)
+    text = format_report(report, trace=True, checkpoints=True)
+    return text, seen, report.files[0].theorems[0]
+
+
+def test_the_finder_runs_once_per_stable_goal(tmp_path, monkeypatch):
+    finder = use_termhint(parse_one("'nil"), _world()).replacement[0]
+    assert finder.stable_only
+    _, seen, thm = _traced_run(tmp_path, monkeypatch, f"(use-termhint {_SPLIT2_HINT})", "a.lisp")
+    stable = [n for n, k, d in thm.events if k == "SIMPLIFY" and isinstance(d, GoalCtx)]
+    assert len(stable) == 4  # one for each branch of the split
+    assert [(n, s) for t, n, s in seen if t is finder.expr] == [(n, True) for n in stable]
+
+
+def test_a_written_stable_guard_traces_alike_skipped_or_not(tmp_path, monkeypatch):
+    # The extractor written out by hand: skipping it on unstable goals
+    # changes nothing the trace shows, and the trace is use-termhint's
+    written = ("(:computed-hint-replacement"
+               " ((and stable-under-simplificationp (use-termhint-find-hint clause)))"
+               " :use ((:instance use-termhint-hyp-is-true (x {}))))").format(_SPLIT2_HINT)
+    skipped, seen, thm = _traced_run(tmp_path, monkeypatch, written, "a.lisp")
+    (guarded,) = thm.events[0][2].replacement
+    assert guarded.stable_only
+    assert all(s for t, _, s in seen if t is guarded.expr)
+    monkeypatch.setattr(hints_mod, "_STABLE", None)  # what is built now is never stable-only
+    evaluated, seen_all, _ = _traced_run(tmp_path, monkeypatch, written, "a.lisp")
+    assert len(seen_all) > len(seen)
+    assert skipped == evaluated
+    monkeypatch.undo()
+    assert skipped == _traced_run(tmp_path, monkeypatch, f"(use-termhint {_SPLIT2_HINT})",
+                                  "a.lisp")[0]
