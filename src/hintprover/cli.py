@@ -25,7 +25,7 @@ from .term import (
 from .world import RewriteRule, HintFn, World
 from .rewrite import ResourceError, StepBudget, negate_term, normalize_definition
 from .hints import (
-    HINT_EXPR_BUILTINS, ComputedHint, GoalCtx, HintError,
+    HINT_EXPR_BUILTINS, ComputedHint, HintError,
     clause_sexpr, clausify, eval_hint_expr, parse_hint, parse_in_theory,
     prove_clause, render_hint, translate_hint_expr,
 )
@@ -41,10 +41,10 @@ class EventError(ProverError):
 class TheoremOutcome:
     __slots__ = ("name", "proved", "steps", "events", "error")
 
-    def __init__(self, name: str, proved: bool, steps: int):
+    def __init__(self, name: str):
         self.name = name
-        self.proved = proved
-        self.steps = steps
+        self.proved = False
+        self.steps = 0
         self.events = []  # the (goal, kind, data) events of prove_clause
         self.error = None
 
@@ -192,9 +192,8 @@ def convert_rule(name: str, hyps, concl, concl_form) -> RewriteRule:
 
 def _parse_hint_entry(entry, world: World):
     if isinstance(entry, Symbol):
-        fn = world.hint_fns.get(entry.name)
-        if fn is None:
-            raise EventError(f"unknown hint function: {entry.name}")
+        if entry.name not in world.hint_fns:
+            raise HintError(f"unknown hint function: {entry.name}")
         return ComputedHint(expr=App(entry.name, ()), display=entry)
     if isinstance(entry, Pair):
         if isinstance(entry.car, Keyword):
@@ -202,9 +201,9 @@ def _parse_hint_entry(entry, world: World):
         if entry.car == Symbol("USE-TERMHINT"):
             args = to_list(entry.cdr)
             if len(args) != 1:
-                raise EventError("use-termhint expects one form")
+                raise HintError("use-termhint expects one form")
             return use_termhint(args[0], world)
-    raise EventError(f"unrecognized hint entry: {print_capped(entry)}")
+    raise HintError(f"unrecognized hint entry: {print_capped(entry)}")
 
 
 def _do_defthm(world: World, items, max_steps: int) -> TheoremOutcome:
@@ -241,9 +240,9 @@ def _do_defthm(world: World, items, max_steps: int) -> TheoremOutcome:
     clause = tuple(negate_term(h) for h in hyps) + (concl,)
 
     budget = StepBudget(max_steps)
-    outcome = TheoremOutcome(name, False, 0)
+    outcome = TheoremOutcome(name)
     try:
-        outcome.proved, outcome.events = prove_clause(clause, pending, world, budget)
+        outcome.proved = prove_clause(clause, pending, world, budget, outcome.events)
     except (ProverError, RecursionError) as e:
         outcome.error = _error_text(e)
     outcome.steps = budget.used
@@ -338,11 +337,10 @@ def render_event(kind: str, data):
     terms, and tests check that text against this view.
     """
     if kind == "SIMPLIFY":
-        if isinstance(data, GoalCtx):
-            return from_list([Symbol("STABLE"), data.sexpr])
-        return from_list([Symbol("CHANGED"), clause_sexpr(data)])
+        tag, clause = data
+        return from_list([Symbol(tag), clause_sexpr(clause)])
     if kind == "CHECKPOINT":
-        return data.sexpr
+        return clause_sexpr(data)
     if kind == "HINT":
         return render_hint(data)
     if kind == "SPLIT":
@@ -360,11 +358,10 @@ def clause_text(clause) -> str:
 def event_text(kind: str, data) -> str:
     """The text print_sexpr(render_event(kind, data)) gives."""
     if kind == "SIMPLIFY":
-        if isinstance(data, GoalCtx):
-            return "(STABLE " + clause_text(data.clause) + ")"
-        return "(CHANGED " + clause_text(data) + ")"
+        tag, clause = data
+        return "(" + tag + " " + clause_text(clause) + ")"
     if kind == "CHECKPOINT":
-        return clause_text(data.clause)
+        return clause_text(data)
     if kind == "SPLIT":
         return term_text(data)
     return print_sexpr(render_event(kind, data))
@@ -385,12 +382,13 @@ def format_file(f: FileOutcome, trace: bool = False, checkpoints: bool = False) 
                 events = [f"EVENT {goal} {kind} {event_text(kind, data)}"
                           for goal, kind, data in t.events]
             if checkpoints:
-                for ctx in [data for _, kind, data in t.events if kind == "CHECKPOINT"]:
-                    labels = clause_labels(ctx.clause)
-                    head = f"CHECKPOINT {ctx.goal_name}"
-                    if labels:
-                        head += " [" + " ".join(labels) + "]"
-                    marks += [head, "  " + clause_text(ctx.clause)]
+                for goal, kind, clause in t.events:
+                    if kind == "CHECKPOINT":
+                        labels = clause_labels(clause)
+                        head = f"CHECKPOINT {goal}"
+                        if labels:
+                            head += " [" + " ".join(labels) + "]"
+                        marks += [head, "  " + clause_text(clause)]
         except RecursionError as e:
             events, marks = [], []
             f.error = _error_text(e)

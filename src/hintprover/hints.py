@@ -12,8 +12,8 @@ Goals are named "Goal", "Subgoal 1", "Subgoal 1.2", ... in creation
 order.  Each goal tries hints on arrival, then simplifies; a goal that
 is stable under simplification (the pass returns its clause unchanged
 and finds no split) offers itself to the pending hints once more before
-it becomes a checkpoint.  Each step is recorded as an event that keeps
-terms; a report renders an event only when it prints it.
+it becomes a checkpoint.  Each step is recorded as an event of plain
+data that keeps terms; a report renders an event only when it prints it.
 """
 
 import sys
@@ -90,14 +90,12 @@ class GoalCtx:
     """One goal as computed hints see it, and their variable environment.
 
     `in` and `[]` answer for CLAUSE, ID and STABLE-UNDER-SIMPLIFICATIONP.
-    The clause's s-expression is rendered on the first read of `sexpr`
-    (or CLAUSE) and kept, so a goal renders its clause at most once
-    however many computed hints read it.  Only they and the s-expression
-    view cli.render_event need it: the report prints trace events and
-    checkpoints from the terms themselves (cli.event_text).  `reading`
-    is set while a hint carried by the clause is evaluated against it.
-    `budget` is the proof's StepBudget, which charges the cells a hint
-    read back off the clause copies; None charges nothing.
+    The clause's s-expression is rendered on the first read of CLAUSE
+    and kept, so a goal renders its clause at most once however many
+    computed hints read it.  `reading` is set while a hint carried by
+    the clause is evaluated against it.  `budget` is the proof's
+    StepBudget, which charges the cells a hint read back off the clause
+    copies; None charges nothing.
     """
     __slots__ = ("clause", "goal_name", "stable", "world", "_sexpr", "reading", "budget")
 
@@ -110,18 +108,14 @@ class GoalCtx:
         self.reading = False
         self.budget = budget
 
-    @property
-    def sexpr(self):
-        if self._sexpr is None:
-            self._sexpr = clause_sexpr(self.clause)
-        return self._sexpr
-
     def __contains__(self, name):
         return name in ("CLAUSE", "ID", "STABLE-UNDER-SIMPLIFICATIONP")
 
     def __getitem__(self, name):
         if name == "CLAUSE":
-            return self.sexpr
+            if self._sexpr is None:
+                self._sexpr = clause_sexpr(self.clause)
+            return self._sexpr
         if name == "ID":
             return self.goal_name
         if name == "STABLE-UNDER-SIMPLIFICATIONP":
@@ -287,7 +281,7 @@ def eval_hint_expr(t, ctx: GoalCtx):
 
     CLAUSE, ID and STABLE-UNDER-SIMPLIFICATIONP are bound to the goal;
     CLAUSE is rendered only if the expression reads it, and then once
-    per goal (GoalCtx.sexpr).
+    per goal (GoalCtx).
     """
     def call(fn, args):
         hint_fn = ctx.world.hint_fns.get(fn)
@@ -444,22 +438,23 @@ def _push_subgoals(todo, parent, clauses, pending, theory, budget):
         todo.append((_child_name(parent, i), clauses[i - 1], pending, theory))
 
 
-def prove_clause(clause, pending, world, budget):
-    """Run the waterfall on one root clause named Goal; answer (proved,
-    events), the verdict and the list of (goal, kind, data) events.
+def prove_clause(clause, pending, world, budget, events):
+    """Run the waterfall on one root clause named Goal and answer whether
+    it proved; each (goal, kind, data) event is appended to events as it
+    happens, so a proof that raises keeps the events before the error.
 
     Goals wait on an explicit stack of (name, clause, pending, theory)
     entries and are visited depth first, in creation order.  A goal
     proves, becomes a checkpoint, or yields subgoals: one per branch of
     a split or one for a fired hint, each charged to budget.take_goal().
 
-    An event's data is unrendered: T (PROVED), the rewritten clause
-    (SIMPLIFY, CHANGED), the goal's GoalCtx (SIMPLIFY when STABLE, and
-    CHECKPOINT: a checkpoint is its event), the test term (SPLIT) or the
-    Hint (HINT).  Only computed hints that read CLAUSE render here, once
-    per goal through its GoalCtx.
+    An event's data is plain and unrendered: T (PROVED), a ("CHANGED",
+    rewritten clause) or ("STABLE", clause) pair (SIMPLIFY), the goal's
+    clause (CHECKPOINT), the test term (SPLIT) or the Hint (HINT).  Only
+    computed hints that read CLAUSE render here, once per goal through
+    its GoalCtx.
     """
-    proved, events = True, []
+    proved = True
     todo = [("Goal", tuple(clause), list(pending), world.theory())]
     memos = {}  # one rewrite memo table per theory, for this proof only
     while todo:
@@ -473,7 +468,7 @@ def prove_clause(clause, pending, world, budget):
                 continue
             rewritten, split = out
             if split is not None or rewritten != clause:  # not stable
-                events.append((name, "SIMPLIFY", rewritten))
+                events.append((name, "SIMPLIFY", ("CHANGED", rewritten)))
                 children = [rewritten]
                 if split is not None:
                     events.append((name, "SPLIT", split[0]))
@@ -481,10 +476,10 @@ def prove_clause(clause, pending, world, budget):
                 _push_subgoals(todo, name, children, pending, theory, budget)
                 continue
             ctx.stable = True
-            events.append((name, "SIMPLIFY", ctx))
+            events.append((name, "SIMPLIFY", ("STABLE", clause)))
             found = _first_firing(pending, ctx)
             if found is None:
-                events.append((name, "CHECKPOINT", ctx))
+                events.append((name, "CHECKPOINT", clause))
                 proved = False
                 continue
         i, hint = found
@@ -492,4 +487,4 @@ def prove_clause(clause, pending, world, budget):
         clause, theory = apply_hint(hint, clause, theory, world)
         _push_subgoals(todo, name, [clause], _splice(pending, i, hint), theory, budget)
 
-    return proved, events
+    return proved

@@ -64,8 +64,8 @@ def _hints_fired(t):
 
 
 def _checkpoints(t):
-    """The GoalCtx of each CHECKPOINT event, in order."""
-    return [ctx for _, kind, ctx in t.events if kind == "CHECKPOINT"]
+    """The clause of each CHECKPOINT event, in order."""
+    return [clause for _, kind, clause in t.events if kind == "CHECKPOINT"]
 
 
 _PIPELINE_HINT_FORM = """
@@ -153,7 +153,7 @@ def test_criterion_2_rewrite_robustness():
     assert len(_checkpoints(t)) == 2
     # the membership patterns stopped matching: literals now mention KIND
     for cp in _checkpoints(t):
-        shown = [print_sexpr(unparse(l)) for l in cp.clause]
+        shown = [print_sexpr(unparse(l)) for l in cp]
         assert any("(KIND X)" in s for s in shown)
 
 
@@ -189,7 +189,7 @@ def test_criterion_4_nil_hint():
     # the injection hint, then the extracted hint with no keywords at all
     assert fired[-1][1] == "(:CLAUSE-PROCESSOR DROP-TERMHINT-HYP)"
     assert len(_checkpoints(t)) == 1
-    cp = _checkpoints(t)[0].clause
+    cp = _checkpoints(t)[0]
     assert all(
         not (isinstance(l, App) and l.fn == "NOT"
              and isinstance(l.args[0], App) and l.args[0].fn == HYP_FN)
@@ -210,7 +210,7 @@ def test_criterion_5_mark_clause():
     assert report.exit_code == 1
     t = _theorem(report, "TWO-BRANCH-FAILURE")
     assert len(_checkpoints(t)) == 2
-    labels = [clause_labels(cp.clause) for cp in _checkpoints(t)]
+    labels = [clause_labels(cp) for cp in _checkpoints(t)]
     assert labels == [["CONSP-CASE"], ["ATOM-CASE"]]
     text = format_report(report, checkpoints=True)
     assert "[CONSP-CASE]" in text and "[ATOM-CASE]" in text

@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import hintprover
-from hintprover.sexpr import Pair, parse_one, print_sexpr, to_list
-from hintprover.term import App, Const, Translator, Var, translate
+from hintprover.sexpr import Pair, T, parse_one, print_sexpr, to_list
+from hintprover.term import App, Const, LamApp, Translator, Var, translate
 from hintprover.world import World
-from hintprover.hints import clausify
+from hintprover.hints import Hint, clausify
 from hintprover.cli import (
     EVENT_HANDLERS, EventError, _do_defthm, _do_defun, convert_rule, format_report, main,
     process_file, render_event, run,
@@ -135,6 +135,9 @@ def test_malformed_implies_is_a_file_error(tmp_path, capsys, rule_classes):
 @pytest.mark.parametrize("entry, message", [
     ("(use-termhint (hq))", "HQ expects 1 arguments, got 0"),
     ("(:frob x)", "unknown hint keyword: :FROB"),
+    ("(use-termhint)", "use-termhint expects one form"),
+    ("nonesuch", "unknown hint function: NONESUCH"),
+    ("7", "unrecognized hint entry: 7"),
 ])
 def test_bad_hint_entry_names_the_theorem(tmp_path, capsys, entry, message):
     path = evfile(tmp_path, f"""
@@ -724,6 +727,26 @@ def test_hint_inside_a_builtin_fails_the_theorem(tmp_path, capsys):
     assert "THEOREM X FAILED" in out
 
 
+def test_a_proof_that_stops_on_an_error_keeps_its_trace(tmp_path, capsys):
+    # the goal budget runs out while Subgoal 1.1's branches are pushed;
+    # the events before that still print, as they do at the default bound
+    path = evfile(tmp_path, "(defstub q 1) (defund f (x) (if (q x) (cons x x) x))"
+                            " (defthm c (consp (f (f y))) :rule-classes nil"
+                            " :hints ((:in-theory (enable f))))")
+    assert main(["--trace", "--checkpoints", "--max-steps", "4", path]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"ERROR {path} C: goal budget of 4 exhausted\n"
+    lines = out.splitlines()
+    assert [" ".join(line.split()[:4]) for line in lines[1:6]] == [
+        "EVENT Goal HINT (:IN-THEORY",
+        "EVENT Subgoal 1 SIMPLIFY", "EVENT Subgoal 1 SPLIT",
+        "EVENT Subgoal 1.1 SIMPLIFY", "EVENT Subgoal 1.1 SPLIT",
+    ]
+    assert lines[6:] == ["THEOREM C FAILED steps=2", "PROVED 0/1"]
+    main(["--trace", path])
+    assert capsys.readouterr().out.splitlines()[1:6] == lines[1:6]
+
+
 _ERROR_TEXTS = [  # (events, exit code, what follows "ERROR <path>")
     *[(f"(defun f (x) {body})", 2, f": {text}") for body, text in [
         ("(let ((y)) x)", "malformed LET binding: (Y)"),
@@ -756,9 +779,27 @@ _ERROR_TEXTS = [  # (events, exit code, what follows "ERROR <path>")
     ("(defstub f 1)\n(defun id (x) x)\n(defthm b (equal (id x) x) :rule-classes nil)\n"
      "(defthm c (f y) :rule-classes nil\n"
      "  :hints ((use-termhint ''(:use (:instance b (x y) (x z))))))", 1,
-     " C: duplicate instance binding: X"),    # APPEND is a spelling of BINARY-APPEND, so no event may claim it
+     " C: duplicate instance binding: X"),
+    # APPEND is a spelling of BINARY-APPEND, so no event may claim it
     ("(defstub append 2)", 2, ": APPEND is built in"),
     ("(register-hint-fn append '(:in-theory (enable foo)))", 2, ": APPEND is built in"),
+    # malformed events
+    *[(events, 2, f": {what} must be a symbol: 3") for events, what in [
+        ("(defstub 3 1)", "stub name"),
+        ("(defthm 3 (equal x x))", "theorem name"),
+        ("(register-hint-fn 3 'nil)", "hint function name"),
+        ("(defun 3 (x) x)", "function name"),
+    ]],
+    ("(defun f (1) x)", 2, ": formal must be a symbol: 1"),
+    ("(defun f (x x) x)", 2, ": duplicate formal: X"),
+    ("(defun f (x))", 2, ": defun expects a name, formals, and one body form"),
+    ("(in-theory)", 2, ": in-theory expects one ENABLE or DISABLE form"),
+    ("(defthm a)", 2, ": defthm expects a name and a body"),
+    ("(defthm a (equal x x) :rule-classes)", 2, ": odd keyword list in defthm A"),
+    ("(defthm a (equal x x) :rule-classes :forward-chaining)", 2,
+     ": unsupported rule-classes: :FORWARD-CHAINING"),
+    ("(defthm a (equal x x) :hints 3)", 2, ": bad :HINTS value in A"),
+    ("(defstub p 1)\n(defthm a (p x)\n  :rule-classes nil))", 2, ": unexpected ) (line 3)"),
 ]
 
 
@@ -969,12 +1010,11 @@ def test_a_rule_onto_its_own_left_side_is_refused(tmp_path):
       (defthm r4 (equal (f y) (f y)){})
       (defthm q (equal (f (f '1)) (f (f '1))) :rule-classes nil)
     """
-    done = subprocess.run(
-        [sys.executable, "-m", "hintprover.cli", evfile(tmp_path, text.format(""))],
-        capture_output=True, text=True, timeout=60, env=_child_env())
+    path = evfile(tmp_path, text.format(""))
+    done = subprocess.run([sys.executable, "-m", "hintprover.cli", path],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
     assert done.returncode == 2
-    assert done.stderr.endswith(": rule R4 rewrites its left side to itself\n")
-    assert "Traceback" not in done.stderr
+    assert done.stderr == f"ERROR {path}: rule R4 rewrites its left side to itself\n"
     report = run([evfile(tmp_path, text.format(" :rule-classes nil"), "nil.lisp")])
     assert report.exit_code == 0
     assert [(t.name, t.proved, t.steps) for t in report.files[0].theorems] == [
@@ -1154,6 +1194,34 @@ def test_goal_clauses_render_once_and_only_when_read(tmp_path, monkeypatch):
     # clause s-expression is rendered at all
     assert kinds.count("SIMPLIFY") == 12
     assert len(calls) == 0
+
+
+def test_event_payloads_are_plain_data(tmp_path):
+    # a payload is T, a term, a Hint, a clause, or a tagged clause; never
+    # the goal environment computed hints read
+    def is_clause(x):
+        return isinstance(x, tuple) and all(isinstance(l, (Var, Const, App, LamApp)) for l in x)
+
+    report = run(_CORPUS + [evfile(tmp_path, _SPLIT4_TERMHINT)])
+    kinds = Counter()
+    for f in report.files:
+        for t in f.theorems:
+            for goal, kind, data in t.events:
+                kinds[kind] += 1
+                assert isinstance(goal, str)
+                if kind == "PROVED":
+                    assert data is T
+                elif kind == "SPLIT":
+                    assert isinstance(data, (Var, Const, App, LamApp))
+                elif kind == "HINT":
+                    assert isinstance(data, Hint)
+                elif kind == "CHECKPOINT":
+                    assert is_clause(data)
+                else:
+                    assert kind == "SIMPLIFY"
+                    tag, clause = data
+                    assert tag in ("STABLE", "CHANGED") and is_clause(clause)
+    assert set(kinds) == {"PROVED", "SPLIT", "HINT", "CHECKPOINT", "SIMPLIFY"}
 
 
 def test_untraced_run_renders_only_what_hints_read(tmp_path, monkeypatch):

@@ -328,9 +328,14 @@ def _enable_d_when_stable(world):
     )
 
 
+def _prove(clause, pending, world, budget):
+    events = []
+    return prove_clause(clause, pending, world, budget, events), events
+
+
 def test_waterfall_proves_trivial_goal():
     w = World()
-    proved, events = prove_clause((tr("(equal x x)"),), [], w, StepBudget(10))
+    proved, events = _prove((tr("(equal x x)"),), [], w, StepBudget(10))
     assert proved
     assert events == [("Goal", "PROVED", T)]
 
@@ -338,19 +343,17 @@ def test_waterfall_proves_trivial_goal():
 def test_waterfall_checkpoint_on_stuck_goal():
     w = _stub_f()
     clause = (tr("(f x)", w),)
-    proved, events = prove_clause(clause, [], w, StepBudget(10))
+    proved, events = _prove(clause, [], w, StepBudget(10))
     assert not proved
     kinds = [(name, kind) for name, kind, _ in events]
     assert kinds == [("Goal", "SIMPLIFY"), ("Goal", "CHECKPOINT")]
-    _, _, ctx = events[-1]
-    assert ctx.goal_name == "Goal"
-    assert ctx.clause == clause
+    assert events[-1] == ("Goal", "CHECKPOINT", clause)
 
 
 def test_waterfall_explicit_hint_fires_on_arrival():
     w = _use_world()
     pending = [ph("(:in-theory (enable d))", w)]
-    proved, events = prove_clause((tr("(equal (d a) (cons a a))", w),), pending, w, StepBudget(10))
+    proved, events = _prove((tr("(equal (d a) (cons a a))", w),), pending, w, StepBudget(10))
     assert proved
     assert [(n, k) for n, k, _ in events] == [
         ("Goal", "HINT"), ("Subgoal 1", "PROVED")]
@@ -359,12 +362,13 @@ def test_waterfall_explicit_hint_fires_on_arrival():
 
 def test_waterfall_computed_hint_waits_for_stable():
     w = _use_world()
-    proved, events = prove_clause((tr("(equal (d a) (cons a a))", w),),
-                                  [_enable_d_when_stable(w)], w, StepBudget(10))
+    proved, events = _prove((tr("(equal (d a) (cons a a))", w),),
+                            [_enable_d_when_stable(w)], w, StepBudget(10))
     assert proved
     assert [(n, k) for n, k, _ in events] == [
         ("Goal", "SIMPLIFY"), ("Goal", "HINT"), ("Subgoal 1", "PROVED")]
     name, kind, data = events[0]
+    assert data == ("STABLE", (tr("(equal (d a) (cons a a))", w),))
     assert render_event(kind, data).car == Symbol("STABLE")
 
 
@@ -388,7 +392,7 @@ def test_only_a_stable_guard_waits_for_a_stable_goal(text, stable_only, monkeypa
                         lambda t, ctx: seen.append((ctx.goal_name, ctx.stable)) or real(t, ctx))
     # both branches stay stable: D is disabled, and F is a stub
     clause = (tr("(if (f q) (equal (d a) (cons a b)) (f b))", w),)
-    prove_clause(clause, [ch], w, StepBudget(100))
+    _prove(clause, [ch], w, StepBudget(100))
     every = [("Goal", False),
              ("Subgoal 1", False), ("Subgoal 1", True), ("Subgoal 2", False), ("Subgoal 2", True)]
     assert seen == [g for g in every if g[1] or not stable_only]
@@ -397,7 +401,7 @@ def test_only_a_stable_guard_waits_for_a_stable_goal(text, stable_only, monkeypa
 def test_waterfall_split_copies_pending_to_both_children():
     w = _use_world()
     clause = (tr("(if (f q) (equal (d a) (cons a a)) (equal (d b) (cons b b)))", w),)
-    proved, events = prove_clause(clause, [_enable_d_when_stable(w)], w, StepBudget(100))
+    proved, events = _prove(clause, [_enable_d_when_stable(w)], w, StepBudget(100))
     assert proved
     hint_goals = [n for n, k, _ in events if k == "HINT"]
     assert hint_goals == ["Subgoal 1", "Subgoal 2"]
@@ -411,7 +415,7 @@ def test_waterfall_visits_goals_depth_first_in_creation_order():
     w = _use_world()
     clause = (tr("(if (f p) (if (f q) (equal (d a) (cons a a)) (equal x x)) (equal y y))", w),)
     budget = StepBudget(100)
-    proved, events = prove_clause(clause, [_enable_d_when_stable(w)], w, budget)
+    proved, events = _prove(clause, [_enable_d_when_stable(w)], w, budget)
     assert proved
     assert [(n, k) for n, k, _ in events] == [
         ("Goal", "SIMPLIFY"), ("Goal", "SPLIT"),
@@ -430,7 +434,7 @@ def test_waterfall_visits_goals_depth_first_in_creation_order():
 def test_waterfall_nonfiring_entry_survives():
     w = _use_world()
     never = ComputedHint(expr=translate_hint_expr(parse_one("'nil"), w))
-    proved, events = prove_clause((tr("(equal x x)"),), [never], w, StepBudget(10))
+    proved, events = _prove((tr("(equal x x)"),), [never], w, StepBudget(10))
     assert proved
     assert events == [("Goal", "PROVED", T)]
 
@@ -438,8 +442,8 @@ def test_waterfall_nonfiring_entry_survives():
 def test_waterfall_replacement_splices():
     w = _use_world()
     first = Hint(replacement=(_enable_d_when_stable(w),))
-    proved, events = prove_clause((tr("(equal (d a) (cons a a))", w),),
-                                  [first], w, StepBudget(10))
+    proved, events = _prove((tr("(equal (d a) (cons a a))", w),),
+                            [first], w, StepBudget(10))
     assert proved
     names = [(n, k) for n, k, _ in events]
     assert names == [
@@ -457,7 +461,7 @@ def test_waterfall_retired_hint_does_not_refire():
     # a keyword hint with no replacement fires once; the child sees no pending
     pending = [Hint(enable=("D",))]
     clause = (tr("(if (f q) (equal (d a) (cons a a)) (equal (d b) (cons b b)))", w),)
-    proved, events = prove_clause(clause, pending, w, StepBudget(100))
+    proved, events = _prove(clause, pending, w, StepBudget(100))
     assert proved
     hints = [n for n, k, _ in events if k == "HINT"]
     assert hints == ["Goal"]
@@ -467,8 +471,8 @@ def test_waterfall_parsed_replacement_chain():
     w = _use_world()
     h = ph("(:computed-hint-replacement ('(:in-theory (enable d))) "
            ":in-theory (disable d))", w)
-    proved, events = prove_clause((tr("(equal (d a) (cons a a))", w),),
-                                  [h], w, StepBudget(10))
+    proved, events = _prove((tr("(equal (d a) (cons a a))", w),),
+                            [h], w, StepBudget(10))
     assert proved
     names = [(n, k) for n, k, _ in events]
     # replacement hint fires on arrival at Subgoal 1, then the goal proves

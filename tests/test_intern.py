@@ -20,6 +20,7 @@ from hintprover.term import (
     unparse,
 )
 from hintprover.world import World
+from hintprover.hints import clause_sexpr
 from hintprover.termhint import SEQ_FN, install_prelude
 from hintprover.rewrite import find_split_test
 from hintprover.cli import format_report, main, render_event, run
@@ -384,9 +385,9 @@ def test_report_prints_the_s_expression_view_of_each_payload(tmp_path):
                 assert next(lines) == f"EVENT {goal} {kind} {print_sexpr(render_event(kind, data))}"
                 seen.add(kind)
             assert next(lines).startswith(f"THEOREM {t.name} ")
-            for ctx in [data for _, kind, data in t.events if kind == "CHECKPOINT"]:
-                assert next(lines).startswith(f"CHECKPOINT {ctx.goal_name}")
-                assert next(lines) == "  " + print_sexpr(ctx.sexpr)
+            for goal, _, clause in [e for e in t.events if e[1] == "CHECKPOINT"]:
+                assert next(lines).startswith(f"CHECKPOINT {goal}")
+                assert next(lines) == "  " + print_sexpr(clause_sexpr(clause))
     assert next(lines).startswith("PROVED ")
     assert {"SIMPLIFY", "SPLIT", "CHECKPOINT"} <= seen
     assert "[CASE-" in text  # a mark-clause label

@@ -373,7 +373,8 @@ def test_prelude_waterfall_round_trip():
     w = _dworld()
     goal = tr("(equal (d p q) (cons p q))", w)
     hint = use_termhint(parse_one("`'(:expand ((d ,(hq p) ,(hq q))))"), w)
-    proved, events = prove_clause((goal,), [hint], w, StepBudget(100))
+    events = []
+    proved = prove_clause((goal,), [hint], w, StepBudget(100), events)
     assert proved
     fired = [(n, print_sexpr(render_event(k, d))) for n, k, d in events if k == "HINT"]
     assert fired[0][0] == "Goal"
@@ -514,7 +515,7 @@ def test_the_finder_runs_once_per_stable_goal(tmp_path, monkeypatch):
     finder = use_termhint(parse_one("'nil"), _world()).replacement[0]
     assert finder.stable_only
     _, seen, thm = _traced_run(tmp_path, monkeypatch, f"(use-termhint {_SPLIT2_HINT})", "a.lisp")
-    stable = [n for n, k, d in thm.events if k == "SIMPLIFY" and isinstance(d, GoalCtx)]
+    stable = [n for n, k, d in thm.events if k == "SIMPLIFY" and d[0] == "STABLE"]
     assert len(stable) == 4  # one for each branch of the split
     assert [(n, s) for t, n, s in seen if t is finder.expr] == [(n, True) for n in stable]
 
