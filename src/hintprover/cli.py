@@ -421,8 +421,9 @@ def main(argv=None) -> int:
     ap.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
                     help="per-theorem bound on rewrite steps and, separately, "
                          "on the subgoals that splits and hints create and on "
-                         "the cons cells constant folding builds; also the "
-                         "per-definition bound on IF lifts when normalizing")
+                         "the cons cells that constant folding builds and hint "
+                         "splices copy; also the per-definition bound on IF "
+                         "lifts when normalizing")
     ap.add_argument("--stop-on-failure", action="store_true",
                     help="stop at the first failed theorem")
     args = ap.parse_intermixed_args(argv)

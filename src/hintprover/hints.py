@@ -89,7 +89,8 @@ class ComputedHint(_Fields):
 class GoalCtx:
     """One goal as computed hints see it, and their variable environment.
 
-    `in` and `[]` answer for CLAUSE, ID and STABLE-UNDER-SIMPLIFICATIONP.
+    `[]` answers for CLAUSE, ID and STABLE-UNDER-SIMPLIFICATIONP and
+    raises KeyError for any other name, which evaluate reads as unbound.
     The clause's s-expression is rendered on the first read of CLAUSE
     and kept, so a goal renders its clause at most once however many
     computed hints read it.  `reading` is set while a hint carried by
@@ -107,9 +108,6 @@ class GoalCtx:
         self._sexpr = None
         self.reading = False
         self.budget = budget
-
-    def __contains__(self, name):
-        return name in ("CLAUSE", "ID", "STABLE-UNDER-SIMPLIFICATIONP")
 
     def __getitem__(self, name):
         if name == "CLAUSE":

@@ -44,10 +44,11 @@ class ExpandError(ProverError):
 
 class StepBudget:
     """Rewrite steps (`used`, reported as steps=), subgoals (`goals`) and the
-    cons cells constant folding builds (`cells`), one limit.
+    cons cells that constant folding builds and hint splices copy
+    (`cells`), one limit.
 
-    `folded` holds the folds charged so far, each a (head, constant
-    arguments) pair: a proof pays once for each distinct fold, however
+    `folded` holds the folds and splices charged so far, each a (head,
+    arguments) pair: a proof pays once for each distinct one, however
     many of its literals and goals build it again or take it from a memo.
     """
 
@@ -100,7 +101,8 @@ class RewriteContext:
     reads False, so a term both assumed and denied reads True.  The
     constructor counts false_literals; simplify_clause keeps the counts
     itself, taking each literal out while it rewrites it and adding its
-    result after, so one context serves every literal of a clause.
+    result after, so one context serves every literal of a clause and
+    the counts left at the end are what the pass's verdict reads.
 
     decide counts its calls in `reads` and notes each question and its
     answer in `log`.  Both memo tables map (term, iff) to (result, steps
@@ -365,21 +367,17 @@ def split_ifs(clause):
 # ---------------------------------------------------------------------------
 # One simplification pass over a clause
 
-def _has_complementary_pair(lits) -> bool:
-    present = set(lits)
-    return any(
-        isinstance(l, App) and l.fn == "NOT" and l.args[0] in present
-        for l in lits
-    )
-
-
 def simplify_clause(clause, theory, world, budget, memos):
     """One pass: rewrite each literal assuming the others false, drop
     false literals, then look for a split.
 
     Returns None when the clause proved, otherwise (rewritten, split):
     the tuple of surviving literals and what split_ifs returns for it.
-    Whether the goal is stable is the caller's to decide.
+    The clause proved when a literal rewrote to a true constant or one
+    is the negation of another.  Each literal's result replaces it in the
+    truth counts, so after the loop they count exactly the rewritten
+    literals, and the second test reads them: some p is counted both
+    false and true.  Whether the goal is stable is the caller's to decide.
 
     memos maps a theory to its memo table (see RewriteContext) and is
     filled here.  prove_clause passes one dict to every goal of a proof,
@@ -423,11 +421,9 @@ def simplify_clause(clause, theory, world, budget, memos):
             p = out.args[0]
             trues[p] = trues.get(p, 0) + 1
 
-    if any(is_true_const(l) for l in lits):
+    if any(is_true_const(l) for l in lits) or any(falses.get(p) for p, n in trues.items() if n):
         return None
     rewritten = tuple([l for l in lits if l is not CONST_NIL])
-    if _has_complementary_pair(rewritten):
-        return None
     return rewritten, split_ifs(rewritten)
 
 

@@ -706,14 +706,17 @@ def beta_reduce(t):
 def evaluate(t, env, call):
     """Evaluate a term to an SExpr value, with variables bound by env.
 
-    Variables, constants, lambda applications and IF (lazily) are
-    handled here; every other application goes to call(fn, args) with
-    its arguments already evaluated.
+    A variable is read with env[name], once; a KeyError means it is
+    unbound, so env needs nothing but __getitem__.  Variables, constants,
+    lambda applications and IF (lazily) are handled here; every other
+    application goes to call(fn, args) with its arguments already
+    evaluated.
     """
     if isinstance(t, Var):
-        if t.name in env:
+        try:
             return env[t.name]
-        raise EvalError(f"unbound variable: {t.name}")
+        except KeyError:
+            raise EvalError(f"unbound variable: {t.name}") from None
     if isinstance(t, Const):
         return t.value
     if isinstance(t, LamApp):

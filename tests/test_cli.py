@@ -811,6 +811,23 @@ def test_error_texts(tmp_path, capsys, events, code, text):
     assert capsys.readouterr().err == f"ERROR {path}{text}\n"
 
 
+@pytest.mark.parametrize("hints, text", [
+    ("((:use nosuchthm))", ":USE of unknown theorem: NOSUCHTHM"),
+    ("((:use (:instance p)))", ":USE of unknown theorem: P"),
+    ("((:clause-processor nosuch))", "unknown clause processor: NOSUCH"),
+    ("((:expand ((p x))))", "no definition to expand: P"),
+    ("((use-termhint '(:use ((:instance nosuch (x x))))))", ":USE of unknown theorem: NOSUCH"),
+], ids=["use", "use-instance", "clause-processor", "expand", "extracted-use"])
+def test_a_hint_naming_nothing_fails_its_theorem(tmp_path, hints, text):
+    # apply_hint's lookups, from a file: the theorem fails, the run goes on
+    path = evfile(tmp_path, f"(defstub p 1)\n(defthm a (p x) :rule-classes nil :hints {hints})")
+    done = subprocess.run([sys.executable, "-m", "hintprover.cli", path],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert done.returncode == 1
+    assert done.stdout == f"FILE {path}\nTHEOREM A FAILED steps=0\nPROVED 0/1\n"
+    assert done.stderr == f"ERROR {path} A: {text}\n"
+
+
 def test_a_failed_theorem_claims_no_name(tmp_path):
     # as in ACL2, a name whose proof failed may be tried again
     path = evfile(tmp_path, """

@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports from the package is used
-and public, every exception class the package defines derives from
+and public, every private module-level function and class is used in
+its own module, every exception class the package defines derives from
 ProverError, no module builds a self-referencing closure, the proof core
 never names LamApp, and importing the command line loads no heavy stdlib
 module."""
@@ -83,6 +84,47 @@ def test_no_module_imports_a_private_name():
 def test_private_import_is_reported():
     src = "from .hints import _parse, parse\nfrom os import _exit\n"
     assert _private_relative_imports(src) == [(1, "_parse")]
+
+
+def _unnamed_private_definitions(source: str):
+    """(line, name) of each module-level _-prefixed function or class that
+    no other statement of the module names: a dead private helper."""
+    body = ast.parse(source).body
+    found = []
+    for stmt in body:
+        if not (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and stmt.name.startswith("_")):
+            continue
+        if not any(isinstance(n, ast.Name) and n.id == stmt.name
+                   for other in body if other is not stmt for n in ast.walk(other)):
+            found.append((stmt.lineno, stmt.name))
+    return found
+
+
+def test_no_module_defines_a_private_name_it_never_uses():
+    found = [
+        f"{p.name}:{line}: {name}"
+        for p in MODULES
+        for line, name in _unnamed_private_definitions(p.read_text())
+    ]
+    assert found == []
+
+
+def test_unused_private_definition_is_reported():
+    src = (
+        "def _used():\n"
+        "    return 1\n"
+        "\n"
+        "def _dead(n):\n"
+        "    return _dead(n - 1) if n else _used()\n"
+        "\n"
+        "class _Dead:\n"
+        "    pass\n"
+        "\n"
+        "def public():\n"
+        "    return 2\n"
+    )
+    assert _unnamed_private_definitions(src) == [(4, "_dead"), (7, "_Dead")]
 
 
 def _self_referencing_nested_functions(source: str):

@@ -591,6 +591,7 @@ def _spec_world(rule_on_equal):
         w.add_rule(name, RewriteRule(name, tr(lhs, w), tr(rhs, w),
                                      tuple(tr(h, w) for h in hyps), equiv))
     w.add_definition("E", ("X",), tr("(cons (g x) (d x))", w))
+    w.add_definition("H", ("X",), tr("(hide (f x))", w))
     return w, w.theory() - {"F-K", "E"}
 
 
@@ -601,7 +602,7 @@ def _spec_term(rng, depth):
         return Const(rng.choice([NIL, T, 3, Symbol("K"), from_list([1])]))
     fn, arity = rng.choice([("CONS", 2), ("CAR", 1), ("CONSP", 1), ("NOT", 1),
                             ("EQUAL", 2), ("IFF", 2), ("IF", 3), ("IF", 3), ("F", 1),
-                            ("G", 1), ("D", 1), ("E", 1), ("HIDE", 1)])
+                            ("G", 1), ("D", 1), ("E", 1), ("H", 1), ("HIDE", 1)])
     args = [_spec_term(rng, depth - 1) for _ in range(arity)]
     if arity == 2 and rng.random() < 0.3:
         args[1] = args[0]  # for the equalities to settle
@@ -992,6 +993,10 @@ def test_simplify_clause_agrees_with_the_plain_spec_across_goals():
     # a literal meets later goals whose truth tables differ, and hold
     # duplicates, complementary pairs, NOTs and constants
     worlds = [_spec_world(True), _spec_world(False)]
+    # (H A) opens to (HIDE (F A)), which no truth lookup sees through, so
+    # when (NOT (HIDE (F A))) is rewritten first only the pass's verdict
+    # finds the pair
+    hidden_pair = [App("H", (Var("A"),)), negate_term(App("HIDE", (App("F", (Var("A"),)),)))]
     rng = random.Random(9157)
     shown = reused = 0
     for n in range(40):
@@ -1008,6 +1013,8 @@ def test_simplify_clause_agrees_with_the_plain_spec_across_goals():
                 clause.append(rng.choice(clause))  # a duplicate
             if rng.random() < 0.2:
                 clause.append(negate_term(rng.choice(clause)))  # a complementary pair
+            if rng.random() < 0.2:
+                clause += hidden_pair
             rng.shuffle(clause)
             clause = tuple(clause)
             theory = rng.choice(theories)

@@ -8,7 +8,7 @@ from hintprover.sexpr import (
 )
 from hintprover.term import (
     App, CONST_NIL, CONST_T, Const, EvalError, LamApp, TranslateError, Var,
-    apply_builtin, beta_reduce, expand_quasiquote, free_vars, ground_eval,
+    apply_builtin, beta_reduce, evaluate, expand_quasiquote, free_vars, ground_eval,
     make_lamapp, substitute, translate, unparse,
 )
 from hintprover.world import World
@@ -242,6 +242,19 @@ def test_ground_eval_if_is_lazy():
     # the untaken branch would be an unbound-variable error if evaluated
     v = ground_eval(tr("(if 't '1 oops)", w), w)
     assert v == 1
+
+
+def test_an_environment_needs_only_getitem():
+    # evaluate reads a variable with env[name] alone; a KeyError is unbound
+    class Env:
+        def __getitem__(self, name):
+            if name == "X":
+                return 5
+            raise KeyError(name)
+
+    assert evaluate(Var("X"), Env(), None) == 5
+    with pytest.raises(EvalError, match="^unbound variable: Y$"):
+        evaluate(Var("Y"), Env(), None)
 
 
 def test_unparse_heads_calls_with_the_reader_s_symbol():
