@@ -33,17 +33,7 @@ class HintError(ProverError):
     pass
 
 
-class _Fields:
-    """Equality field by field over __slots__, for records compared by value."""
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-
-class UseInstance(_Fields):
+class UseInstance:
     __slots__ = ("name", "bindings")
 
     def __init__(self, name: str, bindings: tuple):
@@ -51,7 +41,7 @@ class UseInstance(_Fields):
         self.bindings = bindings  # ((var, Term), ...)
 
 
-class Hint(_Fields):
+class Hint:
     __slots__ = ("use", "expand", "enable", "disable", "clause_processor", "replacement",
                  "display")
 
@@ -69,7 +59,7 @@ class Hint(_Fields):
 _STABLE = Var("STABLE-UNDER-SIMPLIFICATIONP")
 
 
-class ComputedHint(_Fields):
+class ComputedHint:
     """A hint expression evaluated against each goal it reaches.
 
     `stable_only` says whether expr has the shape
@@ -96,11 +86,11 @@ class GoalCtx:
     computed hints read it.  `reading` is set while a hint carried by
     the clause is evaluated against it.  `budget` is the proof's
     StepBudget, which charges the cells a hint read back off the clause
-    copies; None charges nothing.
+    copies.
     """
     __slots__ = ("clause", "goal_name", "stable", "world", "_sexpr", "reading", "budget")
 
-    def __init__(self, clause: tuple, goal_name: str, stable: bool, world, budget=None):
+    def __init__(self, clause: tuple, goal_name: str, stable: bool, world, budget):
         self.clause = clause
         self.goal_name = goal_name
         self.stable = stable
@@ -315,10 +305,8 @@ def read_hint_value(v, world, tr=None):
         raise HintError(f"quoted hint value is not a keyword list: {print_capped(v)}")
     if is_proper_list(v) and isinstance(v.car, Keyword):
         return parse_hint(v, world, tr)
-    shown = print_capped(v) if isinstance(v, (Pair, Symbol, Keyword, int, str)) else repr(v)
-    raise HintError(
-        f"hint value is neither NIL, a keyword list, nor a quoted keyword list: {shown}"
-    )
+    raise HintError("hint value is neither NIL, a keyword list, nor a quoted keyword list: "
+                    + print_capped(v))
 
 
 def eval_computed_hint(ch: ComputedHint, ctx: GoalCtx):

@@ -51,21 +51,18 @@ def drop_termhint_hyp(clause):
     return tuple(l for l in clause if _carried(l, HYP_FN) is None)
 
 
-def process_termhint(t):
+def process_termhint(t, done, budget):
     """Read a hint term back as an s-expression value.
 
     Only constants, (HQ u), CONS, and BINARY-APPEND are meaningful; any
     other head left in the term is an error worth naming, since it means
     simplification did not reduce the hint far enough.  A shared subterm
-    is read once, and its value is shared too.
+    is read once, and its value is shared too: done maps each App read
+    so far to its value.  A BINARY-APPEND copies its head's cells, which
+    budget, a StepBudget, charges as it charges a fold: once for each
+    distinct node in a proof.  Hint terms are lambda-free, so a term that
+    is neither a constant nor a call is a variable.
     """
-    return _process(t, {}, None)
-
-
-def _process(t, done, budget):
-    """process_termhint's reading of t; a BINARY-APPEND copies its head's
-    cells, which budget (a StepBudget, or None) charges as it charges a
-    fold: once for each distinct node in a proof."""
     if isinstance(t, Const):
         return t.value
     if isinstance(t, App):
@@ -74,24 +71,22 @@ def _process(t, done, budget):
             if t.fn == "HQ":
                 out = unparse(t.args[0])
             elif t.fn == "CONS":
-                out = Pair(_process(t.args[0], done, budget), _process(t.args[1], done, budget))
+                out = Pair(process_termhint(t.args[0], done, budget),
+                           process_termhint(t.args[1], done, budget))
             elif t.fn == "BINARY-APPEND":
-                head = _process(t.args[0], done, budget)
+                head = process_termhint(t.args[0], done, budget)
                 if not is_proper_list(head):
                     raise ProcessError(
                         f"spliced hint segment is not a proper list: {print_capped(head)}"
                     )
                 items = to_list(head)
-                if budget is not None:
-                    budget.take_cells((t.fn, t.args), len(items))
-                out = from_list(items, _process(t.args[1], done, budget))
+                budget.take_cells((t.fn, t.args), len(items))
+                out = from_list(items, process_termhint(t.args[1], done, budget))
             else:
                 raise ProcessError(f"residual call in hint term: {t.fn}")
             done[t] = out
         return out
-    if isinstance(t, Var):
-        raise ProcessError(f"residual variable in hint term: {t.name}")
-    raise ProcessError(f"cannot interpret hint term: {t!r}")
+    raise ProcessError(f"residual variable in hint term: {t.name}")
 
 
 def keyword_fixup(v):
@@ -142,7 +137,7 @@ def _read_hint(t, ctx: GoalCtx) -> Hint:
     translated back from its text.
     """
     built = {}
-    v = keyword_fixup(_process(t, built, ctx.budget))
+    v = keyword_fixup(process_termhint(t, built, ctx.budget))
     if isinstance(v, Pair) and v.car == QUOTE and isinstance(v.cdr, Pair) and is_nil(v.cdr.cdr):
         tr = Translator(ctx.world.macro_env, ctx.world.arity)
         for h, cell in built.items():

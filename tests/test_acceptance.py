@@ -7,7 +7,7 @@ import random
 from pathlib import Path
 
 from hintprover.sexpr import parse, parse_one, print_sexpr, to_list
-from hintprover.term import App, ground_eval, translate, beta_reduce, unparse
+from hintprover.term import App, translate, beta_reduce, unparse
 from hintprover.world import World
 from hintprover.rewrite import (
     RewriteContext, StepBudget, negate_term, rewrite_term, simplify_clause, split_ifs,
@@ -20,7 +20,7 @@ from hintprover.termhint import (
 from hintprover.cli import EVENT_HANDLERS, _do_defun, format_report, render_event, run
 
 from test_term import (
-    _interpolate, _random_template, _random_value as _random_qq_value,
+    _interpolate, ground_eval, _random_template, _random_value as _random_qq_value,
 )
 from test_termhint import _freeze_hq, _random_hint_term, _random_value
 from test_rewrite import _clause_truth, _count_ifs, _random_if_term, _random_rw_term
@@ -100,13 +100,13 @@ def test_criterion_1_pipeline_hint():
         "       (cons (bar (foo a b) c) (baz (foo a b) d)))"), w))
 
     else_clause = (test, goal, negate_term(App(HYP_FN, (expand_branch,))))
-    h = find_hint(GoalCtx(else_clause, "Subgoal 1.2", True, w))
+    h = find_hint(GoalCtx(else_clause, "Subgoal 1.2", True, w, StepBudget(10000)))
     assert h.clause_processor == DROP_PROCESSOR
     shown = print_sexpr(render_hint(_without_processor(h)))
     assert shown == _EXPAND_GOLDEN
 
     then_clause = (negate_term(test), goal, negate_term(App(HYP_FN, (use_branch,))))
-    h2 = find_hint(GoalCtx(then_clause, "Subgoal 1.1", True, w))
+    h2 = find_hint(GoalCtx(then_clause, "Subgoal 1.1", True, w, StepBudget(10000)))
     assert h2.use and h2.use[0].name == "MY-LEMMA"
     assert [b[0] for b in h2.use[0].bindings] == ["X", "Y", "Z"]
     assert [print_sexpr(unparse(b[1])) for b in h2.use[0].bindings] == [
@@ -199,7 +199,8 @@ def test_criterion_4_nil_hint():
     w = World()
     install_prelude(w)
     carried = beta_reduce(translate(parse_one("''nil"), w))
-    h = find_hint(GoalCtx((negate_term(App(HYP_FN, (carried,))),), "Goal", True, w))
+    clause = (negate_term(App(HYP_FN, (carried,))),)
+    h = find_hint(GoalCtx(clause, "Goal", True, w, StepBudget(10000)))
     assert h.clause_processor == DROP_PROCESSOR
     assert print_sexpr(render_hint(_without_processor(h))) == "NIL"
 
@@ -224,7 +225,8 @@ def test_criterion_6_interpreter_properties():
     for _ in range(1000):
         t = _random_hint_term(rng, 4, proper=False)
         want = ground_eval(_freeze_hq(t), w)
-        assert print_sexpr(process_termhint(t)) == print_sexpr(want)
+        got = process_termhint(t, {}, StepBudget(10000))
+        assert print_sexpr(got) == print_sexpr(want)
 
     # keyword lists get quoted, everything else passes through untouched
     from hintprover.sexpr import Keyword, Pair, Symbol, is_proper_list

@@ -799,6 +799,8 @@ _ERROR_TEXTS = [  # (events, exit code, what follows "ERROR <path>")
     ("(defthm a (equal x x) :rule-classes :forward-chaining)", 2,
      ": unsupported rule-classes: :FORWARD-CHAINING"),
     ("(defthm a (equal x x) :hints 3)", 2, ": bad :HINTS value in A"),
+    ("(defthm c (p x) :rule-classes nil :hints ((:in-theory (enable) foo (enable))))", 2,
+     ": in C: expected a hint keyword, got: FOO"),
     ("(defstub p 1)\n(defthm a (p x)\n  :rule-classes nil))", 2, ": unexpected ) (line 3)"),
 ]
 

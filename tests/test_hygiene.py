@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports from the package is used
 and public, every private module-level function and class is used in
-its own module, every exception class the package defines derives from
+its own module, every public one is used in the package unless it is an
+entry point, every exception class the package defines derives from
 ProverError, no module builds a self-referencing closure, the proof core
 never names LamApp, and importing the command line loads no heavy stdlib
 module."""
@@ -125,6 +126,83 @@ def test_unused_private_definition_is_reported():
         "    return 2\n"
     )
     assert _unnamed_private_definitions(src) == [(4, "_dead"), (7, "_Dead")]
+
+
+def _unnamed_public_definitions(sources: dict):
+    """(module, line, name) of each public module-level function or class
+    that no other statement of the package names.  sources maps each
+    module's name to its text; a module other than the defining one
+    names it only if it imports it from there."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    found = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if not (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                continue
+            name = stmt.name
+            if _named_in([s for s in tree.body if s is not stmt], name):
+                continue
+            if not any(_imports(other, module, name) and _named_in(other.body, name)
+                       for m, other in trees.items() if m != module):
+                found.append((module, stmt.lineno, name))
+    return found
+
+
+def _named_in(stmts, name):
+    return any(isinstance(n, ast.Name) and n.id == name for s in stmts for n in ast.walk(s))
+
+
+def _imports(tree, module, name):
+    """Whether tree imports name from the package's module."""
+    return any(isinstance(n, ast.ImportFrom) and n.level == 1 and n.module == module
+               and any(a.name == name for a in n.names) for n in ast.walk(tree))
+
+
+# What the package defines for its callers alone, each with its reason
+_ENTRY_POINTS = {
+    ("cli", "run"),            # a run in-process: bench/harness.py runs each file so
+    ("cli", "format_report"),  # a run's report text: bench/harness.py renders and times it
+}
+
+
+def test_every_public_definition_is_named_in_the_package():
+    # code only tests call lives in tests; __init__'s re-exports keep nothing
+    sources = {p.stem: p.read_text() for p in MODULES}
+    found = [
+        f"{module}.py:{line}: {name}"
+        for module, line, name in _unnamed_public_definitions(sources)
+        if (module, name) not in _ENTRY_POINTS
+    ]
+    assert found == []
+
+
+def test_unused_public_definition_is_reported():
+    sources = {
+        "a": (
+            "def used():\n"
+            "    return 1\n"
+            "\n"
+            "def dead(n):\n"
+            "    return dead(n - 1) if n else 0\n"
+            "\n"
+            "class Dead:\n"
+            "    pass\n"
+            "\n"
+            "def _private():\n"
+            "    return 2\n"
+            "\n"
+            "def helper():\n"
+            "    return 3\n"
+            "\n"
+            "x = helper()\n"
+        ),
+        "b": "from .a import used\n\ndef go(dead):\n    return used() + dead\n",
+        "c": "from .a import Dead\n",
+    }
+    assert _unnamed_public_definitions(sources) == [
+        ("a", 4, "dead"), ("a", 7, "Dead"), ("b", 3, "go"),
+    ]
 
 
 def _self_referencing_nested_functions(source: str):

@@ -12,11 +12,13 @@ normalized them.
 import random
 
 from hintprover.sexpr import Symbol, is_nil, parse_one, print_sexpr, to_list
-from hintprover.term import Const, beta_reduce, free_vars, ground_eval, substitute, translate
+from hintprover.term import Const, beta_reduce, free_vars, substitute, translate
 from hintprover.world import World
 from hintprover.hints import clausify
 from hintprover.termhint import install_prelude
 from hintprover.cli import EventError, _do_defthm, _do_defun, convert_rule
+
+from test_term import ground_eval
 
 _UNARY = ("car", "cdr", "consp", "atom", "not")
 _BINARY = ("cons", "equal", "iff")

@@ -7,11 +7,45 @@ from hintprover.sexpr import (
     ParseError, from_list, is_nil, parse_one, print_sexpr, to_list,
 )
 from hintprover.term import (
-    App, CONST_NIL, CONST_T, Const, EvalError, LamApp, TranslateError, Var,
-    apply_builtin, beta_reduce, evaluate, expand_quasiquote, free_vars, ground_eval,
+    BUILTIN_ARITY, App, CONST_NIL, CONST_T, Const, EvalError, LamApp, TranslateError, Var,
+    apply_builtin, beta_reduce, evaluate, expand_quasiquote, free_vars,
     make_lamapp, substitute, translate, unparse,
 )
 from hintprover.world import World
+
+
+# The oracle of the soundness, acceptance and termhint tests.  The prover
+# never calls it; it is one more `call` function over term.evaluate.
+def ground_eval(t, world, fuel: int = 1000):
+    """Evaluate a closed term to an SExpr value.
+
+    Definition unfolding is fuel-bounded; stubs, free variables and
+    nesting deeper than the Python stack are evaluation errors.
+    """
+    try:
+        return evaluate(t, {}, _GroundCalls(world, fuel).call)
+    except RecursionError:
+        raise EvalError("evaluation nested too deeply") from None
+
+
+class _GroundCalls:
+    """The `call` of one ground evaluation: builtins, then definitions while fuel lasts."""
+    __slots__ = ("world", "fuel")
+
+    def __init__(self, world, fuel: int):
+        self.world = world
+        self.fuel = fuel
+
+    def call(self, fn, args):
+        if fn in BUILTIN_ARITY:
+            return apply_builtin(fn, args)
+        defn = self.world.definitions.get(fn)
+        if defn is None:
+            raise EvalError(f"no evaluator for function: {fn}")
+        if self.fuel <= 0:
+            raise EvalError("evaluation fuel exhausted")
+        self.fuel -= 1
+        return evaluate(defn.rhs, {v.name: a for v, a in zip(defn.lhs.args, args)}, self.call)
 
 
 def tr(text: str, world=None):

@@ -9,7 +9,7 @@ from hintprover.sexpr import (
 )
 from hintprover import hints as hints_mod, termhint
 from hintprover.term import (
-    App, CONST_NIL, Const, TranslateError, Translator, Var, ground_eval, translate, unparse,
+    App, CONST_NIL, Const, TranslateError, Translator, Var, translate, unparse,
 )
 from hintprover.world import World
 from hintprover.rewrite import StepBudget
@@ -23,6 +23,9 @@ from hintprover.termhint import (
     keyword_fixup, process_termhint, use_termhint,
 )
 from hintprover.cli import format_report, main, render_event, run
+
+from test_hints import same_fields
+from test_term import ground_eval
 
 
 def _world():
@@ -46,38 +49,46 @@ def _hyp_lit(term):
     return App("NOT", (App(HYP_FN, (term,)),))
 
 
+def _goal(clause, w, stable=True):
+    return GoalCtx(clause, "Goal", stable, w, StepBudget(10000))
+
+
+def _read(t):
+    return process_termhint(t, {}, StepBudget(10000))
+
+
 # ---------------------------------------------------------------------------
 # process_termhint
 
 def test_process_constants():
-    assert process_termhint(Const(Symbol("A"))) == Symbol("A")
-    assert process_termhint(Const(7)) == 7
-    assert process_termhint(CONST_NIL) is NIL
+    assert _read(Const(Symbol("A"))) == Symbol("A")
+    assert _read(Const(7)) == 7
+    assert _read(CONST_NIL) is NIL
     v = parse_one("(:expand ((d a)))")
-    assert process_termhint(Const(v)) == v
+    assert _read(Const(v)) == v
 
 
 def test_process_hq_quotes_live_terms():
     w = _dworld()
-    assert process_termhint(App("HQ", (tr("(d x y)", w),))) == parse_one("(d x y)")
-    assert process_termhint(App("HQ", (Const(3),))) == parse_one("'3")
-    assert process_termhint(App("HQ", (Var("X"),))) == Symbol("X")
+    assert _read(App("HQ", (tr("(d x y)", w),))) == parse_one("(d x y)")
+    assert _read(App("HQ", (Const(3),))) == parse_one("'3")
+    assert _read(App("HQ", (Var("X"),))) == Symbol("X")
 
 
 def test_process_cons_and_append():
     t = App("CONS", (Const(Symbol("A")), App("CONS", (Const(2), CONST_NIL))))
-    assert process_termhint(t) == parse_one("(a 2)")
+    assert _read(t) == parse_one("(a 2)")
     t = App("BINARY-APPEND", (Const(parse_one("(1 2)")), Const(parse_one("(3)"))))
-    assert process_termhint(t) == parse_one("(1 2 3)")
+    assert _read(t) == parse_one("(1 2 3)")
 
 
 def test_process_errors():
     with pytest.raises(ProcessError, match="proper list"):
-        process_termhint(App("BINARY-APPEND", (Const(7), CONST_NIL)))
+        _read(App("BINARY-APPEND", (Const(7), CONST_NIL)))
     with pytest.raises(ProcessError, match="CAR"):
-        process_termhint(App("CAR", (CONST_NIL,)))
+        _read(App("CAR", (CONST_NIL,)))
     with pytest.raises(ProcessError, match="residual variable in hint term: Y"):
-        process_termhint(Var("Y"))
+        _read(Var("Y"))
 
 
 _LEAF_VALUES = [
@@ -129,7 +140,7 @@ def test_process_matches_ground_evaluation():
     for _ in range(1000):
         t = _random_hint_term(rng, 4, proper=False)
         want = ground_eval(_freeze_hq(t), w)
-        got = process_termhint(t)
+        got = _read(t)
         assert print_sexpr(got) == print_sexpr(want), print_sexpr(unparse(t))
 
 
@@ -174,8 +185,8 @@ def test_drop_termhint_hyp():
 def test_use_termhint_structure():
     w = _dworld()
     h = use_termhint(parse_one("''(:expand ((d a b)))"), w)
-    assert h.use == (UseInstance(
-        HYP_THEOREM, (("X", Const(parse_one("'(:expand ((d a b)))"))),)),)
+    assert same_fields(h.use, (UseInstance(
+        HYP_THEOREM, (("X", Const(parse_one("'(:expand ((d a b)))"))),)),))
     assert len(h.replacement) == 1
     ch = h.replacement[0]
     assert print_sexpr(ch.display) == (
@@ -188,8 +199,8 @@ def test_finder_only_fires_when_stable():
     carried = Const(parse_one("(:in-theory (enable d))"))
     clause = (_hyp_lit(carried), Var("G"))
     ch = use_termhint(parse_one("'nil"), w).replacement[0]
-    assert eval_computed_hint(ch, GoalCtx(clause, "Goal", False, w)) is None
-    got = eval_computed_hint(ch, GoalCtx(clause, "Goal", True, w))
+    assert eval_computed_hint(ch, _goal(clause, w, stable=False)) is None
+    got = eval_computed_hint(ch, _goal(clause, w))
     assert got.enable == ("D",)
     assert got.clause_processor == DROP_PROCESSOR
 
@@ -197,7 +208,7 @@ def test_finder_only_fires_when_stable():
 def test_finder_declines_without_hypothesis():
     w = _dworld()
     ch = use_termhint(parse_one("'nil"), w).replacement[0]
-    ctx = GoalCtx((Var("G"),), "Goal", True, w)
+    ctx = _goal((Var("G"),), w)
     assert eval_computed_hint(ch, ctx) is None
 
 
@@ -206,13 +217,13 @@ def test_finder_declines_without_hypothesis():
 
 def test_find_hint_none_without_hypothesis():
     w = _dworld()
-    assert find_hint(GoalCtx((Var("G"),), "Goal", True, w)) is None
+    assert find_hint(_goal((Var("G"),), w)) is None
 
 
 def test_find_hint_parses_carried_keyword_list():
     w = _dworld()
     clause = (_hyp_lit(Const(parse_one("(:expand ((d x y)))"))), Var("G"))
-    h = find_hint(GoalCtx(clause, "Goal", True, w))
+    h = find_hint(_goal(clause, w))
     assert h.expand == (tr("(d x y)", w),)
     assert h.clause_processor == DROP_PROCESSOR
     assert h.replacement is None
@@ -220,8 +231,8 @@ def test_find_hint_parses_carried_keyword_list():
 
 def test_find_hint_nil_is_drop_only():
     w = _dworld()
-    h = find_hint(GoalCtx((_hyp_lit(CONST_NIL), Var("G")), "Goal", True, w))
-    assert h == Hint(clause_processor=DROP_PROCESSOR)
+    h = find_hint(_goal((_hyp_lit(CONST_NIL), Var("G")), w))
+    assert same_fields(h, Hint(clause_processor=DROP_PROCESSOR))
     assert print_sexpr(render_hint(h)) == "(:CLAUSE-PROCESSOR DROP-TERMHINT-HYP)"
 
 
@@ -234,7 +245,7 @@ def test_find_hint_builds_value_from_live_terms():
             App("CONS", (App("HQ", (tr("(d x y)", w),)), CONST_NIL)),
             CONST_NIL)),
     ))
-    h = find_hint(GoalCtx(((_hyp_lit(carried)),), "Goal", True, w))
+    h = find_hint(_goal(((_hyp_lit(carried)),), w))
     assert h.expand == (tr("(d x y)", w),)
 
 
@@ -244,21 +255,21 @@ def test_find_hint_first_hypothesis_wins():
         _hyp_lit(Const(parse_one("(:in-theory (enable d))"))),
         _hyp_lit(Const(parse_one("(:in-theory (disable d))"))),
     )
-    h = find_hint(GoalCtx(clause, "Goal", True, w))
+    h = find_hint(_goal(clause, w))
     assert h.enable == ("D",) and not h.disable
 
 
 def test_find_hint_rejects_residual_calls():
     w = _dworld()
     with pytest.raises(ProcessError, match="residual call"):
-        find_hint(GoalCtx((_hyp_lit(tr("(d x y)", w)),), "Goal", True, w))
+        find_hint(_goal((_hyp_lit(tr("(d x y)", w)),), w))
 
 
 def test_find_hint_rejects_processor_collision():
     w = _dworld()
     carried = Const(parse_one("(:clause-processor drop-termhint-hyp)"))
     with pytest.raises(ProcessError, match="clause processor"):
-        find_hint(GoalCtx((_hyp_lit(carried),), "Goal", True, w))
+        find_hint(_goal((_hyp_lit(carried),), w))
 
 
 def test_find_hint_seq_stages():
@@ -268,7 +279,7 @@ def test_find_hint_seq_stages():
         Const(parse_one("(:in-theory (enable d))")),
         App("HIDE", (stage2_term,)),
     ))
-    h = find_hint(GoalCtx((_hyp_lit(carried),), "Goal", True, w))
+    h = find_hint(_goal((_hyp_lit(carried),), w))
     assert h.enable == ("D",)
     assert h.clause_processor == DROP_PROCESSOR
     assert len(h.replacement) == 1
@@ -286,7 +297,7 @@ def test_find_hint_seq_base_keeps_finder_replacement():
     # a seq whose first stage is itself drop-only still re-arms stage two
     w = _dworld()
     carried = App(SEQ_FN, (CONST_NIL, App("HIDE", (Const(NIL),))))
-    h = find_hint(GoalCtx((_hyp_lit(carried),), "Goal", True, w))
+    h = find_hint(_goal((_hyp_lit(carried),), w))
     assert h.clause_processor == DROP_PROCESSOR
     assert len(h.replacement) == 1
 
@@ -301,7 +312,7 @@ def test_one_extractor_is_armed_and_never_translated(monkeypatch):
         Const(parse_one("(:in-theory (enable d))")),
         App("HIDE", (tr("''(:in-theory (disable d))", w),)),
     ))
-    stage2 = find_hint(GoalCtx((_hyp_lit(carried),), "Goal", True, w)).replacement[0]
+    stage2 = find_hint(_goal((_hyp_lit(carried),), w)).replacement[0]
     second = use_termhint(parse_one("''(:expand ((d a b)))"), w)
     assert calls == []
     finders = [h.replacement[0] for h in (first, stage2, second)]
@@ -396,7 +407,7 @@ def test_prelude_waterfall_round_trip():
 ])
 def test_quoted_hint_value_reads_as_its_evaluation(text, evaluations_wanted, monkeypatch):
     w = _dworld()
-    ctx = GoalCtx((tr("(d x y)", w),), "Goal", True, w)
+    ctx = _goal((tr("(d x y)", w),), w)
     v = parse_one(text)
 
     def outcome(run):
@@ -414,7 +425,7 @@ def test_quoted_hint_value_reads_as_its_evaluation(text, evaluations_wanted, mon
     monkeypatch.setattr(termhint, "eval_computed_hint",
                         lambda ch, c: evaluations.append(ch) or eval_computed_hint(ch, c))
     got = outcome(lambda: termhint._read_hint(Const(v), ctx))
-    assert got == want
+    assert same_fields(got, want)
     assert len(evaluations) == evaluations_wanted  # a quoted value skips it
 
 
@@ -423,7 +434,7 @@ def test_a_carried_goal_term_is_not_translated_back(monkeypatch):
     u = tr("(d (d x y) (car z))", w)
     target = App("CONS", (App("HQ", (u,)), CONST_NIL))
     carried = App("CONS", (Const(Keyword("EXPAND")), App("CONS", (target, CONST_NIL))))
-    ctx = GoalCtx((_hyp_lit(carried), tr("(d x y)", w)), "Goal", True, w)
+    ctx = _goal((_hyp_lit(carried), tr("(d x y)", w)), w)
     forms = []
     translate_form = Translator.tr
     monkeypatch.setattr(Translator, "tr", lambda self, f: forms.append(f) or translate_form(self, f))
@@ -476,6 +487,30 @@ def test_an_extracted_hint_cannot_reenter_the_finder(events, tmp_path, capsys):
     assert re.fullmatch(
         rf"ERROR {re.escape(str(path))} C1: the hint extracted on Subgoal [.\d]+ "
         rf"calls {FIND_FN} on it again\n", err)
+
+
+def test_the_finder_may_run_again_once_a_read_ends(tmp_path, capsys):
+    # TWICE calls the finder twice on Subgoal 1.  Each call evaluates the
+    # carried (H) with the finder closed to it and reopens it when done, so
+    # the second call reads the hint as the first did.
+    path = tmp_path / "twice.lisp"
+    path.write_text(
+        "(defstub p 1) (register-hint-fn h '(:in-theory (enable)))"
+        " (register-hint-fn twice (if (use-termhint-find-hint clause)"
+        " (use-termhint-find-hint clause) 'nil))"
+        " (defthm c (p x) :rule-classes nil :hints (twice (use-termhint '(h))))")
+    assert main(["--trace", "--checkpoints", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[2:] == [
+        "EVENT Subgoal 1 HINT (:CLAUSE-PROCESSOR DROP-TERMHINT-HYP)",
+        "EVENT Subgoal 1.1 SIMPLIFY (STABLE ((P X)))",
+        "EVENT Subgoal 1.1 CHECKPOINT ((P X))",
+        "THEOREM C FAILED steps=0",
+        "CHECKPOINT Subgoal 1.1",
+        "  ((P X))",
+        "PROVED 0/1",
+    ]
 
 
 # ---------------------------------------------------------------------------

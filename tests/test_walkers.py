@@ -372,7 +372,7 @@ def test_process_termhint_matches_a_tree_walk(n):
     except ProcessError as e:
         want = ("error", str(e))
     try:
-        got = ("ok", process_termhint(t))
+        got = ("ok", process_termhint(t, {}, StepBudget(10000)))
     except ProcessError as e:
         got = ("error", str(e))
     assert got == want
@@ -466,7 +466,7 @@ def test_a_shared_hint_term_reads_into_a_shared_value():
     t = Const(Symbol("A"))
     for _ in range(N):
         t = App("CONS", (t, t))
-    v = process_termhint(t)  # 2^24 cells as a tree
+    v = process_termhint(t, {}, StepBudget(10000))  # 2^24 cells as a tree
     for _ in range(N):
         assert v.car is v.cdr
         v = v.car
