@@ -150,7 +150,7 @@ def _do_register_hint_fn(world: World, items, max_steps: int):
     if name in HINT_EXPR_BUILTINS or name in ALIASES or name in world.macro_env:
         raise EventError(f"{name} is built in")  # no call could reach it
     expr = translate_hint_expr(items[2], world)
-    world.add_hint_fn(HintFn(name, 0, lambda args, ctx: eval_hint_expr(expr, ctx)))
+    world.add_hint_fn(HintFn(name, 0, lambda ctx: eval_hint_expr(expr, ctx)))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def process_file(path: str, max_steps: int, stop_on_failure: bool) -> FileOutcom
     try:
         world = World()
         install_prelude(world)
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             forms = parse(f.read())
         for form in forms:
             if not (isinstance(form, Pair) and isinstance(form.car, Symbol)):
@@ -442,6 +442,11 @@ def main(argv=None) -> int:
 
 
 def entry():
+    # files are read as UTF-8 (process_file), and the report is written as
+    # UTF-8 too, whatever the locale; undecodable path bytes keep the
+    # streams' own error handlers
+    sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
+    sys.stderr.reconfigure(encoding="utf-8", errors=sys.stderr.errors)
     try:
         code = main()
     except BrokenPipeError:

@@ -226,8 +226,7 @@ def render_hint(hint: Hint):
     """Canonical keyword-list rendering used for HINT trace events."""
     out = []
     if hint.replacement is not None:
-        out += [_CHR, from_list([ch.display if ch.display is not None else NIL
-                                 for ch in hint.replacement])]
+        out += [_CHR, from_list([ch.display for ch in hint.replacement])]
     if hint.use:
         out += [Keyword("USE"), from_list([
             from_list([_INSTANCE, Symbol(u.name)] + [
@@ -274,7 +273,7 @@ def eval_hint_expr(t, ctx: GoalCtx):
     def call(fn, args):
         hint_fn = ctx.world.hint_fns.get(fn)
         if hint_fn is not None:
-            return hint_fn.run(args, ctx)
+            return hint_fn.run(ctx)
         if fn in BUILTIN_ARITY:
             if any(isinstance(a, Hint) for a in args):
                 raise EvalError(f"{fn} applied to a hint")
@@ -288,12 +287,10 @@ def eval_hint_expr(t, ctx: GoalCtx):
 
 
 def read_hint_value(v, world, tr=None):
-    """The one reader of hint values: a Hint, NIL (None, no hint), or a
+    """The one reader of hint values: a Hint, NIL (None: no hint), or a
     keyword list, quoted or not, parsed by parse_hint through tr."""
     if v is None or isinstance(v, Hint):
         return v
-    if is_nil(v):
-        return None
     if isinstance(v, Pair) and v.car == QUOTE:
         inner = to_list(v)
         if len(inner) == 2:

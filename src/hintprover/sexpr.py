@@ -1,7 +1,7 @@
 """S-expression values, reader, and printer.
 
-Values are Symbol, Keyword, int, str, Pair, and the NIL singleton.
-Symbols and keywords are canonicalized to uppercase by the reader,
+Values are Symbol, Keyword, int, str, Pair, and NIL, which is Python's
+None.  Symbols and keywords are canonicalized to uppercase by the reader,
 so `foo` and `FOO` read as the same symbol.
 """
 
@@ -50,20 +50,7 @@ class Keyword(_Name):
         return ":" + self.name
 
 
-class Nil:
-    """The type of NIL, which is its one object: Nil() and copy return it."""
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NIL"
-
-
-NIL = Nil()
+NIL = None
 
 
 class Pair:
@@ -153,7 +140,7 @@ def _hash_cells(root):
     return root._hash
 
 
-# SExpr = Symbol | Keyword | int | str | Pair | Nil
+# SExpr = Symbol | Keyword | int | str | Pair | None (NIL)
 
 QUOTE = Symbol("QUOTE")
 QUASIQUOTE = Symbol("QUASIQUOTE")
@@ -256,7 +243,8 @@ def parse(text: str):
     items = forms
     tokens = _TOKEN.findall(text)
     rest = iter(tokens)
-    seen = {}  # the value of each atom or string token read so far
+    seen = {}  # the value of each atom or string token read so far; nil's
+    # value NIL is None, which reads as unseen, so each nil is read anew
     for tok in rest:
         if tok == "(":
             stack.append(items)
@@ -347,9 +335,7 @@ def print_sexpr(e) -> str:
         return ":" + e.name
     if isinstance(e, int):
         return str(e)
-    if isinstance(e, str):
-        return '"' + e.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    raise TypeError(f"not an s-expression: {e!r}")
+    return '"' + e.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 # The most characters of a form an error message shows

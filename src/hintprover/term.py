@@ -12,7 +12,7 @@ every variable of the body.
 import weakref
 
 from .sexpr import (
-    NIL, Keyword, Pair, ParseError, ProverError, Symbol, T,
+    NIL, Pair, ParseError, ProverError, Symbol, T,
     from_list, is_nil, is_proper_list, print_capped, print_sexpr, to_list,
     QUASIQUOTE, QUOTE, UNQUOTE, UNQUOTE_SPLICING,
 )
@@ -259,11 +259,8 @@ ALIASES = {"APPEND": "BINARY-APPEND"}
 
 
 def apply_builtin(name: str, args):
-    """Apply one of the builtin functions to SExpr values."""
-    meaning = BUILTINS.get(name, (0, None))[1]
-    if meaning is None:
-        raise EvalError(f"not a builtin: {name}")
-    return meaning(*args)
+    """Apply a built-in function other than IF to SExpr values."""
+    return BUILTINS[name][1](*args)
 
 
 def built_cells(name: str, args) -> int:
@@ -523,13 +520,9 @@ class Translator:
         """The term of form f.  A call is translated here, one frame per level:
         its argument list's shape, its arguments, then its arity, in that order."""
         if not isinstance(f, Pair):
-            if f is NIL:
-                return CONST_NIL
             if isinstance(f, Symbol):
                 return CONST_T if f is T else Var(f.name)
-            if isinstance(f, (int, str, Keyword)):
-                return Const(f)
-            raise TranslateError(f"cannot translate: {print_capped(f)}")
+            return Const(f)
         hit = self.done.get(id(f))
         if hit is not None:
             return hit[1]
@@ -587,8 +580,6 @@ def unparse(t):
     The result is built once per node and kept on it, and it shares the
     renderings of the node's subterms.
     """
-    if not isinstance(t, _Term):
-        raise TypeError(f"not a term: {t!r}")
     out = t._sexpr
     if out is None:
         if isinstance(t, App):
@@ -722,10 +713,8 @@ def evaluate(t, env, call):
     if isinstance(t, LamApp):
         vals = [evaluate(a, env, call) for a in t.actuals]
         return evaluate(t.body, dict(zip(t.formals, vals)), call)
-    if isinstance(t, App):
-        if t.fn == "IF":
-            test = evaluate(t.args[0], env, call)
-            return evaluate(t.args[1] if truthy(test) else t.args[2], env, call)
-        return call(t.fn, [evaluate(a, env, call) for a in t.args])
-    raise TypeError(f"not a term: {t!r}")
+    if t.fn == "IF":
+        test = evaluate(t.args[0], env, call)
+        return evaluate(t.args[1] if truthy(test) else t.args[2], env, call)
+    return call(t.fn, [evaluate(a, env, call) for a in t.args])
 

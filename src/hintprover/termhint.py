@@ -13,7 +13,7 @@ while keeping h2, protected by HIDE, for the next stable goal.
 """
 
 from .sexpr import (
-    NIL, Keyword, Pair, ProverError, Symbol, QUOTE,
+    Keyword, Pair, ProverError, Symbol, QUOTE,
     from_list, is_nil, is_proper_list, parse_one, print_capped, print_sexpr, to_list,
 )
 from .term import (
@@ -208,4 +208,4 @@ def install_prelude(world: World):
     world.add_theorem(HYP_THEOREM, App(HYP_FN, (Var("X"),)))
     world.add_theorem(MARK_THEOREM, App(MARK_FN, (Var("X"),)))
     world.add_clause_processor(DROP_PROCESSOR, drop_termhint_hyp)
-    world.add_hint_fn(HintFn(FIND_FN, 1, lambda args, ctx: find_hint(ctx) or NIL))
+    world.add_hint_fn(HintFn(FIND_FN, 1, find_hint))

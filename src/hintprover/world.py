@@ -30,12 +30,15 @@ class RewriteRule:
 
 
 class HintFn:
+    """A function computed hints may call.  Calls are checked against
+    arity, but run reads only the goal: run(ctx), ctx the GoalCtx, gives
+    the hint value."""
     __slots__ = ("name", "arity", "run")
 
     def __init__(self, name: str, arity: int, run):
         self.name = name
         self.arity = arity
-        self.run = run  # callable(args, ctx) -> hint value
+        self.run = run
 
 
 def _calls(t, name: str, clean: set) -> bool:

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import os
 import re
+import select
 import subprocess
 import sys
 import time
@@ -23,7 +24,7 @@ from hintprover.cli import (
 
 def evfile(tmp_path, text, name="events.lisp"):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     return str(p)
 
 
@@ -32,10 +33,14 @@ def tr(text, world=None):
 
 
 def _child_env(**extra):
-    """The environment for a prover subprocess that imports this package."""
+    """The environment for a prover subprocess that imports this package.
+    PYTHONUNBUFFERED is left out, so the child buffers stdout as it does
+    for a user."""
     src = str(Path(hintprover.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra)
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +202,27 @@ def test_undecodable_file_is_file_error(tmp_path):
                            str(bad)], capture_output=True, text=True, timeout=60,
                           env=_child_env())
     assert done.returncode == 2
-    assert f"ERROR {bad}: " in done.stderr
-    assert "Traceback" not in done.stderr
+    assert done.stderr == f"ERROR {bad}: not utf-8 text: invalid start byte\n"
     assert done.stdout == f"FILE {bad}\nPROVED 0/0\n"
+
+
+def test_files_and_report_are_utf8_whatever_the_locale(tmp_path):
+    # a C locale's ASCII neither rejects the comment nor fails the trace line
+    a = evfile(tmp_path, '; café\n(defstub p 1)\n(defthm a (p "café") :rule-classes nil)',
+               "a.lisp")
+    b = evfile(tmp_path, "(defstub p 1)\n(defthm b (p (cafè x)))", "b.lisp")
+    runs = [
+        subprocess.run([sys.executable, "-c", "from hintprover.cli import entry; entry()",
+                        "--trace", "--checkpoints", a, b], capture_output=True, timeout=60,
+                       env={k: v for k, v in _child_env(**locale).items()
+                            if k != "PYTHONIOENCODING"})
+        for locale in [dict(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"),
+                       dict(PYTHONUTF8="1")]
+    ]
+    assert runs[0].returncode == runs[1].returncode == 2
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stderr == runs[1].stderr == f"ERROR {b}: in B: unknown function: CAFÈ\n".encode()
+    assert f'EVENT Goal CHECKPOINT ((P (QUOTE "café")))\n'.encode() in runs[0].stdout
 
 
 def test_module_form_runs_with_a_clean_stderr():
@@ -223,7 +246,41 @@ def test_closed_stdout_ends_without_a_traceback():
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert "Traceback" not in err and "Exception ignored" not in err
-    assert proc.returncode not in (0, 1)
+    assert proc.returncode == 128 + 13  # as if killed by SIGPIPE
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+def test_a_file_block_goes_out_before_the_next_file_opens(tmp_path):
+    # The prover blocks opening the FIFO until something writes to it; by
+    # then a.lisp's block must already have reached the reader.
+    a = evfile(tmp_path, "(defstub p 1)\n(defthm a (equal (p x) (p x)) :rule-classes nil)",
+               "a.lisp")
+    fifo = tmp_path / "fifo.lisp"
+    os.mkfifo(fifo)
+    proc = subprocess.Popen([sys.executable, "-m", "hintprover.cli", a, str(fifo)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    got = b""
+    deadline = time.monotonic() + 10
+    while got.count(b"\n") < 2 and select.select([proc.stdout], [], [],
+                                                  max(0, deadline - time.monotonic()))[0]:
+        chunk = os.read(proc.stdout.fileno(), 4096)
+        if not chunk:
+            break
+        got += chunk
+    deadline = time.monotonic() + 60
+    while proc.poll() is None and time.monotonic() < deadline:  # release the prover
+        try:
+            fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+        except OSError:  # no reader yet
+            time.sleep(0.01)
+            continue
+        os.write(fd, b"(defstub q 1)\n")
+        os.close(fd)
+        break
+    out, err = proc.communicate(timeout=60)
+    assert got == f"FILE {a}\nTHEOREM A PROVED steps=0\n".encode()
+    assert (proc.returncode, got + out, err) == (
+        0, f"FILE {a}\nTHEOREM A PROVED steps=0\nFILE {fifo}\nPROVED 1/1\n".encode(), b"")
 
 
 def test_dotted_list_in_a_statement_names_the_theorem(tmp_path, capsys):
@@ -431,6 +488,17 @@ def test_form_too_deep_to_print_is_a_file_error(tmp_path, flags, theorem):
     assert lines[at + 1:at + 3] == ["THEOREM A FAILED steps=0",
                                     f"FILE {corpus / 'robust_member.lisp'}"]
     assert lines[-1] == "PROVED 13/15"
+
+
+def test_a_checkpoint_too_deep_to_print_drops_the_theorems_other_lines(tmp_path, capsys):
+    # Subgoal 1's checkpoint prints, Subgoal 2's holds a constant 5000
+    # lists deep: the theorem keeps only its THEOREM line
+    d = "(" * 5000 + ")" * 5000
+    path = evfile(tmp_path, "(defstub p 1) (defstub q 1)\n"
+                            f"(defthm a (if (q y) (p x) (p '{d})) :rule-classes nil)")
+    assert main(["--checkpoints", path]) == 2
+    assert capsys.readouterr() == (f"FILE {path}\nTHEOREM A FAILED steps=0\nPROVED 0/1\n",
+                                   f"ERROR {path}: nesting depth exceeded\n")
 
 
 def test_error_line_prints_a_capped_form(tmp_path, capsys):
@@ -760,6 +828,7 @@ _ERROR_TEXTS = [  # (events, exit code, what follows "ERROR <path>")
         (",x", "UNQUOTE outside quasiquote"),
         ("((foo) x)", "bad application head: (FOO)"),
         ("((lambda (1) x) x)", "lambda formals must be symbols"),
+        ("((lambda (y) y) x x)", "lambda applied to wrong number of arguments"),
     ]],
     ("(defthm a (consp x) :hints ((:use 7)))", 2, ": in A: bad :USE value: 7"),
     ("(register-hint-fn h 'nil)\n(register-hint-fn h 'nil)", 2,
@@ -799,6 +868,14 @@ _ERROR_TEXTS = [  # (events, exit code, what follows "ERROR <path>")
     ("(defthm a (equal x x) :rule-classes :forward-chaining)", 2,
      ": unsupported rule-classes: :FORWARD-CHAINING"),
     ("(defthm a (equal x x) :hints 3)", 2, ": bad :HINTS value in A"),
+    # the last :rule-classes wins, so A installs as a rule and only NOSUCH is unknown
+    ("(defstub p 1)\n(defthm a (implies (p x) (p x)) :rule-classes nil :rule-classes :rewrite)\n"
+     "(in-theory (enable a nosuch))", 2, ": :IN-THEORY names unknown rule: NOSUCH"),
+    # an :expand target that is not a call, shown as a term
+    ("(defstub p 1)\n(defthm a (p x) :rule-classes nil :hints ((:expand ('1))))", 1,
+     " A: expansion target is not a call: '1"),
+    ("(defstub p 1)\n(defthm a (p x) :rule-classes nil :hints ((:expand (((lambda (x) x) y)))))",
+     1, " A: expansion target is not a call: ((LAMBDA (X) X) Y)"),
     ("(defthm c (p x) :rule-classes nil :hints ((:in-theory (enable) foo (enable))))", 2,
      ": in C: expected a hint keyword, got: FOO"),
     ("(defstub p 1)\n(defthm a (p x)\n  :rule-classes nil))", 2, ": unexpected ) (line 3)"),

@@ -196,15 +196,14 @@ def test_hint_fns_are_callable():
     w = World()
     seen = {}
 
-    def run(args, ctx):
-        seen["args"] = args
+    def run(ctx):
         seen["goal"] = ctx.goal_name
         return parse_one("(:expand ((d a)))")
 
     w.add_hint_fn(HintFn("PICK", 1, run))
     t = translate_hint_expr(parse_one("(pick id)"), w)
     v = eval_hint_expr(t, _ctx(w, goal="Subgoal 3"))
-    assert seen == {"args": ["Subgoal 3"], "goal": "Subgoal 3"}
+    assert seen == {"goal": "Subgoal 3"}
     assert print_sexpr(v) == "(:EXPAND ((D A)))"
     with pytest.raises(TranslateError):
         translate_hint_expr(parse_one("(pick id id)"), w)

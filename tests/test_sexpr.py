@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from hintprover.sexpr import (
-    NIL, Keyword, Nil, Pair, ParseError, Symbol, T, QUOTE, QUASIQUOTE, UNQUOTE,
+    NIL, Keyword, Pair, ParseError, Symbol, T, QUOTE, QUASIQUOTE, UNQUOTE,
     UNQUOTE_SPLICING, from_list, is_nil, is_proper_list, parse, parse_one,
     print_capped, print_sexpr, to_list,
 )
@@ -280,7 +280,6 @@ def test_reader_agrees_with_its_plain_definition():
 
 
 def test_nil_is_one_object():
-    assert Nil() is NIL
     assert copy.copy(NIL) is NIL and copy.deepcopy(NIL) is NIL
     assert copy.deepcopy(from_list([1], NIL)).cdr is NIL
 
