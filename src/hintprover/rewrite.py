@@ -16,7 +16,10 @@ every goal of a proof shares it.  A rewrite that did read the truth
 table is kept only while that literal is rewritten, except the whole
 literal's: it is filed in the same table with the questions it asked
 and their answers, and a later goal whose table answers them alike
-takes it as it is.
+takes it as it is.  A literal rewritten for no steps also files its
+result as its own rewrite under the same questions, since rewriting a
+zero-step result again gives it back for no steps: the next pass, which
+checks that a changed goal is stable, then looks each literal up.
 
 Every term walked here is lambda-free.  The callers beta-reduce what
 they translate before it reaches a clause, a rule or a definition, and
@@ -334,13 +337,17 @@ def replace_subterm(t, old, new):
     old must hold a splittable IF, as what split_ifs replaces does.  A call
     in which find_split_test finds none, a HIDE among them, cannot hold a
     visible old (the search would have found old's), so the step keeps it
-    unvisited.  Each shared node is visited once (term.rebuild).
+    unvisited.  Nor can the arguments of an IF that is its own first
+    splittable IF, since none of them holds one; the table replaces the
+    node itself if it is old.  Each shared node is visited once
+    (term.rebuild).
     """
     return rebuild(t, {old: new}, _keep_unsplittable)
 
 
 def _keep_unsplittable(u):
-    return u if u._split is None else None
+    s = u._split
+    return u if s is None or s is True else None
 
 
 def split_ifs(clause):
@@ -374,8 +381,9 @@ def simplify_clause(clause, theory, world, budget, memos):
     Returns None when the clause proved, otherwise (rewritten, split):
     the tuple of surviving literals and what split_ifs returns for it.
     The clause proved when a literal rewrote to a true constant or one
-    is the negation of another.  Each literal's result replaces it in the
-    truth counts, so after the loop they count exactly the rewritten
+    is the negation of another.  Each literal's result other than a
+    constant replaces it in the truth counts (decide is never asked about
+    a constant), so after the loop they count exactly the surviving
     literals, and the second test reads them: some p is counted both
     false and true.  Whether the goal is stable is the caller's to decide.
 
@@ -388,12 +396,24 @@ def simplify_clause(clause, theory, world, budget, memos):
     takes the result and is charged the steps, as a memo hit is.  Since
     rewrite_term asks its context only through decide, the same answers
     give the same rewrite.
+
+    A result that read the table for no steps is filed as its own
+    fixpoint too, (log, result, 0), unless it is the literal or already
+    filed.  Under answers that match the log the literal rewrites to that
+    result for no steps, and a zero-step result rewrites to itself for no
+    steps under the table that made it; so a later literal equal to it
+    takes it unchanged.  A result that took steps is a fixpoint as well,
+    but rewriting it again may try rules whose hypotheses fail, and the
+    steps= a proof reports count those tries, so it is not filed.
     """
-    memo = memos.setdefault(theory, {})
+    memo = memos.get(theory)
+    if memo is None:
+        memo = memos[theory] = {}
     ctx = RewriteContext(theory, world, budget, memo, clause)
     falses, trues, decide = ctx.falses, ctx.trues, ctx.decide
-    lits = list(clause)
-    for i, lit in enumerate(lits):
+    rewritten = []
+    proved = False
+    for lit in clause:
         falses[lit] -= 1  # lit is out of the truth counts while it is rewritten
         if lit.__class__ is App and lit.fn == "NOT":
             trues[lit.args[0]] -= 1
@@ -413,17 +433,27 @@ def simplify_clause(clause, theory, world, budget, memos):
             used = budget.used
             out = rewrite_term(lit, ctx, True)
             if log:
-                memo[lit] = (log, out, budget.used - used)
+                steps = budget.used - used
+                memo[lit] = (log, out, steps)
+                if not steps and out is not lit and out not in memo:
+                    memo[out] = (log, out, 0)  # a zero-step result is its own fixpoint
                 ctx.log = {}  # what later questions ask stays out of the filed log
-        lits[i] = out
+        if out.__class__ is Const:  # decide is never asked about a constant
+            if out is not CONST_NIL:
+                proved = True
+            continue
+        rewritten.append(out)
         falses[out] = falses.get(out, 0) + 1
         if out.__class__ is App and out.fn == "NOT":
             p = out.args[0]
             trues[p] = trues.get(p, 0) + 1
 
-    if any(is_true_const(l) for l in lits) or any(falses.get(p) for p, n in trues.items() if n):
+    if proved:
         return None
-    rewritten = tuple([l for l in lits if l is not CONST_NIL])
+    for p, n in trues.items():
+        if n and falses.get(p):
+            return None
+    rewritten = tuple(rewritten)
     return rewritten, split_ifs(rewritten)
 
 

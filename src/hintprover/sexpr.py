@@ -57,7 +57,10 @@ class Pair:
     """A cons cell.  Equality and hashing are structural and walk both the
     car and the cdr direction without recursion: the cdr spine in a loop,
     nested cars on an explicit stack.  So neither long lists nor deep
-    nesting cost Python stack depth.
+    nesting cost Python stack depth.  Equality compares each pair of
+    cells once, however many paths lead to it, so values that share
+    cells and were built apart compare in time linear in the pairs of
+    cells they meet, not in their paths.
 
     A cell is never changed after construction: its hash and its printed
     text (print_sexpr) are computed on first use and kept on the cell.
@@ -75,11 +78,16 @@ class Pair:
         if not isinstance(other, Pair):
             return NotImplemented
         todo = [(self, other)]  # pairs of cells still to compare
+        met = set()  # ids of the pairs of cells whose walk has started
         while todo:
             a, b = todo.pop()
             while isinstance(a, Pair) and isinstance(b, Pair):
                 if a is b:
                     break
+                ids = (id(a), id(b))
+                if ids in met:
+                    break
+                met.add(ids)
                 x, y = a.car, b.car
                 if x is not y:
                     if isinstance(x, Pair) and isinstance(y, Pair):

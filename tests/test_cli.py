@@ -464,6 +464,30 @@ def test_hint_splices_count_against_the_bound(tmp_path, capsys, n, flags, limit)
     assert elapsed < 1.0
 
 
+def test_a_hint_function_compares_shared_values_built_apart(tmp_path):
+    # Each value is (a_i (cons a_i-1 a_i-1)), 30 deep: 31 cells and 2^30
+    # paths to its leaf.  EQUAL compares each pair of cells once, so the
+    # hint fires at once.  Walked path by path, the comparison doubled with
+    # each level: 0.4 s at n = 20 on a 2-CPU x86-64 host.  The fired
+    # (:in-theory (enable)) prints as HINT NIL.
+    n = 30
+    binds = " ".join(f"(a{i} (cons a{i - 1} a{i - 1}))" for i in range(1, n + 1))
+    value = f"(let* ((a0 'x) {binds}) a{n})"
+    path = evfile(tmp_path, f"""
+      (defstub p 1)
+      (register-hint-fn h (if (equal {value} {value}) '(:in-theory (enable)) 'nil))
+      (defthm c (p x) :rule-classes nil :hints (h))
+    """)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "hintprover.cli", "--trace", path],
+                          capture_output=True, text=True, timeout=20, env=_child_env())
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stderr) == (1, "")
+    assert done.stdout.splitlines()[1:3] == ["EVENT Goal HINT NIL",
+                                             "EVENT Subgoal 1 SIMPLIFY (STABLE ((P X)))"]
+    assert elapsed < 2.0
+
+
 @pytest.mark.parametrize("flags, theorem", [
     # a quoted constant, printed by the trace and by the checkpoint
     (["--trace", "--checkpoints"], "(defthm a (p '{d}) :rule-classes nil)"),
@@ -586,6 +610,31 @@ def test_corpus_trace_is_pinned():
     assert done.returncode == 1
     assert done.stderr == b""
     assert hashlib.sha256(done.stdout).hexdigest() == CORPUS_TRACE_SHA256
+
+
+# `format_report(trace=True, checkpoints=True)` of every rules and
+# termhint-split file of one benchmark pass at seed 0, each FILE line reduced
+# to the file's base name, hashed in pass order.
+WORKLOAD_TRACE_SHA256 = "80eeefe8bdd80cb7ed027af59ae45c5397636480513dd397598c4333a24d18e3"
+
+
+def test_workload_traces_are_pinned(tmp_path):
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        from workloads import make_pass
+    finally:
+        sys.path.remove(bench)
+    digest = hashlib.sha256()
+    files = make_pass("rules", 0) + make_pass("termhint-split", 0)
+    for f in files:
+        path = tmp_path / f.name
+        path.write_text(f.text)
+        head, _, rest = format_report(run([str(path)]), trace=True, checkpoints=True).partition("\n")
+        assert head == f"FILE {path}"
+        digest.update(f"FILE {f.name}\n{rest}".encode())
+    assert len(files) == 104
+    assert digest.hexdigest() == WORKLOAD_TRACE_SHA256
 
 
 def test_rules_on_general_left_sides_fire_from_the_command_line():
@@ -1441,8 +1490,9 @@ def test_one_memo_per_proof_saves_rewrites_of_split_goals(tmp_path, monkeypatch)
     assert shared_proved and fresh_proved
     assert shared_steps == fresh_steps == 24
     # rewrite_term calls; deterministic.  The shared count also reuses whole
-    # literals whose logged questions get the same answers in a later goal
-    assert (shared, fresh) == (1838, 3459)
+    # literals whose logged questions get the same answers in a later goal,
+    # and zero-step results filed as their own fixpoints
+    assert (shared, fresh) == (1536, 3459)
 
 
 def test_split_passes_keep_their_bookkeeping(tmp_path, monkeypatch):
@@ -1468,6 +1518,7 @@ def test_split_passes_keep_their_bookkeeping(tmp_path, monkeypatch):
 
     def counted_pass(clause, *args):
         n["literals"] += len(clause)
+        rewritten = n["rewritten"]
         out = real_simplify(clause, *args)
         if out is None:
             n["proved"] += 1
@@ -1477,6 +1528,7 @@ def test_split_passes_keep_their_bookkeeping(tmp_path, monkeypatch):
             n["changed"] += 1
         else:
             n["stable"] += 1
+            n["rewritten when stable"] += n["rewritten"] - rewritten
         return out
 
     monkeypatch.setattr(rewrite_mod, "rewrite_term", counted)
@@ -1484,9 +1536,13 @@ def test_split_passes_keep_their_bookkeeping(tmp_path, monkeypatch):
     (t,) = run([evfile(tmp_path, _SPLIT4_TERMHINT)]).files[0].theorems
     assert t.proved and t.steps == 24
     assert [n[k] for k in ("proved", "split", "changed", "stable")] == [16, 15, 16, 16]
-    assert n["literals"] - n["rewritten"] == 234  # taken from filed entries
-    assert n["rewritten"] == 102
-    assert n["rewrite_term"] == 1838
+    assert n["literals"] - n["rewritten"] == 250  # taken from filed entries
+    assert n["rewritten"] == 86
+    assert n["rewrite_term"] == 1536
+    # a stable pass is given the clause the pass before it produced; that
+    # pass filed each literal it made for no steps as its own fixpoint, so
+    # the stable pass looks every literal up
+    assert n["rewritten when stable"] == 0
 
 
 def test_split_goals_rebuild_only_what_changed(tmp_path, monkeypatch):
@@ -1517,6 +1573,36 @@ def test_split_goals_rebuild_only_what_changed(tmp_path, monkeypatch):
     assert t.proved and t.steps == 24
     (n,) = counts
     assert n < 1100, n  # 841
+
+
+def test_split_walker_skips_what_cannot_hold_the_split_node(tmp_path, monkeypatch):
+    # replace_subterm's rebuild visits neither a call with no splittable IF
+    # nor the arguments of an IF that is its own first splittable IF: 390
+    # rebuild calls for this theorem, 456 when such an IF's test and
+    # branches were visited too
+    import hintprover.rewrite as rewrite_mod
+    import hintprover.term as term_mod
+
+    real_rebuild, real_replace = term_mod.rebuild, rewrite_mod.replace_subterm
+    n, inside = [0], [False]
+
+    def counted(t, done, step=None):
+        n[0] += inside[0]
+        return real_rebuild(t, done, step)
+
+    def replace(t, old, new):
+        inside[0] = True
+        try:
+            return real_replace(t, old, new)
+        finally:
+            inside[0] = False
+
+    for mod in (term_mod, rewrite_mod):
+        monkeypatch.setattr(mod, "rebuild", counted)
+    monkeypatch.setattr(rewrite_mod, "replace_subterm", replace)
+    (t,) = run([evfile(tmp_path, _SPLIT4_TERMHINT)]).files[0].theorems
+    assert t.proved and t.steps == 24
+    assert n[0] == 390
 
 
 def test_trace_is_identical_under_different_hash_seeds():

@@ -667,6 +667,40 @@ def test_rewrite_term_agrees_with_the_plain_inside_out_spec():
     assert shown > 100 and hits > 400 and contradictions > 50  # hits: 465 counted
 
 
+def test_a_zero_step_rewrite_is_its_own_fixpoint():
+    # what simplify_clause's fixpoint filing rests on: a result that took
+    # no steps rewrites to itself, for no steps, in the context that made
+    # it.  A result that took steps is a fixpoint too, but rewriting it
+    # again may try a rule whose hypotheses fail and charge for that, so
+    # only zero-step results are filed as their own.
+    worlds = [_spec_world(True), _spec_world(False)]
+    rng = random.Random(3571)
+    zero = changed = recharged = 0
+    for n in range(400):
+        w, theory = worlds[n % 2]
+        t = _spec_term(rng, 5)
+        pool = list(_subterms(t)) + [_spec_term(rng, 2) for _ in range(3)]
+        for _ in range(5):
+            assume = [rng.choice(pool) for _ in range(rng.randrange(4))]
+            assume += [negate_term(rng.choice(pool)) for _ in range(rng.randrange(3))]
+            iff = rng.random() < 0.5
+            first = RewriteContext(theory, w, StepBudget(10000), {}, assume)
+            out = rewrite_term(t, first, iff)
+            again = RewriteContext(theory, w, StepBudget(10000), {}, assume)
+            again.budget.folded = first.budget.folded
+            back = rewrite_term(out, again, iff)
+            assert back is out, (t, assume, iff)
+            if first.budget.used:
+                recharged += again.budget.used > 0
+                continue
+            assert again.budget.used == 0, (t, assume, iff)
+            zero += 1
+            changed += out is not t
+    # counted 1,374 zero-step rewrites, 498 of them changed, and 319 of the
+    # 626 that took steps whose output charged steps again
+    assert zero > 1200 and changed > 400 and recharged > 250
+
+
 def test_one_memos_dict_serves_two_theories_as_fresh_tables_would():
     w = _chain_world()
     w.add_stub("P", 1)
@@ -1053,6 +1087,42 @@ def test_simplify_clause_agrees_with_the_plain_spec_across_goals():
     # clauses the pass changed at a cost, and literal entries taken as
     # filed: counted 132 and 1,023
     assert shown > 100 and reused > 800
+
+
+def test_the_pass_after_a_change_reads_the_shared_memos_as_a_fresh_dict():
+    # a pass that changes a clause files each zero-step result as its own
+    # fixpoint; the next pass, given that output as the proof gives it to a
+    # stable re-check, must answer and charge as a fresh dict does
+    worlds = [_spec_world(True), _spec_world(False)]
+    rng = random.Random(7211)
+    again = charged = 0
+    for n in range(60):
+        w, theory = worlds[n % 2]
+        memos, folded = {}, set()  # the proof's tables and the folds charged filling them
+        t = _spec_term(rng, 4)
+        pool = [a for a in _subterms(t) if not isinstance(a, Const)][:8]
+        pool += [_spec_term(rng, 2) for _ in range(3)]
+        pool += [negate_term(rng.choice(pool)) for _ in range(3)]
+        for _ in range(10):
+            clause = [t] + [rng.choice(pool) for _ in range(rng.randrange(4))]
+            rng.shuffle(clause)
+            clause = tuple(clause)
+            budget = StepBudget(10000)
+            budget.folded = folded
+            out = simplify_clause(clause, theory, w, budget, memos)
+            if out is None or out[0] == clause:
+                continue
+            seen = []
+            for tables, charged_folds in (({}, set(folded)), (memos, folded)):
+                budget = StepBudget(10000)
+                budget.folded = charged_folds
+                seen.append((simplify_clause(out[0], theory, w, budget, tables), budget.used))
+            assert seen[0] == seen[1], (clause, out[0], seen)
+            again += 1
+            charged += seen[0][1] > 0
+    # changed clauses passed again, and those whose next pass charged steps:
+    # counted 277 and 121
+    assert again > 200 and charged > 80
 
 
 _CORPUS = sorted(Path(__file__).resolve().parent.parent.joinpath("corpus").glob("*.lisp"))

@@ -407,6 +407,36 @@ def test_long_lists_compare_and_hash_without_recursion():
     assert a != from_list(list(range(n)), 0)
 
 
+def test_shared_cells_built_apart_compare_once():
+    # (a_i (cons a_i-1 a_i-1)) has n + 1 cells and 2^n paths to its leaf;
+    # equality walks the pairs of cells, not the paths (the n = 30 probe of
+    # test_cli times it), and must still find a leaf that differs on one
+    def doubled(n, leaf):
+        e = leaf
+        for _ in range(n):
+            e = Pair(e, e)
+        return e
+
+    def one_leaf_off(n, in_car):
+        # 2^n leaves: all X but the last one on the car (or cdr) spine, Y;
+        # every other branch is a copy of the doubled value built apart
+        e = Symbol("Y")
+        for i in range(n):
+            rest = doubled(i, Symbol("X"))
+            e = Pair(e, rest) if in_car else Pair(rest, e)
+        return e
+
+    n = 12
+    x = doubled(n, Symbol("X"))
+    assert x == doubled(n, Symbol("X")) and not x != doubled(n, Symbol("X"))
+    assert x != doubled(n, Symbol("Y"))
+    assert x != one_leaf_off(n, True) and one_leaf_off(n, False) != x
+    # the same cell met again with another partner is compared again
+    s, same, off = doubled(5, Symbol("X")), doubled(5, Symbol("X")), one_leaf_off(5, False)
+    assert Pair(s, s) == Pair(same, same)
+    assert Pair(s, s) != Pair(same, off) and Pair(s, s) != Pair(off, same)
+
+
 def test_capped_print_elides_past_the_cap():
     short = parse_one("(a (b . c) \"s\" :k 7)")
     assert print_capped(short) == print_sexpr(short)
