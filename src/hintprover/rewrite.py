@@ -21,6 +21,11 @@ result as its own rewrite under the same questions, since rewriting a
 zero-step result again gives it back for no steps: the next pass, which
 checks that a changed goal is stable, then looks each literal up.
 
+A rule or an opened definition fires without building its instance:
+its hypotheses and rhs are rewritten as patterns under match's seed,
+each variable and lhs node standing for the subterm of the call it
+met, so the only nodes built are those their rewritten parts make.
+
 Every term walked here is lambda-free.  The callers beta-reduce what
 they translate before it reaches a clause, a rule or a definition, and
 expand_calls does the same to its targets.
@@ -285,11 +290,11 @@ def _finish(u, ctx, iff):
     install order (opened definitions included).  A rule whose lhs has
     another head can never match u.
 
-    match binds a rule's variables, and its seed is term.rebuild's table
-    for the hypotheses and the rhs, so a node they share is instantiated
-    once and an instance of a node of the lhs is the subterm of u it met.
-    It calls match through this module's global, so a wrapper set on
-    rewrite.match sees every try."""
+    match binds a rule's variables, and _rewrite_under rewrites the
+    hypotheses and the rhs under its seed, one table for the firing, so
+    a node they share is rewritten once and an instance of a node of the
+    lhs is the subterm of u it met.  It calls match through this
+    module's global, so a wrapper set on rewrite.match sees every try."""
     if u.fn in ("EQUAL", "IFF") and u.args[0] == u.args[1]:
         return CONST_T
     if iff:
@@ -307,14 +312,128 @@ def _finish(u, ctx, iff):
         if seed is None:
             continue
         ctx.budget.take()
+        done = {}
         if not all(
-            is_true_const(rewrite_term(rebuild(h, seed), ctx, True))
+            is_true_const(rewrite_term(seed[h], ctx, True) if h in seed
+                          else _rewrite_under(h, seed, ctx, True, done))
             for h in rule.hyps
         ):
             continue
-        return rewrite_term(rebuild(rule.rhs, seed), ctx, iff)
+        p = rule.rhs
+        return (rewrite_term(seed[p], ctx, iff) if p in seed
+                else _rewrite_under(p, seed, ctx, iff, done))
 
     return u
+
+
+def _rewrite_under(p, seed, ctx, iff, done):
+    """rewrite_term(rebuild(p, seed), ctx, iff) for a pattern p that seed
+    does not hold, building that instance only where the walk meets it.
+
+    A Var or lhs node that seed holds stands for the subterm of u it met,
+    which rewrite_term takes as it is; a constant is its own rewrite;
+    HIDE is instantiated and not rewritten.  Any other call rewrites its
+    pattern arguments this way and then takes rewrite_term's node step
+    (IF test and branch, fold, _finish) on the node their results make.
+    That step is a copy, since sharing it would cost rewrite_term's hot
+    path a call per node; a differential test keeps the two in step.
+    Each argument is dispatched inline, so the stack grows as it did when
+    rewrite_term walked the instance, and a loop of rules overflows it
+    after as many steps.
+
+    A call other than IF whose arguments all come back as their own
+    instances has built its instance as that node, so seed takes it and
+    ctx.memo and ctx.local are read and filled under it as rewrite_term
+    would.  A hit there charges its steps less what the arguments just
+    took, which a fresh rewrite of the instance takes the same way.  Any
+    other result goes to done, which maps (p, iff) to (result, steps,
+    whether ctx was read) for one firing, its hypotheses and rhs alike.
+    A repeat charges the steps and counts a read as a memo or local hit
+    does, so a shared rhs costs its DAG, not its tree.
+    """
+    if p.__class__ is Const:
+        return p
+    key = (p, iff)
+    hit = done.get(key)
+    budget = ctx.budget
+    if hit is not None:
+        out, steps, read = hit
+        if read:
+            ctx.reads += 1
+        if steps:
+            budget.take(steps)
+        return out
+    fn = p.fn
+    if fn == "HIDE":
+        return rebuild(p, seed)
+    used = budget.used
+    reads = ctx.reads
+
+    if fn == "IF":
+        a = p.args[0]
+        test = (rewrite_term(seed[a], ctx, True) if a in seed
+                else _rewrite_under(a, seed, ctx, True, done))
+        d = truthy(test.value) if test.__class__ is Const else ctx.decide(test)
+        if d is not None:
+            a = p.args[1] if d else p.args[2]
+            out = (rewrite_term(seed[a], ctx, iff) if a in seed
+                   else _rewrite_under(a, seed, ctx, iff, done))
+        else:
+            args = [test]
+            for a in p.args[1:]:
+                args.append(rewrite_term(seed[a], ctx, iff) if a in seed
+                            else _rewrite_under(a, seed, ctx, iff, done))
+            out = _finish(App("IF", tuple(args)), ctx, iff)
+    else:
+        arg_iff = fn == "NOT" or fn == "IFF"
+        args = []
+        changed = False
+        consts = True
+        same = True
+        for a in p.args:
+            s = seed.get(a)
+            if s is not None:
+                b = rewrite_term(s, ctx, arg_iff)
+            else:
+                b = _rewrite_under(a, seed, ctx, arg_iff, done)
+                s = a if a.__class__ is Const else seed.get(a)
+            if b is not a:
+                changed = True
+            if b is not s:
+                same = False
+            if consts and b.__class__ is not Const:
+                consts = False
+            args.append(b)
+        if consts and fn in FOLDABLE:
+            values = [b.value for b in args]
+            cells = built_cells(fn, values)
+            if cells:
+                budget.take_cells((fn, tuple(args)), cells)
+            out = Const(apply_builtin(fn, values))
+        else:
+            out = App(fn, tuple(args)) if changed else p
+            if same:  # out is p's instance, which rewrite_term may have filed
+                seed[p] = out
+                nkey = (out, iff)
+                hit = ctx.memo.get(nkey)
+                if hit is None:
+                    hit = ctx.local.get(nkey)
+                    if hit is not None:
+                        ctx.reads += 1
+                if hit is not None:
+                    out, steps = hit
+                    steps -= budget.used - used  # the arguments' share is charged
+                    if steps:
+                        budget.take(steps)
+                    return out
+            if iff or fn == "EQUAL" or fn == "IFF" or fn in ctx.world.rules_by_fn:
+                out = _finish(out, ctx, iff)
+            if same:
+                (ctx.memo if ctx.reads == reads else ctx.local)[nkey] = (out, budget.used - used)
+                return out
+
+    done[key] = (out, budget.used - used, ctx.reads != reads)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,13 @@ import pytest
 from hintprover.sexpr import NIL, Symbol, T, from_list, parse_one, print_sexpr
 from hintprover.term import (
     App, CONST_NIL, CONST_T, FOLDABLE, Const, Var, apply_builtin, beta_reduce,
-    built_cells, translate, truthy, unparse,
+    built_cells, rebuild, translate, truthy, unparse,
 )
 from hintprover.world import RewriteRule, World
 from hintprover import hints
 from hintprover.cli import format_report, run
 from hintprover.rewrite import (
-    ExpandError, ResourceError, RewriteContext, StepBudget, expand_calls,
+    ExpandError, ResourceError, RewriteContext, StepBudget, _rewrite_under, expand_calls,
     find_split_test, match, negate_term, normalize_definition, replace_subterm,
     rewrite_term, simplify_clause, split_ifs,
 )
@@ -488,7 +488,7 @@ def test_shared_memo_holds_only_what_any_context_computes_random():
     theory = w.theory()
     rng = random.Random(6029)
     memo = {}
-    for _ in range(200):
+    for _ in range(300):
         t = _random_rw_term(rng, 4)
         for _ in range(3):
             c = RewriteContext(theory, w, StepBudget(10000), memo,
@@ -498,7 +498,7 @@ def test_shared_memo_holds_only_what_any_context_computes_random():
         assume = rng.sample(pool, rng.randrange(1, 4))
         c = RewriteContext(theory, w, StepBudget(10000), {}, assume)
         assert (rewrite_term(t, c, iff), c.budget.used) == (out, steps), (t, iff, assume)
-    # counted 249 entries, 110 of them rewritten and 1 charging steps
+    # counted 293 entries, 122 of them rewritten and 1 charging steps
     assert len(memo) > 200 and sum(out is not t for (t, _), (out, _) in memo.items()) > 100
     assert any(steps for _, steps in memo.values())
 
@@ -699,6 +699,117 @@ def test_a_zero_step_rewrite_is_its_own_fixpoint():
     # counted 1,374 zero-step rewrites, 498 of them changed, and 319 of the
     # 626 that took steps whose output charged steps again
     assert zero > 1200 and changed > 400 and recharged > 250
+
+
+def _left_side(rng):
+    """A call pattern (K a b c (cons x (cons y z))): each of a, b and c is a
+    variable or an inner call on them, so a rule's seed holds inner nodes,
+    a node met twice among them included."""
+    x, y, z = Var("X"), Var("Y"), Var("Z")
+    parts = [x, y, z, App("CAR", (x,)), App("CONS", (y, z)), App("F", (App("CAR", (z,)),))]
+    args = [rng.choice(parts) for _ in range(3)]
+    return App("K", tuple(args) + (App("CONS", (x, App("CONS", (y, z)))),))
+
+
+def test_a_firing_rewrites_its_pattern_as_rewrite_term_its_instance_random():
+    # _rewrite_under against rewrite_term over term.rebuild's instance, for
+    # the hypotheses and then the rhs of one firing.  Each side gets its
+    # own copy of one context, whose memo table is empty or filled by
+    # rewrites of the matched call and of instance subterms, and which
+    # rewrites those subterms again in the literal before the firing;
+    # limits with room, exact, short and small
+    worlds = [_spec_world(True), _spec_world(False)]
+    rng = random.Random(6151)
+    compared = stepped = read = short = shared = 0
+    for n in range(250):
+        w, theory = worlds[n % 2]
+        lhs = _left_side(rng)
+        u = rebuild(lhs, {Var(v): _spec_term(rng, 3) for v in "XYZ"})
+        seed = match(lhs, u)
+        inner = [p for p in seed if isinstance(p, App)]
+        # patterns over X, Y and Z with shared nodes, IF, HIDE and foldable
+        # heads over constants (_spec_term), hypotheses included, and now
+        # and then an inner lhs node in place of every use of a variable
+        pats = []
+        for iff in [True] * rng.randrange(3) + [rng.random() < 0.5]:
+            p = _spec_term(rng, 5)
+            if inner and rng.random() < 0.5:
+                p = rebuild(p, {Var(rng.choice("XYZ")): rng.choice(inner)})
+            pats.append((p, iff))
+        calls = [q for p, _ in pats for q in _subterms(p) if isinstance(q, App)]
+        shared += len(calls) > len(set(calls))  # a call node met twice
+        pool = list(_subterms(u))
+        for p, _ in pats:
+            pool += _subterms(rebuild(p, dict(seed)))
+        assume = [rng.choice(pool) for _ in range(rng.randrange(4))]
+        assume += [negate_term(rng.choice(pool)) for _ in range(rng.randrange(3))]
+        # rewritten before the firing: the call, and instance subterms the
+        # firing meets again, which a context-free rewrite files in the
+        # memo and any other in the literal's own table
+        before = [(t, rng.random() < 0.5) for t in [u] + rng.sample(pool, rng.randrange(4))]
+        warm = RewriteContext(theory, w, StepBudget(10000), {}, assume)
+        for t, iff in before:
+            rewrite_term(t, warm, iff)
+
+        def fire(walk, memo, folded, limit):
+            ctx = RewriteContext(theory, w, StepBudget(limit), dict(memo), assume)
+            ctx.budget.folded = set(folded)
+            s, done, seen = dict(seed), {}, []
+            try:
+                for t, iff in before[1:]:
+                    rewrite_term(t, ctx, iff)
+                for p, iff in pats:
+                    reads = ctx.reads
+                    if walk:
+                        out = (rewrite_term(s[p], ctx, iff) if p in s
+                               else _rewrite_under(p, s, ctx, iff, done))
+                    else:
+                        out = rewrite_term(rebuild(p, s), ctx, iff)
+                    seen.append((out, ctx.budget.used, ctx.reads != reads, dict(ctx.log)))
+            except ResourceError as e:
+                assert "step budget" not in str(e) or ctx.budget.used == limit
+                seen.append((str(e), ctx.budget.used))
+            return seen
+
+        for memo, folded in (({}, set()), (warm.memo, warm.budget.folded)):
+            full = fire(False, memo, folded, 10000)[-1][1]
+            for limit in {10000, full, max(full - 1, 0), rng.randrange(full + 1)}:
+                want = fire(False, memo, folded, limit)
+                assert fire(True, memo, folded, limit) == want, (lhs, u, pats, assume, limit)
+                compared += 1
+                stepped += want[-1][1] > 0
+                read += any(len(e) == 4 and e[2] for e in want)
+                short += isinstance(want[-1][0], str)
+    # counted 1,556 comparisons: 1,181 charged steps, 985 read the context
+    # and 565 ran out; 84 firings meet a call node of their patterns twice.
+    # The walks took 4,398 instances from a table, 670 of them owing steps
+    # beyond what their arguments charged
+    assert compared > 1400 and stepped > 1000 and read > 850 and short > 500 and shared > 60
+
+
+def test_a_firing_builds_no_instance_of_its_right_side(tmp_path, monkeypatch):
+    # Q's (f a) rewrites by R to (g (h a)), whose (h a) opens: the firing
+    # builds (g (cons a a)) from the rewritten argument, never the instance
+    # (g (h a)), which was interned only to be rewritten
+    import hintprover.term as term_mod
+
+    path = tmp_path / "instance.lisp"
+    path.write_text("(defstub g 1) (defun h (x) (cons x x)) (defund f (x) (g (h x)))\n"
+                    "(defthm r (equal (f x) (g (h x))) :hints ((:in-theory (enable f))))\n"
+                    "(defthm q (equal (f a) (g (cons a a))) :rule-classes nil)\n")
+    filed = []
+    real_file = term_mod._file
+
+    def spy(t, cls, key, split=None):
+        real_file(t, cls, key, split)
+        filed.append(t)
+
+    monkeypatch.setattr(term_mod, "_file", spy)
+    report = run([str(path)])
+    assert [(t.name, t.proved) for t in report.files[0].theorems] == [("R", True), ("Q", True)]
+    texts = {print_sexpr(unparse(t)) for t in filed}
+    assert {"(G (H X))", "(H A)", "(G (CONS A A))"} <= texts
+    assert "(G (H A))" not in texts
 
 
 def test_one_memos_dict_serves_two_theories_as_fresh_tables_would():
